@@ -11,7 +11,6 @@ Subcommands
     Schmidt-rank report for a state or channel spec, with optional Choi cut.
 
 Exit codes: 0 success, 2 invalid input spec, 3 numerical non-convergence.
-The ENTPOW_THREADS environment variable caps scan parallelism.
 """
 
 from __future__ import annotations

@@ -23,8 +23,6 @@ The historical aliases "fig3" and "fig4" name the same scenarios.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,7 +36,7 @@ from .witnesses import (
     OptimizerConfig,
     Witness,
     measurement_scan_min,
-    min_over_products,
+    min_over_products_many,
     swap_witness,
     unitary_mix_scan_min,
 )
@@ -136,31 +134,19 @@ def _check_step(step: float) -> float:
     return step
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("ENTPOW_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SpecError("ENTPOW_THREADS", f"not an integer: {env!r}") from None
-    return min(4, os.cpu_count() or 1)
-
-
 def run_scan(
     scenario_name: str,
     step: float,
     engine: str = "closed_form",
     optimizer: OptimizerConfig | None = None,
-    threads: int | None = None,
 ) -> ScanResult:
     """Evaluate the scenario's witness minimum on the (p, q) grid.
 
     Grid points are p = i * step, q = j * step clipped to [0, 1], restricted to
     the scenario's domain, emitted in row-major (p outer, q inner) order. The
-    result is deterministic: the optimizer engine reuses the same seeded config
-    at every grid point, so thread count never affects values or ordering.
+    result is deterministic: the optimizer engine minimizes every point's dual
+    witness in one `min_over_products_many` call with the same seeded config,
+    and each point's value is the one it gets when minimized alone.
     """
     scenario = get_scenario(scenario_name)
     step = _check_step(step)
@@ -175,24 +161,11 @@ def run_scan(
         values = [scenario.closed_form(p, q) for p, q in points]
         converged = [True] * len(points)
     else:
-        config = optimizer or OptimizerConfig()
         witness = scenario.build_witness()
-        dims = scenario.dims
-
-        def evaluate(point):
-            p, q = point
-            dual = scenario.build_channel(p, q).dual_apply(witness.operator)
-            res = min_over_products(dual, dims, config)
-            return res.value, res.converged
-
-        n_threads = _thread_count(threads)
-        if n_threads > 1:
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                results = list(pool.map(evaluate, points))
-        else:
-            results = [evaluate(pt) for pt in points]
-        values = [r[0] for r in results]
-        converged = [r[1] for r in results]
+        duals = [scenario.build_channel(p, q).dual_apply(witness.operator) for p, q in points]
+        results = min_over_products_many(duals, scenario.dims, optimizer)
+        values = [r.value for r in results]
+        converged = [r.converged for r in results]
 
     rows = tuple(
         (p, q, float(v)) for (p, q), v in zip(points, values)

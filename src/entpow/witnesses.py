@@ -9,13 +9,19 @@ every separability bound in this package rests on.
 The optimizer is multi-start coordinate descent: with all parties but one
 frozen, the objective is a Hermitian quadratic form in the free party, whose
 exact minimizer is an extremal eigenvector. Sweeps are monotone, so each
-restart converges; restarts guard against local minima. All restarts advance
-in lockstep through batched einsum/eigh calls, which keeps grid scans cheap.
+restart converges; restarts guard against local minima.
+`min_over_products_many` minimizes a whole stack of observables at once:
+every (observable, restart) pair is one row, and each sweep contracts all
+active rows with one einsum and one stacked eigh. A row leaves the active set
+the sweep it converges (row compaction), so no row waits for the slowest
+restart. No step mixes rows, so a value does not depend on the batch it ran
+in; `min_over_products` is the one-observable case. Convergence and
+Hermiticity tolerances are relative to the observable's size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -76,7 +82,7 @@ class Witness:
 class OptimizerConfig:
     restarts: int = 64
     seed: int = 0
-    tol: float = 1e-12
+    tol: float = 1e-12  # relative to the observable's Frobenius norm
     max_sweeps: int = 500
 
 
@@ -92,73 +98,113 @@ class OptimizationResult:
     spread: float
 
 
-def _coordinate_descent(obs: np.ndarray, dims: DimList, config: OptimizerConfig):
-    """Minimize <chi|obs|chi> over product vectors; all restarts in lockstep.
+def _hermitian_part(obs, dims: DimList) -> np.ndarray:
+    obs = as_matrix(obs)
+    dims.check_matrix(obs)
+    if not is_hermitian(obs, 1e-8 * np.max(np.abs(obs))):
+        raise DimensionError("observable must be Hermitian (to 1e-8 of its largest entry)")
+    return (obs + dagger(obs)) / 2.0
 
-    Returns (per-restart values, per-party stacked vectors, converged mask).
-    """
-    d = dims.dims
-    n = dims.n
+
+# Most rows optimized together. A block's working set is its rows times each
+# party's reshuffled operator, so blocks bound memory on whole grids.
+BLOCK_ROWS = 2048
+
+
+def _reshuffle(stack: np.ndarray, d: tuple[int, ...], i: int) -> np.ndarray:
+    """Per observable, the (m, d_i**2) matrix taking ``conj(ket) (x) ket``, for
+    ``ket`` the other parties' product vector, to party i's flattened operator."""
+    n = len(d)
+    t = np.moveaxis(stack.reshape(len(stack), *d, *d), (1 + i, 1 + n + i), (-2, -1))
+    return t.reshape(len(stack), -1, d[i] ** 2)
+
+
+def _starts(d: tuple[int, ...], config: OptimizerConfig) -> list[np.ndarray]:
+    """Per-party start vectors; restart r draws from ``default_rng(seed + r)``."""
     r_count = max(1, int(config.restarts))
-    tensor = obs.reshape(*d, *d)
-
     factors = [np.empty((r_count, di), dtype=complex) for di in d]
     for r in range(r_count):
         rng = np.random.default_rng(config.seed + r)
         for i, di in enumerate(d):
             v = rng.normal(size=di) + 1j * rng.normal(size=di)
             factors[i][r] = v / np.linalg.norm(v)
+    return factors
 
-    rows = [chr(ord("a") + i) for i in range(n)]
-    cols = [chr(ord("a") + n + i) for i in range(n)]
-    t_sub = "".join(rows) + "".join(cols)
 
-    values = np.full(r_count, np.inf)
-    converged = np.zeros(r_count, dtype=bool)
-    for _ in range(config.max_sweeps):
-        for i in range(n):
-            operands = [tensor]
-            subs = [t_sub]
-            for j in range(n):
-                if j == i:
-                    continue
-                operands.append(np.conj(factors[j]))
-                subs.append("z" + rows[j])
-                operands.append(factors[j])
-                subs.append("z" + cols[j])
-            eff = np.einsum(
-                ",".join(subs) + "->z" + rows[i] + cols[i], *operands, optimize=True
-            )
+def _descend(shuffled, owner, tols, live, values, converged, factors, max_sweeps):
+    """Coordinate descent, in place, on the rows ``live``.
+
+    Row k minimizes observable ``owner[k]`` from its current vectors
+    ``factors[i][k]`` and has converged once a sweep moves ``values[k]`` by at
+    most ``tols[k]``; it then leaves the active set. Every step acts on each
+    row alone, so a row's result does not depend on which rows share its block.
+    """
+    cur = [f[live] for f in factors]
+    for _ in range(max_sweeps):
+        for i, di in enumerate(f.shape[1] for f in factors):
+            ket = np.ones((len(live), 1), dtype=complex)
+            for j, f in enumerate(cur):
+                if j != i:
+                    ket = (ket[:, :, None] * f[:, None, :]).reshape(len(live), -1)
+            w = (np.conj(ket)[:, :, None] * ket[:, None, :]).reshape(len(live), -1)
+            eff = np.einsum("nm,nmq->nq", w, shuffled[i][owner[live]]).reshape(-1, di, di)
             eff = (eff + np.conj(eff.transpose(0, 2, 1))) / 2.0
             evals, evecs = np.linalg.eigh(eff)
-            factors[i] = evecs[..., :, 0]
-            new_values = evals[:, 0]
-        converged = np.abs(new_values - values) < config.tol
-        values = new_values
-        if np.all(converged):
+            cur[i] = evecs[:, :, 0]
+        new = evals[:, 0]
+        done = np.abs(new - values[live]) <= tols[live]
+        values[live] = new
+        for f, c in zip(factors, cur):
+            f[live] = c
+        converged[live[done]] = True
+        live = live[~done]
+        if not live.size:
             break
-    return values, factors, converged
+        cur = [c[~done] for c in cur]
 
 
-def _run(obs, dims, config: OptimizerConfig | None, sign: float) -> OptimizationResult:
+def min_over_products_many(
+    observables, dims, config: OptimizerConfig | None = None
+) -> list[OptimizationResult]:
+    """`min_over_products` for each observable, in order, in one batch.
+
+    Every (observable, restart) pair is one row; rows run in blocks of at
+    most `BLOCK_ROWS`. Each result is bitwise the one `min_over_products`
+    gives for that observable alone.
+    """
     dims = DimList.of(dims)
-    obs = as_matrix(obs)
-    dims.check_matrix(obs)
-    if not is_hermitian(obs, 1e-8):
-        raise DimensionError("observable must be Hermitian")
-    obs = (obs + dagger(obs)) / 2.0
     config = config or DEFAULT_CONFIG
-    values, factors, converged = _coordinate_descent(sign * obs, dims, config)
-    # lowest value wins; ties (within 1e-12) go to the earliest restart
-    best = int(np.argmax(values <= values.min() + 1e-12))
-    argument = ProductStateParam(tuple(f[best] for f in factors))
-    return OptimizationResult(
-        value=float(sign * values[best]),
-        argument=argument,
-        restarts_used=len(values),
-        converged=bool(converged[best]),
-        spread=float(values.max() - values.min()),
-    )
+    mats = [_hermitian_part(obs, dims) for obs in observables]
+    if not mats:
+        return []
+    stack = np.array(mats)
+    scale = np.array([np.linalg.norm(m) for m in mats])
+    starts = _starts(dims.dims, config)
+    r_count = len(starts[0])
+    shuffled = [_reshuffle(stack, dims.dims, i) for i in range(dims.n)]
+    rows = len(mats) * r_count
+    owner = np.repeat(np.arange(len(mats)), r_count)
+    tols = config.tol * scale[owner]
+    values = np.full(rows, np.inf)
+    converged = np.zeros(rows, dtype=bool)
+    factors = [np.tile(s, (len(mats), 1)) for s in starts]
+    for lo in range(0, rows, BLOCK_ROWS):
+        live = np.arange(lo, min(lo + BLOCK_ROWS, rows))
+        _descend(shuffled, owner, tols, live, values, converged, factors, config.max_sweeps)
+    results = []
+    for k in range(len(mats)):
+        own = slice(k * r_count, (k + 1) * r_count)
+        vals = values[own]
+        # lowest value wins; ties (within the convergence tolerance) go to the earliest restart
+        best = k * r_count + int(np.argmax(vals <= vals.min() + config.tol * scale[k]))
+        results.append(OptimizationResult(
+            value=float(values[best]),
+            argument=ProductStateParam(tuple(f[best] for f in factors)),
+            restarts_used=r_count,
+            converged=bool(converged[best]),
+            spread=float(vals.max() - vals.min()),
+        ))
+    return results
 
 
 def min_over_products(obs, dims, config: OptimizerConfig | None = None) -> OptimizationResult:
@@ -167,12 +213,13 @@ def min_over_products(obs, dims, config: OptimizerConfig | None = None) -> Optim
     Deterministic for a fixed config; the reported value is attained by
     `argument`, hence an upper bound on the true minimum.
     """
-    return _run(obs, dims, config, sign=+1.0)
+    return min_over_products_many([obs], dims, config)[0]
 
 
 def max_over_products(obs, dims, config: OptimizerConfig | None = None) -> OptimizationResult:
     """Approximate max of <chi|obs|chi> over normalized product vectors."""
-    return _run(obs, dims, config, sign=-1.0)
+    res = min_over_products_many([-as_matrix(obs)], dims, config)[0]
+    return replace(res, value=-res.value)
 
 
 class WitnessCheck(NamedTuple):

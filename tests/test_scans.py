@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entpow import witnesses
 from entpow.errors import SpecError
 from entpow.scans import (
     CSV_HEADER,
@@ -65,13 +66,21 @@ def test_optimizer_engine_agrees_with_closed_form():
         assert zero_contour_residual(res) < tol
 
 
-def test_optimizer_thread_count_invariance(monkeypatch):
+def test_optimizer_scan_values_do_not_depend_on_the_batch(monkeypatch):
+    # blocks of 7 rows split each point's 16 restarts across blocks
+    monkeypatch.setattr(witnesses, "BLOCK_ROWS", 7)
     cfg = OptimizerConfig(restarts=16, seed=3)
-    monkeypatch.setenv("ENTPOW_THREADS", "1")
-    serial = run_scan("measurement", step=0.25, engine="optimizer", optimizer=cfg)
-    monkeypatch.setenv("ENTPOW_THREADS", "4")
-    threaded = run_scan("measurement", step=0.25, engine="optimizer", optimizer=cfg)
-    assert serial.rows == threaded.rows  # bitwise equal floats
+    scenario = get_scenario("measurement")
+    witness = scenario.build_witness()
+    scan = run_scan("measurement", step=0.25, engine="optimizer", optimizer=cfg)
+    duals = [scenario.build_channel(p, q).dual_apply(witness.operator) for p, q, _ in scan.rows]
+    batched = witnesses.min_over_products_many(duals, scenario.dims, cfg)
+    for (_, _, v), dual, res in zip(scan.rows, duals, batched):
+        alone = witnesses.min_over_products(dual, scenario.dims, cfg)
+        assert (v, res.value, res.converged) == (alone.value, alone.value, alone.converged)
+    assert scan.all_converged == all(r.converged for r in batched)
+    again = run_scan("measurement", step=0.25, engine="optimizer", optimizer=cfg)
+    assert format_csv(again) == format_csv(scan)
 
 
 def test_csv_format_and_determinism(tmp_path):

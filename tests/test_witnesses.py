@@ -122,6 +122,34 @@ def test_multiparty_known_overlaps():
 def test_non_hermitian_rejected():
     with pytest.raises(DimensionError):
         min_over_products(np.array([[0, 1], [0, 0]], dtype=complex), (2,), FAST)
+    # the check is relative to the largest entry, so scaling does not hide it
+    with pytest.raises(DimensionError):
+        min_over_products(1e-9 * np.array([[0, 1], [0, 0]], dtype=complex), (2,), FAST)
+
+
+def _unit_norm_herm(seed, d):
+    obs = rand_herm(np.random.default_rng(seed), d)
+    return obs / np.linalg.norm(obs)
+
+
+def test_tiny_observable_converges_to_the_scaled_minimum():
+    # convergence is judged relative to ||obs||, so a tiny observable is not cut short
+    obs = _unit_norm_herm(5, 9)
+    ref = min_over_products(obs, (3, 3), FAST)
+    tiny = min_over_products(1e-9 * obs, (3, 3), FAST)
+    assert tiny.converged
+    assert abs(tiny.value / 1e-9 - ref.value) < 1e-9 * abs(ref.value)
+
+
+def test_large_observable_tolerates_rounding_asymmetry():
+    # Hermiticity is judged relative to max|obs|: 1e-7 on entries of size 1e6 is rounding
+    obs = _unit_norm_herm(6, 9)
+    ref = min_over_products(obs, (3, 3), FAST)
+    big = 1e6 * obs
+    big[0, 1] += 1e-7
+    res = min_over_products(big, (3, 3), FAST)
+    assert res.converged
+    assert abs(res.value / 1e6 - ref.value) < 1e-9 * abs(ref.value)
 
 
 # -- witness validation and algebra -----------------------------------
