@@ -1,0 +1,55 @@
+"""Write the CLI output of every `certify-mix` operation, for byte comparison.
+
+    python3 scripts/dump_certify_outputs.py OUTDIR --seeds 1 2 3 4 5 6
+
+For each seed and each of the benchmark's eleven `certify-mix` channels
+(`bench/workloads.py`), runs ``classify SPEC`` and ``schmidt SPEC`` through
+``entpow.cli.main`` with the `src` tree beside this script, and writes stdout
+to ``OUTDIR/<seed>-<channel>-<command>.txt``. Run it from two checkouts and
+compare with ``diff -r``: a change that keeps the search bitwise gives no
+difference. BLAS is held to one thread, as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import entpow.cli  # noqa: E402
+import workloads  # noqa: E402
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", type=Path)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5, 6])
+    args = parser.parse_args()
+    args.outdir.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in args.seeds:
+            for ch in workloads.certify_channels(seed):
+                spec = Path(tmp) / f"{ch.name}.json"
+                spec.write_text(json.dumps(ch.spec))
+                for command in ("classify", "schmidt"):
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        code = entpow.cli.main([command, str(spec)])
+                    text = out.getvalue() + f"exit {code}\n"
+                    (args.outdir / f"{seed}-{ch.name}-{command}.txt").write_text(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

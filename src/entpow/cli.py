@@ -27,7 +27,7 @@ from .power import (
     certify_kraus_channel,
     channel_schmidt_number_bounds,
     channel_schmidt_rank,
-    classify_kraus,
+    classify_kraus_many,
 )
 from .scans import SCENARIO_ALIASES, get_scenario, run_scan, write_csv
 from .serialize import (
@@ -129,7 +129,7 @@ def _schmidt_state_report(state: PureState | DensityMatrix, args) -> int:
 def _schmidt_channel_report(ch: KrausChannel, args) -> int:
     config = _probe_config(args)
     print(f"channel on dims {ch.dims.dims} with {len(ch.kraus)} Kraus operator(s)")
-    forms = [classify_kraus(m, ch.dims, config) for m in ch.kraus]
+    forms = classify_kraus_many(ch.kraus, ch.dims, ProbeConfig(probes=0, seed=config.seed))
     if len(ch.kraus) == 1:
         rank = channel_schmidt_rank(ch.kraus[0], ch.dims, config)
         print(f"kraus form: {forms[0].form}")

@@ -22,6 +22,7 @@ evidence alone never certifies it.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,7 +32,7 @@ import numpy as np
 from .channels import KrausChannel, MeasurementChannel
 from .errors import DimensionError, NotAWitnessError
 from .states import ProductStateParam, PureState, schmidt_rank
-from .tensor import DimList, as_matrix, numerical_rank, operator_schmidt
+from .tensor import DimList, as_matrix, numerical_rank
 from .witnesses import (
     DEFAULT_CONFIG,
     TOL_WITNESS,
@@ -60,6 +61,16 @@ class ProbeConfig:
 
 
 DEFAULT_PROBES = ProbeConfig()
+
+# Block sizes of the batched searches. The image-rank kernel takes operators
+# IMAGE_BLOCK_OPS at a time and holds their images of every probe; it
+# decomposes those images PROBE_CHUNK probes at a time, and an operator stops
+# probing once it reaches full rank. The remixing searches draw and remix
+# REMIX_BLOCK unitaries on the Kraus index at a time. Blocks bound peak memory
+# on long Kraus lists.
+IMAGE_BLOCK_OPS = 64
+PROBE_CHUNK = 8
+REMIX_BLOCK = 8
 
 
 class ProbeViolation(NamedTuple):
@@ -95,42 +106,122 @@ def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _image_svals(m: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Singular values of the normalized images M(a (x) b), batched over rows."""
-    d1, d2 = a.shape[1], b.shape[1]
-    chi = np.einsum("pi,pj->pij", a, b).reshape(a.shape[0], -1)
-    img = chi @ m.T
-    norms = np.linalg.norm(img, axis=1)
-    scale = max(float(np.linalg.norm(m)), 1.0)
-    ok = norms > 1e-12 * scale
-    svals = np.zeros((a.shape[0], min(d1, d2)))
+def _scales(ops: np.ndarray) -> np.ndarray:
+    """Per operator, the Frobenius norm floored at 1: images below 1e-12 of it are zero."""
+    return np.maximum(np.linalg.norm(ops.reshape(len(ops), -1), axis=1), 1.0)
+
+
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows ``a[p] (x) b[p]``."""
+    return np.einsum("pi,pj->pij", a, b).reshape(len(a), -1)
+
+
+def _images(ops: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """``M chi`` for each operator M of a stack: chi (P, d) sends every input
+    through every operator, giving (K, P, d); chi (K, 1, d) sends input k
+    through operator k, giving (K, 1, d)."""
+    return chi @ ops.transpose(0, 2, 1)
+
+
+def _image_svals(img: np.ndarray, scale: np.ndarray, dims: DimList):
+    """Schmidt coefficients and norms of images (K, P, d) of operators with
+    scales (K,); an image below ``1e-12 * scale`` gets zero coefficients."""
+    d1, d2 = dims.dims
+    norms = np.linalg.norm(img, axis=-1)
+    ok = norms > 1e-12 * scale[:, None]
+    svals = np.zeros(norms.shape + (min(d1, d2),))
     if np.any(ok):
-        normalized = img[ok] / norms[ok, None]
+        normalized = img[ok] / norms[ok][:, None]
         svals[ok] = np.linalg.svd(normalized.reshape(-1, d1, d2), compute_uv=False)
-    return svals, img, norms
+    return svals, norms
 
 
-def _ascend_coefficient(m, d1, d2, a, b, target: int, steps: int, rng, eps0=0.3):
-    """Local random ascent on the target-th Schmidt coefficient of the image."""
-    def coeff(av, bv):
-        s, _, norms = _image_svals(m, av[None, :], bv[None, :])
-        return float(s[0, target]) if norms[0] > 0 else 0.0
+def _ascend(ops, scale, a, b, target, steps: int, rng, dims: DimList, eps0=0.3):
+    """Local random ascent, for each operator k, of Schmidt coefficient
+    ``target[k]`` of the image of ``a[k] (x) b[k]``.
 
-    best = coeff(a, b)
-    eps = eps0
+    Each step draws one perturbation pair from `rng` whether or not any row
+    accepts it, and every row uses it; an operator ascending alone therefore
+    sees the same draws as in a stack. Returns the final inputs with the
+    singular values, images and image norms there.
+    """
+    d1, d2 = dims.dims
+    rows = np.arange(len(ops))
+
+    def evaluate(av, bv):
+        img = _images(ops, _products(av, bv)[:, None, :])
+        svals, norms = _image_svals(img, scale, dims)
+        return svals[:, 0], img[:, 0], norms[:, 0]
+
+    s, img, norms = evaluate(a, b)
+    best = s[rows, target]
+    eps = np.full(len(ops), eps0)
     for _ in range(steps):
         da = rng.normal(size=d1) + 1j * rng.normal(size=d1)
         db = rng.normal(size=d2) + 1j * rng.normal(size=d2)
-        a2 = a + eps * da
-        a2 /= np.linalg.norm(a2)
-        b2 = b + eps * db
-        b2 /= np.linalg.norm(b2)
-        val = coeff(a2, b2)
-        if val > best:
-            a, b, best = a2, b2, val
-        else:
-            eps *= 0.7
-    return a, b, best
+        a2 = a + eps[:, None] * da
+        a2 /= np.linalg.norm(a2, axis=1, keepdims=True)
+        b2 = b + eps[:, None] * db
+        b2 /= np.linalg.norm(b2, axis=1, keepdims=True)
+        s2, img2, norms2 = evaluate(a2, b2)
+        val = s2[rows, target]
+        up = val > best
+        a, b, s, img = (np.where(up[:, None], x2, x) for x2, x in
+                        ((a2, a), (b2, b), (s2, s), (img2, img)))
+        norms = np.where(up, norms2, norms)
+        best = np.where(up, val, best)
+        eps = np.where(up, eps, eps * 0.7)
+    return a, b, s, img, norms
+
+
+def _max_image_ranks(ops, dims: DimList, config: ProbeConfig, stream: int = 17) -> np.ndarray:
+    """For each operator, the largest image Schmidt rank found over product inputs.
+
+    Every operator gets the same search: `config.probes` product inputs drawn
+    from ``(seed, stream)``, then, from its first best probe, rounds of
+    `_ascend` on the next Schmidt coefficient while a round raises the rank
+    below ``min(d1, d2)``. Operators run in blocks of `IMAGE_BLOCK_OPS`; each
+    block redraws the probes. An operator leaves the probing once it reaches
+    ``min(d1, d2)`` and the ascent once a round fails to raise its rank, so
+    each result is the one the operator gets alone.
+    """
+    d1, d2 = dims.dims
+    dmin = min(d1, d2)
+    stack = np.asarray(ops)
+    ranks = np.zeros(len(stack), dtype=int)
+    for lo in range(0, len(stack), IMAGE_BLOCK_OPS):
+        block = stack[lo:lo + IMAGE_BLOCK_OPS]
+        rng = np.random.default_rng((config.seed, stream))
+        a = _unit_rows(rng, config.probes, d1)
+        b = _unit_rows(rng, config.probes, d2)
+        scale = _scales(block)
+        img = _images(block, _products(a, b))
+        rank = np.zeros(len(block), dtype=int)
+        best = np.zeros(len(block), dtype=int)
+        todo = np.arange(len(block))
+        for p in range(0, config.probes, PROBE_CHUNK):
+            s, _ = _image_svals(img[todo, p:p + PROBE_CHUNK], scale[todo], dims)
+            r = numerical_rank(s)
+            top = np.argmax(r, axis=1)
+            got = r[np.arange(len(todo)), top]
+            up = got > rank[todo]
+            rank[todo[up]], best[todo[up]] = got[up], p + top[up]
+            todo = todo[rank[todo] < dmin]
+            if not todo.size:
+                break
+        av, bv = a[best], b[best]
+        live = np.flatnonzero(rank < dmin) if config.refine_steps > 0 else np.arange(0)
+        while live.size:
+            a2, b2, s, _, _ = _ascend(
+                block[live], scale[live], av[live], bv[live], rank[live],
+                config.refine_steps, rng, dims,
+            )
+            new = numerical_rank(s)  # zero on images too small to count
+            up = new > rank[live]
+            rank[live[up]], av[live[up]], bv[live[up]] = new[up], a2[up], b2[up]
+            live = live[up][new[up] < dmin]
+        ranks[lo:lo + len(block)] = rank
+    return ranks
 
 
 def _probe_bipartite(m, dims: DimList, config: ProbeConfig, stream: int):
@@ -139,23 +230,23 @@ def _probe_bipartite(m, dims: DimList, config: ProbeConfig, stream: int):
     rng = np.random.default_rng((config.seed, stream))
     a = _unit_rows(rng, config.probes, d1)
     b = _unit_rows(rng, config.probes, d2)
-    svals, img, norms = _image_svals(m, a, b)
-    ranks = np.array([numerical_rank(s) for s in svals])
+    ops = m[None]
+    scale = _scales(ops)
+    img = _images(ops, _products(a, b))
+    svals, norms = _image_svals(img, scale, dims)
+    svals, norms, img = svals[0], norms[0], img[0]
+    ranks = numerical_rank(svals)
     best = int(np.argmax(ranks))
     if ranks[best] < 2 and config.refine_steps > 0:
         # push the second Schmidt coefficient of the most promising probe
-        second = svals[:, 1] if svals.shape[1] > 1 else np.zeros(len(svals))
-        cand = int(np.argmax(second))
-        av, bv, _ = _ascend_coefficient(
-            m, d1, d2, a[cand], b[cand], 1, config.refine_steps, rng
-        )
-        s, img1, n1 = _image_svals(m, av[None, :], bv[None, :])
-        if n1[0] > 0 and numerical_rank(s[0]) >= 2:
-            vec = img1[0] / n1[0]
+        cand = int(np.argmax(svals[:, 1]))
+        av, bv, s, img1, n1 = (x[0] for x in _ascend(
+            ops, scale, a[[cand]], b[[cand]], np.array([1]), config.refine_steps, rng, dims
+        ))
+        rank = numerical_rank(s)
+        if n1 > 0 and rank >= 2:
             return ProbeViolation(
-                ProductStateParam((av, bv)),
-                PureState(vec, dims),
-                numerical_rank(s[0]),
+                ProductStateParam((av, bv)), PureState(img1 / n1, dims), rank
             )
         return None
     if ranks[best] < 2:
@@ -196,92 +287,103 @@ def classify_kraus(m, dims, config: ProbeConfig | None = None) -> KrausStructure
     form with a stored `witness_violation` means the operator demonstrably
     creates entanglement from a product input.
     """
+    return classify_kraus_many([m], dims, config)[0]
+
+
+def classify_kraus_many(ops, dims, config: ProbeConfig | None = None) -> list[KrausStructure]:
+    """`classify_kraus` for each operator, in order.
+
+    The tensor, permutation and rank-1 tests each run as one stacked
+    reshuffle and SVD over the operators no earlier test classified; the
+    permutation test reshuffles with the party swap folded into the index
+    order. No step mixes operators, so each result is the one the operator
+    gets alone.
+    """
     config = config or DEFAULT_PROBES
     dims = DimList.of(dims)
-    m = as_matrix(m)
-    dims.check_matrix(m)
+    mats = [as_matrix(m) for m in ops]
+    for m in mats:
+        dims.check_matrix(m)
     if dims.n != 2:
         warnings.warn(
             "structural classification is bipartite-only; falling back to probes",
             stacklevel=2,
         )
-        viol = _probe_multiparty(m, dims, config, stream=0)
-        return KrausStructure(FORM_UNKNOWN, witness_violation=viol)
-
+        return [
+            KrausStructure(FORM_UNKNOWN, witness_violation=_probe_multiparty(m, dims, config, 0))
+            for m in mats
+        ]
+    if not mats:
+        return []
     d1, d2 = dims.dims
-    dec = operator_schmidt(m, dims)
-    if numerical_rank(dec.values) <= 1:
-        s = float(dec.values[0]) if dec.values.size else 0.0
-        factors = (np.sqrt(s) * dec.left[0], np.sqrt(s) * dec.right[0])
-        return KrausStructure(FORM_TENSOR, factors=factors)
+    stack = np.array(mats).reshape(-1, d1, d2, d1, d2)
+    out: list[KrausStructure | None] = [None] * len(mats)
+    rest = np.arange(len(mats))
 
+    # A (x) B, then (A (x) B) V for the swap V: operator Schmidt rank at most
+    # one after reshuffling (out1, in1 | out2, in2); V swaps the input axes.
+    tests = [(FORM_TENSOR, (0, 1, 3, 2, 4), None)]
     if d1 == d2:
-        from .tensor import swap_matrix
-
-        cand = m @ swap_matrix(d1)
-        dec2 = operator_schmidt(cand, dims)
-        if numerical_rank(dec2.values) <= 1:
-            s = float(dec2.values[0])
-            factors = (np.sqrt(s) * dec2.left[0], np.sqrt(s) * dec2.right[0])
-            return KrausStructure(FORM_PERMUTATION, factors=factors, permutation=(1, 0))
-
-    u_m, s_m, vh_m = np.linalg.svd(m)
-    if numerical_rank(s_m) == 1:
-        left = u_m[:, 0]
-        if schmidt_rank(PureState(left, dims)) == 1:
-            amat = left.reshape(d1, d2)
-            u2, s2, vh2 = np.linalg.svd(amat)
-            factors = (s2[0] * u2[:, 0], vh2[0, :])
-            right = float(s_m[0]) * np.conj(vh_m[0, :])
-            return KrausStructure(FORM_RANK1, factors=factors, right_vector=right)
-
-    viol = None
-    if config.probes > 0:
-        viol = _probe_bipartite(m, dims, config, stream=0)
-    return KrausStructure(FORM_UNKNOWN, witness_violation=viol)
-
-
-def _max_image_rank(m, dims: DimList, config: ProbeConfig, stream: int = 17):
-    """Best product input found for maximizing the image Schmidt rank."""
-    d1, d2 = dims.dims
-    dmin = min(d1, d2)
-    rng = np.random.default_rng((config.seed, stream))
-    a = _unit_rows(rng, config.probes, d1)
-    b = _unit_rows(rng, config.probes, d2)
-    svals, img, norms = _image_svals(m, a, b)
-    ranks = np.array([numerical_rank(s) for s in svals])
-    best = int(np.argmax(ranks))
-    rank = int(ranks[best])
-    av, bv = a[best], b[best]
-    while rank < dmin and config.refine_steps > 0:
-        av2, bv2, gain = _ascend_coefficient(
-            m, d1, d2, av, bv, rank, config.refine_steps, rng
-        )
-        s, _, n = _image_svals(m, av2[None, :], bv2[None, :])
-        new_rank = numerical_rank(s[0]) if n[0] > 0 else 0
-        if new_rank <= rank:
+        tests.append((FORM_PERMUTATION, (0, 1, 4, 2, 3), (1, 0)))
+    for form, axes, permutation in tests:
+        if not rest.size:
             break
-        rank, av, bv = new_rank, av2, bv2
-    return rank, ProductStateParam((av, bv))
+        shuffled = stack[rest].transpose(axes).reshape(-1, d1 * d1, d2 * d2)
+        u, s, vh = np.linalg.svd(shuffled, full_matrices=False)
+        simple = numerical_rank(s) <= 1
+        for k, j in zip(rest[simple], np.flatnonzero(simple)):
+            root = np.sqrt(float(s[j, 0]))
+            factors = (root * u[j, :, 0].reshape(d1, d1), root * vh[j, 0].reshape(d2, d2))
+            out[k] = KrausStructure(form, factors=factors, permutation=permutation)
+        rest = rest[~simple]
+
+    if rest.size:
+        # |chi_1 chi_2><Psi|: rank one with a product column space
+        u_m, s_m, vh_m = np.linalg.svd(stack[rest].reshape(len(rest), d1 * d2, -1))
+        one = np.flatnonzero(numerical_rank(s_m) == 1)
+        amats = u_m[one, :, 0].reshape(-1, d1, d2)
+        keep = numerical_rank(np.linalg.svd(amats, compute_uv=False)) == 1
+        if keep.any():
+            u2, s2, vh2 = np.linalg.svd(amats[keep])
+            for j, u2j, s2j, vh2j in zip(one[keep], u2, s2, vh2):
+                out[rest[j]] = KrausStructure(
+                    FORM_RANK1,
+                    factors=(s2j[0] * u2j[:, 0], vh2j[0, :]),
+                    right_vector=float(s_m[j, 0]) * np.conj(vh_m[j, 0, :]),
+                )
+
+    for k in np.flatnonzero([st is None for st in out]):
+        viol = None
+        if config.probes > 0:
+            viol = _probe_bipartite(mats[k], dims, config, stream=0)
+        out[k] = KrausStructure(FORM_UNKNOWN, witness_violation=viol)
+    return out
+
+
+def _schmidt_ranks(ops, dims: DimList, config: ProbeConfig) -> np.ndarray:
+    """`channel_schmidt_rank` for each operator of a stack, in order."""
+    structures = classify_kraus_many(ops, dims, ProbeConfig(probes=0, seed=config.seed))
+    ranks = np.ones(len(structures), dtype=int)
+    rest = [k for k, st in enumerate(structures) if not st.is_product_preserving]
+    if rest:
+        ranks[rest] = np.maximum(1, _max_image_ranks(np.asarray(ops)[rest], dims, config))
+    return ranks
 
 
 def channel_schmidt_rank(m, dims, config: ProbeConfig | None = None) -> int:
     """Max Schmidt rank of ``M|chi>`` over product inputs, for one Kraus operator.
 
     Structurally product-preserving operators return 1 without search;
-    otherwise the value is the best found by randomized probing with local
-    refinement, hence a lower bound on the true maximum.
+    otherwise the value is the best found by `_max_image_ranks`: randomized
+    probing with local refinement, hence a lower bound on the true maximum.
+    It is the same value the operator gets within a stack.
     """
     config = config or DEFAULT_PROBES
     dims = DimList.of(dims)
     dims.require_bipartite()
     m = as_matrix(m)
     dims.check_matrix(m)
-    structure = classify_kraus(m, dims, ProbeConfig(probes=0, seed=config.seed))
-    if structure.is_product_preserving:
-        return 1
-    rank, _ = _max_image_rank(m, dims, config)
-    return max(1, rank)
+    return int(_schmidt_ranks(m[None], dims, config)[0])
 
 
 @dataclass(frozen=True)
@@ -353,6 +455,21 @@ def _remix_unitaries(n: int, count: int, rng: np.random.Generator):
         yield _haar_unitary(n, rng)
 
 
+def _unitary_blocks(n: int, count: int, rng: np.random.Generator):
+    """`_remix_unitaries`, in order, as (B, n, n) blocks of at most `REMIX_BLOCK`."""
+    unitaries = _remix_unitaries(n, count, rng)
+    unitary = np.dtype((complex, (n, n)))  # fromiter fills the block with no list beside it
+    while len(block := np.fromiter(itertools.islice(unitaries, REMIX_BLOCK), unitary)):
+        yield block
+
+
+def _remix(rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``sum_j rows[k, j] stack[j]`` for each row k, in one matmul; no row's
+    arithmetic depends on the others, so an operator is the same in any batch."""
+    flat = stack.reshape(len(stack), -1)
+    return (rows[:, None, :] @ flat).reshape(len(rows), *stack.shape[1:])
+
+
 def _stochastic_violation(
     index: int, dims: DimList, probe: ProbeViolation
 ) -> Violation | None:
@@ -412,7 +529,10 @@ def certify_kraus_channel(
     """Three-way certificate: SNE / entangling / inconclusive.
 
     SNE requires every Kraus operator of the stored list — or of one of the
-    sampled unitary remixings — to classify structurally. The entangling
+    sampled unitary remixings — to classify structurally. The remixings are
+    searched in blocks: operator i is classified across the block's live
+    remixings at once, a remixing drops out at its first non-product
+    operator, and the first surviving remixing in sampling order wins. The entangling
     verdict needs replayable evidence: a witness violation of the full
     channel, or a stored Kraus operator probed into mapping a product input
     to an entangled conditional output. Precedence matters: probe evidence
@@ -425,7 +545,7 @@ def certify_kraus_channel(
     config = config or DEFAULT_PROBES
     ch.dims.require_bipartite()
     no_probe = ProbeConfig(probes=0, seed=config.seed)
-    structures = tuple(classify_kraus(m, ch.dims, no_probe) for m in ch.kraus)
+    structures = tuple(classify_kraus_many(ch.kraus, ch.dims, no_probe))
     if all(s.is_product_preserving for s in structures):
         return Certificate(
             "stochastically_nonentangling",
@@ -460,17 +580,18 @@ def certify_kraus_channel(
 
     rng = np.random.default_rng((config.seed, 999))
     stack = np.stack(ch.kraus)
-    for u in _remix_unitaries(len(ch.kraus), config.remixings, rng):
-        remixed = np.einsum("ij,jkl->ikl", u, stack)
-        # classify lazily: generic remixes fail on their first operator
-        if all(
-            classify_kraus(mm, ch.dims, no_probe).is_product_preserving
-            for mm in remixed
-        ):
-            rs = tuple(classify_kraus(mm, ch.dims, no_probe) for mm in remixed)
+    for us in _unitary_blocks(len(stack), config.remixings, rng):
+        live = np.arange(len(us))
+        for i in range(len(stack)):  # generic remixings fail on their first operator
+            forms = classify_kraus_many(_remix(us[live, i], stack), ch.dims, no_probe)
+            live = live[[st.is_product_preserving for st in forms]]
+            if not live.size:
+                break
+        else:
+            remixed = _remix(us[live[0]], stack)
             return Certificate(
                 "stochastically_nonentangling",
-                structures=rs,
+                structures=tuple(classify_kraus_many(remixed, ch.dims, no_probe)),
                 note="a sampled remixing of the Kraus list is product-preserving",
             )
 
@@ -520,7 +641,11 @@ def channel_schmidt_number_bounds(
 
     The upper bound is the best (smallest) max-over-operators image rank over
     sampled unitary remixings of the Kraus list — a heuristic search, reported
-    as such. Replacement channels short-circuit to their exact value; an
+    as such. The remixings are searched in blocks: the image ranks of
+    operator i are found across the block's live remixings at once, a
+    remixing drops out once one of its operators reaches the current upper
+    bound, and the survivors are taken in sampling order, so the first
+    remixing to lower the bound is kept. Replacement channels short-circuit to their exact value; an
     entangling certificate raises the lower bound to 2.
     """
     config = config or DEFAULT_PROBES
@@ -536,29 +661,28 @@ def channel_schmidt_number_bounds(
             certificate=tuple(ch.kraus),
         )
 
-    def decomposition_rank(ops, stop_at: int | None = None) -> int:
-        worst = 1
-        for mm in ops:
-            worst = max(worst, channel_schmidt_rank(mm, ch.dims, config))
-            if stop_at is not None and worst >= stop_at:
-                break  # cannot improve on the incumbent decomposition
-        return worst
-
-    upper = decomposition_rank(ch.kraus)
+    upper = int(_schmidt_ranks(ch.kraus, ch.dims, config).max())
     best_ops = tuple(ch.kraus)
     method = "stored decomposition"
     if upper > 1:
         rng = np.random.default_rng((config.seed, 1000))
         stack = np.stack(ch.kraus)
-        for u in _remix_unitaries(len(ch.kraus), config.remixings, rng):
-            remixed = np.einsum("ij,jkl->ikl", u, stack)
-            cand = decomposition_rank(remixed, stop_at=upper)
-            if cand < upper:
-                upper = cand
-                best_ops = tuple(remixed)
-                method = "best sampled unitary remixing (heuristic upper bound)"
-                if upper == 1:
+        for us in _unitary_blocks(len(stack), config.remixings, rng):
+            worst = np.ones(len(us), dtype=int)
+            live = np.arange(len(us))
+            for i in range(len(stack)):
+                ranks = _schmidt_ranks(_remix(us[live, i], stack), ch.dims, config)
+                worst[live] = np.maximum(worst[live], ranks)
+                live = live[worst[live] < upper]  # cannot improve on the incumbent
+                if not live.size:
                     break
+            for j in live:
+                if worst[j] < upper:
+                    upper = int(worst[j])
+                    best_ops = tuple(_remix(us[j], stack))
+                    method = "best sampled unitary remixing (heuristic upper bound)"
+            if upper == 1:
+                break
 
     lower = 1
     if upper > 1:

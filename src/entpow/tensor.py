@@ -184,12 +184,18 @@ def schmidt_reconstruct(dec: OperatorSchmidt) -> np.ndarray:
     return out
 
 
-def numerical_rank(singular_values: np.ndarray) -> int:
-    """Count of singular values above the package-wide rank threshold."""
+def numerical_rank(singular_values: np.ndarray) -> int | np.ndarray:
+    """Count of singular values above the package-wide rank threshold.
+
+    Values are in descending order, so the first is the largest. A 2-D array
+    is counted row by row and gives an integer array with one count per row;
+    each count equals the 1-D call on that row.
+    """
     s = np.asarray(singular_values, dtype=float)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * max(float(s[0]), 1.0)))
+    if s.shape[-1] == 0:
+        return 0 if s.ndim == 1 else np.zeros(s.shape[:-1], dtype=int)
+    counts = np.sum(s > RANK_RTOL * np.maximum(s[..., :1], 1.0), axis=-1)
+    return int(counts) if s.ndim == 1 else counts
 
 
 def swap_matrix(d: int) -> np.ndarray:

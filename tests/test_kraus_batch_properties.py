@@ -1,0 +1,260 @@
+"""Property tests of the batched Kraus-structure kernel in `entpow.power`.
+
+Each batched call must give, for every operator of a stack, what that operator
+gets alone, whatever the block sizes; the stacked classification and image
+ranks must also agree with the one-operator-at-a-time code they replaced,
+kept here as the reference.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entpow import power
+from entpow.power import (
+    ProbeConfig,
+    _max_image_ranks,
+    _schmidt_ranks,
+    channel_schmidt_rank,
+    classify_kraus,
+    classify_kraus_many,
+)
+from entpow.states import PureState, schmidt_rank
+from entpow.tensor import DimList, kron, numerical_rank, operator_schmidt, swap_matrix
+
+PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+DIMS = st.sampled_from([(2, 2), (2, 3), (3, 3)])
+SEEDS = st.integers(0, 2**32 - 1)
+KINDS = st.sampled_from(
+    ["tensor", "swap", "rank1_product", "rank1_entangled", "schmidt2", "generic", "zero"]
+)
+OPS = st.lists(st.tuples(KINDS, SEEDS), min_size=1, max_size=7)
+BLOCK = st.integers(1, 3)
+
+# Few probes and short ascents, so the ascent and the probe chunks both run.
+SMALL = ProbeConfig(probes=5, refine_steps=3, seed=3)
+
+
+def rand_op(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+def rand_vec(rng, d):
+    return rng.normal(size=d) + 1j * rng.normal(size=d)
+
+
+def operator(kind, seed, dims):
+    """One operator of a given structure: each form, plus operators that
+    entangle with image rank below or at min(d1, d2)."""
+    rng = np.random.default_rng(seed)
+    d1, d2 = dims
+    if kind == "tensor" or (kind == "swap" and d1 != d2):
+        return kron(rand_op(rng, d1), rand_op(rng, d2))
+    if kind == "swap":
+        return kron(rand_op(rng, d1), rand_op(rng, d2)) @ swap_matrix(d1)
+    if kind == "rank1_product":
+        return np.outer(np.kron(rand_vec(rng, d1), rand_vec(rng, d2)), rand_vec(rng, d1 * d2))
+    if kind == "rank1_entangled":  # |00> + |11> out: image rank 2 for every input
+        bell = np.kron(np.eye(d1)[0], np.eye(d2)[0]) + np.kron(np.eye(d1)[1], np.eye(d2)[1])
+        return np.outer(bell, rand_vec(rng, d1 * d2))
+    if kind == "schmidt2":  # operator Schmidt rank 2: image rank at most 2
+        return kron(rand_op(rng, d1), rand_op(rng, d2)) + kron(rand_op(rng, d1), rand_op(rng, d2))
+    if kind == "zero":
+        return np.zeros((d1 * d2, d1 * d2), dtype=complex)
+    return rand_op(rng, d1 * d2)
+
+
+def stack_of(ops, dims):
+    return np.array([operator(kind, seed, dims) for kind, seed in ops])
+
+
+# -- the one-operator code the kernel replaced ---------------------------
+
+
+def reference_image_svals(m, a, b):
+    d1, d2 = a.shape[1], b.shape[1]
+    chi = np.einsum("pi,pj->pij", a, b).reshape(a.shape[0], -1)
+    img = chi @ m.T
+    norms = np.linalg.norm(img, axis=1)
+    scale = max(float(np.linalg.norm(m)), 1.0)
+    ok = norms > 1e-12 * scale
+    svals = np.zeros((a.shape[0], min(d1, d2)))
+    if np.any(ok):
+        normalized = img[ok] / norms[ok, None]
+        svals[ok] = np.linalg.svd(normalized.reshape(-1, d1, d2), compute_uv=False)
+    return svals, img, norms
+
+
+def reference_ascend(m, d1, d2, a, b, target, steps, rng, eps0=0.3):
+    def coeff(av, bv):
+        s, _, norms = reference_image_svals(m, av[None, :], bv[None, :])
+        return float(s[0, target]) if norms[0] > 0 else 0.0
+
+    best = coeff(a, b)
+    eps = eps0
+    for _ in range(steps):
+        da = rng.normal(size=d1) + 1j * rng.normal(size=d1)
+        db = rng.normal(size=d2) + 1j * rng.normal(size=d2)
+        a2 = a + eps * da
+        a2 /= np.linalg.norm(a2)
+        b2 = b + eps * db
+        b2 /= np.linalg.norm(b2)
+        val = coeff(a2, b2)
+        if val > best:
+            a, b, best = a2, b2, val
+        else:
+            eps *= 0.7
+    return a, b
+
+
+def reference_max_image_rank(m, dims, config, stream=17):
+    d1, d2 = dims
+    rng = np.random.default_rng((config.seed, stream))
+    a = power._unit_rows(rng, config.probes, d1)
+    b = power._unit_rows(rng, config.probes, d2)
+    svals, _, _ = reference_image_svals(m, a, b)
+    ranks = [numerical_rank(s) for s in svals]
+    best = int(np.argmax(ranks))
+    rank = ranks[best]
+    av, bv = a[best], b[best]
+    while rank < min(d1, d2) and config.refine_steps > 0:
+        av2, bv2 = reference_ascend(m, d1, d2, av, bv, rank, config.refine_steps, rng)
+        s, _, n = reference_image_svals(m, av2[None, :], bv2[None, :])
+        new_rank = numerical_rank(s[0]) if n[0] > 0 else 0
+        if new_rank <= rank:
+            break
+        rank, av, bv = new_rank, av2, bv2
+    return rank
+
+
+def reference_form(m, dims):
+    """Form and factors from the per-operator structural tests."""
+    d1, d2 = dims
+    dec = operator_schmidt(m, dims)
+    if numerical_rank(dec.values) <= 1:
+        s = float(dec.values[0])
+        return "tensor_product", (np.sqrt(s) * dec.left[0], np.sqrt(s) * dec.right[0])
+    if d1 == d2:
+        dec2 = operator_schmidt(m @ swap_matrix(d1), dims)
+        if numerical_rank(dec2.values) <= 1:
+            s = float(dec2.values[0])
+            return "permutation_local", (np.sqrt(s) * dec2.left[0], np.sqrt(s) * dec2.right[0])
+    u_m, s_m, _ = np.linalg.svd(m)
+    if numerical_rank(s_m) == 1 and schmidt_rank(PureState(u_m[:, 0], dims)) == 1:
+        u2, s2, vh2 = np.linalg.svd(u_m[:, 0].reshape(d1, d2))
+        return "rank1_product", (s2[0] * u2[:, 0], vh2[0, :])
+    return "unknown", None
+
+
+# -- properties ------------------------------------------------------------
+
+
+def arrays(st):
+    return (st.factors or ()) + (() if st.right_vector is None else (st.right_vector,))
+
+
+def same_structure(x, y):
+    return (
+        x.form == y.form
+        and x.permutation == y.permutation
+        and len(arrays(x)) == len(arrays(y))
+        and all(np.array_equal(p, q) for p, q in zip(arrays(x), arrays(y)))
+    )
+
+
+@PROPS
+@given(DIMS, OPS)
+def test_classify_many_matches_each_operator(dims, ops):
+    stack = stack_of(ops, dims)
+    no_probe = ProbeConfig(probes=0)
+    batched = classify_kraus_many(stack, dims, no_probe)
+    assert len(batched) == len(stack)
+    for m, st_many in zip(stack, batched):
+        assert same_structure(st_many, classify_kraus(m, dims, no_probe))
+        form, factors = reference_form(m, dims)
+        assert st_many.form == form
+        if factors is not None:
+            assert all(np.array_equal(p, q) for p, q in zip(st_many.factors, factors))
+
+
+@PROPS
+@given(DIMS, OPS, BLOCK, BLOCK)
+def test_image_ranks_match_each_operator_alone(dims, ops, block, chunk):
+    stack = stack_of(ops, dims)
+    dl = DimList.of(dims)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(power, "IMAGE_BLOCK_OPS", block)
+        mp.setattr(power, "PROBE_CHUNK", chunk)
+        batched = _max_image_ranks(stack, dl, SMALL)
+        alone = [int(_max_image_ranks(m[None], dl, SMALL)[0]) for m in stack]
+    assert batched.tolist() == alone
+    assert alone == [reference_max_image_rank(m, dims, SMALL) for m in stack]
+
+
+@PROPS
+@given(DIMS, OPS, BLOCK)
+def test_schmidt_ranks_match_channel_schmidt_rank(dims, ops, block):
+    stack = stack_of(ops, dims)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(power, "IMAGE_BLOCK_OPS", block)
+        batched = _schmidt_ranks(stack, DimList.of(dims), SMALL)
+    assert batched.tolist() == [channel_schmidt_rank(m, dims, SMALL) for m in stack]
+
+
+def blind_to_first_probe(seed, dims, config):
+    """A generic operator changed to send the config's first probe input to a
+    product vector: with one probe the search starts at rank 1 and only the
+    ascent can raise it."""
+    d1, d2 = dims
+    probes = np.random.default_rng((config.seed, 17))
+    a = power._unit_rows(probes, 1, d1)[0]
+    b = power._unit_rows(probes, 1, d2)[0]
+    chi = np.kron(a, b)
+    rng = np.random.default_rng(seed)
+    m = rand_op(rng, d1 * d2)
+    product = np.kron(rand_vec(rng, d1), rand_vec(rng, d2))
+    return m + np.outer(product - m @ chi, chi.conj())
+
+
+ONE_PROBE = ProbeConfig(probes=1, refine_steps=4, seed=5)
+
+
+@PROPS
+@given(st.sampled_from([(2, 3), (3, 3)]), st.lists(SEEDS, min_size=1, max_size=5), BLOCK)
+def test_ascent_matches_each_operator_alone(dims, seeds, block):
+    stack = np.array([blind_to_first_probe(s, dims, ONE_PROBE) for s in seeds])
+    dl = DimList.of(dims)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(power, "IMAGE_BLOCK_OPS", block)
+        batched = _max_image_ranks(stack, dl, ONE_PROBE)
+        alone = [int(_max_image_ranks(m[None], dl, ONE_PROBE)[0]) for m in stack]
+        probe_only = _max_image_ranks(stack, dl, ProbeConfig(probes=1, refine_steps=0, seed=5))
+    assert probe_only.tolist() == [1] * len(stack)
+    assert batched.tolist() == alone
+    assert alone == [reference_max_image_rank(m, dims, ONE_PROBE) for m in stack]
+    assert min(alone) > 1
+
+
+@PROPS
+@given(DIMS, st.lists(SEEDS, min_size=2, max_size=5), SEEDS)
+def test_ascent_shares_each_step_among_operators(dims, seeds, start_seed):
+    d1, d2 = dims
+    stack = np.array([operator("generic", s, dims) for s in seeds])
+    rng = np.random.default_rng(start_seed)
+    a = power._unit_rows(rng, len(stack), d1)
+    b = power._unit_rows(rng, len(stack), d2)
+    target = np.ones(len(stack), dtype=int)
+    scale = power._scales(stack)
+    dl = DimList.of(dims)
+    together = power._ascend(stack, scale, a, b, target, 5, np.random.default_rng(9), dl)
+    for k, m in enumerate(stack):
+        alone = power._ascend(
+            stack[k:k + 1], scale[k:k + 1], a[k:k + 1], b[k:k + 1], target[k:k + 1], 5,
+            np.random.default_rng(9), dl,
+        )
+        assert all(np.array_equal(x[k], y[0]) for x, y in zip(together, alone))
+        ref_a, ref_b = reference_ascend(m, d1, d2, a[k], b[k], 1, 5, np.random.default_rng(9))
+        assert np.allclose(together[0][k], ref_a, atol=1e-12)
+        assert np.allclose(together[1][k], ref_b, atol=1e-12)

@@ -10,6 +10,7 @@ from entpow.channels import (
     swap_channel,
     unitary_channel,
 )
+from entpow import power
 from entpow.errors import NotAWitnessError
 from entpow.power import (
     ProbeConfig,
@@ -167,6 +168,99 @@ def test_bounds_hidden_product_decomposition():
     ch = KrausChannel([(ab + cd) / np.sqrt(2), (ab - cd) / np.sqrt(2)], (2, 2))
     b = channel_schmidt_number_bounds(ch)
     assert (b.lower, b.upper) == (1, 1)
+
+
+# -- golden pins: bounds and verdicts recorded before the blocked searches --
+
+
+def haar(rng, n):
+    q, r = np.linalg.qr(rand_op(rng, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rank_boost_23():
+    lam0 = 0.99
+    lam1 = 1 / (9 * lam0)
+    return rank_boost_channel(2, 3, np.array([lam0, lam1, np.sqrt(1 - lam0**2 - lam1**2)]))
+
+
+def dft_solved_pair():
+    """``(ab +- cd)/sqrt 2``: the DFT remixing, tried first, recovers ab and cd."""
+    rng = np.random.default_rng(4)
+    ab = kron(rand_op(rng, 2), rand_op(rng, 2))
+    cd = kron(rand_op(rng, 2), rand_op(rng, 2))
+    return KrausChannel([(ab + cd) / np.sqrt(2), (ab - cd) / np.sqrt(2)], (2, 2)), (ab, cd)
+
+
+def hidden_qutrit_mixture():
+    """Three weighted local unitaries on (3, 3), Kraus list rotated by a Haar unitary."""
+    rng = np.random.default_rng(8)
+    p = rng.dirichlet(np.ones(3))
+    ops = np.array([np.sqrt(pi) * kron(haar(rng, 3), haar(rng, 3)) for pi in p])
+    return KrausChannel(list(np.einsum("ij,jkl->ikl", haar(rng, 3), ops)), (3, 3))
+
+
+def bell_mixing():
+    return mixing_channel(0.3, DensityMatrix(max_entangled(2, 2).projector(), (2, 2)))
+
+
+STOCHASTIC_NOTE = (
+    "evidence is stochastic: a stored Kraus operator entangles a product input, "
+    "and no product-preserving remixing was found"
+)
+
+
+@pytest.mark.parametrize(
+    "build, bounds, verdict, note",
+    [
+        (rank_boost_23, (2, 3, "stored decomposition"), "entangling", STOCHASTIC_NOTE),
+        (hidden_qutrit_mixture, (2, 3, "stored decomposition"), "entangling", STOCHASTIC_NOTE),
+        (bell_mixing, (2, 2, "stored decomposition"), "entangling", ""),
+    ],
+)
+def test_golden_bounds_and_verdicts(build, bounds, verdict, note):
+    ch = build()
+    b = channel_schmidt_number_bounds(ch)
+    assert (b.lower, b.upper, b.method) == bounds
+    assert len(b.certificate) == len(ch.kraus)
+    assert all(np.allclose(c, k) for c, k in zip(b.certificate, ch.kraus))
+    cert = certify_kraus_channel(ch)
+    assert (cert.verdict, cert.note) == (verdict, note)
+
+
+def test_golden_dft_remixing_wins():
+    ch, (ab, cd) = dft_solved_pair()
+    b = channel_schmidt_number_bounds(ch)
+    method = "best sampled unitary remixing (heuristic upper bound)"
+    assert (b.lower, b.upper, b.method) == (1, 1, method)
+    assert len(b.certificate) == 2
+    assert np.allclose(b.certificate[0], ab, atol=1e-12)
+    assert np.allclose(b.certificate[1], cd, atol=1e-12)
+    cert = certify_kraus_channel(ch)
+    assert (cert.verdict, cert.note) == (
+        "stochastically_nonentangling",
+        "a sampled remixing of the Kraus list is product-preserving",
+    )
+    assert [s.form for s in cert.structures] == ["tensor_product"] * 2
+
+
+@pytest.mark.parametrize("build", [lambda: dft_solved_pair()[0], hidden_qutrit_mixture])
+def test_remixing_searches_do_not_depend_on_the_block(build, monkeypatch):
+    ch = build()
+    config = ProbeConfig(remixings=5)
+
+    def run():
+        b = channel_schmidt_number_bounds(ch, config)
+        cert = certify_kraus_channel(ch, config)
+        forms = [st.form for st in cert.structures]
+        return (b.lower, b.upper, b.method, cert.verdict, cert.note, forms), b.certificate
+
+    expected, ops = run()
+    for block in (1, 2, 3):
+        monkeypatch.setattr(power, "REMIX_BLOCK", block)
+        got, got_ops = run()
+        assert got == expected
+        assert all(np.array_equal(x, y) for x, y in zip(got_ops, ops))
 
 
 # -- certificates ------------------------------------------------------

@@ -157,6 +157,34 @@ def test_numerical_rank_threshold():
     assert numerical_rank(np.array([1e-30, 1e-32])) == 0
 
 
+def test_numerical_rank_counts_rows():
+    rows = np.array([
+        [1.0, 1e-3, 1e-12],   # relative cut below 1: the floor 1e-10 applies
+        [0.0, 0.0, 0.0],      # all-zero row
+        [1e12, 50.0, 0.0],    # cut 1e2 scales with the leading value
+        [1e-30, 1e-32, 0.0],  # below the floor throughout
+        [3.0, 2.0, 1.0],
+        [0.5, 2e-10, 5e-11],  # leading value under 1: still the floor
+    ])
+    counts = numerical_rank(rows)
+    assert counts.shape == (len(rows),)
+    assert counts.tolist() == [numerical_rank(r) for r in rows] == [2, 0, 1, 0, 3, 2]
+    rng = np.random.default_rng(7)
+    # descending rows spread over many decades, so some values sit near the cut
+    scale = 10.0 ** rng.integers(-14, 3, size=(200, 1))
+    svals = -np.sort(-np.abs(rng.normal(size=(200, 4))) ** 8 * scale)
+    counts = numerical_rank(svals)
+    assert counts.tolist() == [numerical_rank(r) for r in svals]
+    assert np.array_equal(numerical_rank(svals.reshape(8, 25, 4)), counts.reshape(8, 25))
+
+
+def test_numerical_rank_zero_width():
+    assert numerical_rank(np.zeros(0)) == 0
+    empty = numerical_rank(np.zeros((3, 0)))
+    assert empty.shape == (3,) and not empty.any()
+    assert numerical_rank(np.zeros((0, 4))).shape == (0,)
+
+
 def test_swap_matrix_action():
     rng = np.random.default_rng(6)
     for d in (2, 3, 4):
