@@ -51,8 +51,9 @@ best = min(v.value for v in cert.violations)
 print(f"CNOT:  {cert.verdict} (worst witness value {best:.4f})")
 
 # A channel whose stored Kraus operators are entangling can still be SNE:
-# (A (x) B +/- C (x) D)/sqrt(2) remix to product form, and the certifier
-# finds the remix rather than trusting the stored decomposition
+# (A (x) B +/- C (x) D)/sqrt(2) span the same operators as A (x) B and
+# C (x) D, and the certifier recovers those from the span (by simultaneous
+# diagonalization) rather than trusting the stored decomposition
 a, b, c, d = g(2), g(2), g(2), g(2)
 plus = (kron(a, b) + kron(c, d)) / np.sqrt(2)
 minus = (kron(a, b) - kron(c, d)) / np.sqrt(2)

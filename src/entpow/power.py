@@ -22,7 +22,6 @@ evidence alone never certifies it.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,9 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import KrausChannel, MeasurementChannel
-from .errors import DimensionError, NotAWitnessError
+from .errors import DimensionError, EntpowError, NotAWitnessError
 from .states import ProductStateParam, PureState, schmidt_rank
-from .tensor import DimList, as_matrix, numerical_rank
+from .tensor import RANK_RTOL, DimList, as_matrix, numerical_rank, swap_matrix
 from .witnesses import (
     DEFAULT_CONFIG,
     TOL_WITNESS,
@@ -51,26 +50,27 @@ FORM_UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Knobs for the randomized searches in this module."""
+    """Knobs for the randomized searches in this module.
+
+    `probes` product inputs, refined by `refine_steps` ascent steps, look for
+    entangled images; classification and certification read ``probes=0`` as
+    "no probing", and Schmidt ranks need ``probes >= 1``. `seed` also draws
+    the contractions of the product-decomposition search.
+    """
 
     probes: int = 200
     refine_steps: int = 10
-    remixings: int = 256
     seed: int = 0
     optimizer: OptimizerConfig = DEFAULT_CONFIG
 
 
 DEFAULT_PROBES = ProbeConfig()
 
-# Block sizes of the batched searches. The image-rank kernel takes operators
-# IMAGE_BLOCK_OPS at a time and holds their images of every probe; it
-# decomposes those images PROBE_CHUNK probes at a time, and an operator stops
-# probing once it reaches full rank. The remixing searches draw and remix
-# REMIX_BLOCK unitaries on the Kraus index at a time. Blocks bound peak memory
-# on long Kraus lists.
+# Block sizes of the image-rank kernel: IMAGE_BLOCK_OPS operators at a time,
+# whose images of every probe are decomposed PROBE_CHUNK probes at a time until
+# the operator reaches full rank. Blocks bound peak memory on long Kraus lists.
 IMAGE_BLOCK_OPS = 64
 PROBE_CHUNK = 8
-REMIX_BLOCK = 8
 
 
 class ProbeViolation(NamedTuple):
@@ -226,6 +226,8 @@ def _max_image_ranks(ops, dims: DimList, config: ProbeConfig, stream: int = 17) 
 
 def _probe_bipartite(m, dims: DimList, config: ProbeConfig, stream: int):
     """Search product inputs for an entangled image; None when none found."""
+    if config.probes < 1:
+        return None
     d1, d2 = dims.dims
     rng = np.random.default_rng((config.seed, stream))
     a = _unit_rows(rng, config.probes, d1)
@@ -353,11 +355,14 @@ def classify_kraus_many(ops, dims, config: ProbeConfig | None = None) -> list[Kr
                 )
 
     for k in np.flatnonzero([st is None for st in out]):
-        viol = None
-        if config.probes > 0:
-            viol = _probe_bipartite(mats[k], dims, config, stream=0)
+        viol = _probe_bipartite(mats[k], dims, config, stream=0)
         out[k] = KrausStructure(FORM_UNKNOWN, witness_violation=viol)
     return out
+
+
+def _require_probes(config: ProbeConfig):
+    if config.probes < 1:
+        raise EntpowError(f"a Schmidt rank needs probes >= 1, got probes={config.probes}")
 
 
 def _schmidt_ranks(ops, dims: DimList, config: ProbeConfig) -> np.ndarray:
@@ -379,6 +384,7 @@ def channel_schmidt_rank(m, dims, config: ProbeConfig | None = None) -> int:
     It is the same value the operator gets within a stack.
     """
     config = config or DEFAULT_PROBES
+    _require_probes(config)
     dims = DimList.of(dims)
     dims.require_bipartite()
     m = as_matrix(m)
@@ -436,38 +442,78 @@ def replay_violations(cert: Certificate, ch: KrausChannel) -> list[float]:
     return out
 
 
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
-def _remix_unitaries(n: int, count: int, rng: np.random.Generator):
-    """Candidate unitaries on the Kraus index: DFT first, then Haar samples.
-
-    The DFT un-mixes discrete interference patterns (e.g. sums/differences of
-    product operators) that Haar sampling hits with probability zero.
+def _simple_tensor_basis(ops: np.ndarray, dims: DimList, rng) -> np.ndarray | None:
+    """r unit-norm simple tensors ``A_j (x) B_j`` spanning the r independent
+    `ops`, by Jennrich's simultaneous diagonalization; None on failure.
+    Reshuffled, `ops` are the slices of an (r, d1^2, d2^2) tensor. In its
+    column and row spaces, the eigenvectors of ``M_x M_y^-1`` for two random
+    slice contractions are the vectorized ``A_j`` (which must be independent,
+    as must the ``B_j``), and each ``B_j`` is the top right singular vector of
+    its row of the un-mixed slices.
     """
-    jk = np.outer(np.arange(n), np.arange(n))
-    yield np.exp(-2j * np.pi * jk / n) / np.sqrt(n)
-    for _ in range(count):
-        yield _haar_unitary(n, rng)
+    d1, d2 = dims.dims
+    r = len(ops)
+    t = ops.reshape(r, d1, d2, d1, d2).transpose(0, 1, 3, 2, 4).reshape(r, d1 * d1, d2 * d2)
+    u, su, _ = np.linalg.svd(t.transpose(1, 0, 2).reshape(d1 * d1, -1), full_matrices=False)
+    v, sv, _ = np.linalg.svd(t.transpose(2, 0, 1).reshape(d2 * d2, -1), full_matrices=False)
+    if numerical_rank(su) < r or numerical_rank(sv) < r:
+        return None
+    u = u[:, :r]
+    core = np.conj(u.T) @ t @ np.conj(v[:, :r])  # (r, r, r), slice k = A~ diag(c_k) B~^T
+    mx, my = np.tensordot(rng.normal(size=(2, r)) + 1j * rng.normal(size=(2, r)), core, 1)
+    try:
+        _, w = np.linalg.eig(np.linalg.solve(my.T, mx.T).T)
+        rows = np.linalg.solve(w, np.conj(u.T) @ t)  # slice k, row j: c_kj vec(B_j)^T
+    except np.linalg.LinAlgError:
+        return None
+    a = u @ w  # column j: vec(A_j)
+    b = np.linalg.svd(rows.transpose(1, 0, 2), full_matrices=False)[2][:, 0]
+    simple = (a / np.linalg.norm(a, axis=0)).T[:, :, None] * b[:, None, :]
+    return simple.reshape(r, d1, d1, d2, d2).transpose(0, 1, 3, 2, 4).reshape(ops.shape)
 
 
-def _unitary_blocks(n: int, count: int, rng: np.random.Generator):
-    """`_remix_unitaries`, in order, as (B, n, n) blocks of at most `REMIX_BLOCK`."""
-    unitaries = _remix_unitaries(n, count, rng)
-    unitary = np.dtype((complex, (n, n)))  # fromiter fills the block with no list beside it
-    while len(block := np.fromiter(itertools.islice(unitaries, REMIX_BLOCK), unitary)):
-        yield block
+def _product_decomposition(ch: KrausChannel, seed: int) -> tuple[np.ndarray, ...] | None:
+    """A Kraus list of `ch` made only of ``A (x) B``, or only of ``(A (x) B) V``
+    for the party swap V; None when the search finds none.
 
-
-def _remix(rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """``sum_j rows[k, j] stack[j]`` for each row k, in one matmul; no row's
-    arithmetic depends on the others, so an operator is the same in any batch."""
-    flat = stack.reshape(len(stack), -1)
-    return (rows[:, None, :] @ flat).reshape(len(rows), *stack.shape[1:])
+    ``s[:r, None] * vh[:r]`` from the SVD of the flattened Kraus stack is a
+    minimal Kraus list, r the Choi rank. A product list of r operators is a
+    basis of simple tensors of its span (after ``@ V``), which
+    `_simple_tensor_basis` draws from ``(seed, 23)``. Least squares gives the
+    mixing; each operator is weighted by the norm of its coefficient column.
+    A candidate must reproduce the Choi matrix to ``RANK_RTOL`` in each
+    direction of the span at its own weight: each operator lies in the span,
+    and its coordinates over s form a unitary (``RANK_RTOL * ||Choi||_F``
+    alone would pass an entangling admixture of weight 1e-12). So the search
+    can miss a decomposition but never invent one. Out of reach: lists mixing
+    the two forms, rank-1 product forms, lists of more than r operators; for
+    ``r > min(d1^2, d2^2)`` this returns None at once.
+    """
+    d1, d2 = ch.dims.dims
+    n = d1 * d2
+    flat = np.array(ch.kraus).reshape(len(ch.kraus), -1)
+    _, s, vh = np.linalg.svd(flat, full_matrices=False)
+    r = numerical_rank(s)
+    if r > min(d1 * d1, d2 * d2):
+        return None
+    s, vh = s[:r], vh[:r]
+    basis = (s[:, None] * vh).reshape(r, n, n)
+    rng = np.random.default_rng((seed, 23))
+    for perm in [np.eye(n)] + ([swap_matrix(d1)] if d1 == d2 else []):  # V^-1 = V
+        target = basis @ perm
+        simple = _simple_tensor_basis(target, ch.dims, rng)
+        if simple is None:
+            continue
+        mix = np.linalg.lstsq(simple.reshape(r, -1).T, target.reshape(r, -1).T, rcond=None)[0]
+        ops = np.linalg.norm(mix, axis=1)[:, None, None] * simple @ perm
+        got = ops.reshape(r, -1)
+        coords = got @ np.conj(vh.T)
+        off_span = np.linalg.norm(got - coords @ vh, axis=1) / np.linalg.norm(got, axis=1)
+        whitened = coords / s  # unitary exactly when the two lists share a Choi matrix
+        gap = np.linalg.norm(whitened @ np.conj(whitened.T) - np.eye(r))
+        if gap <= RANK_RTOL and np.all(off_span <= RANK_RTOL):
+            return tuple(ops)
+    return None
 
 
 def _stochastic_violation(
@@ -528,19 +574,13 @@ def certify_kraus_channel(
 ) -> Certificate:
     """Three-way certificate: SNE / entangling / inconclusive.
 
-    SNE requires every Kraus operator of the stored list — or of one of the
-    sampled unitary remixings — to classify structurally. The remixings are
-    searched in blocks: operator i is classified across the block's live
-    remixings at once, a remixing drops out at its first non-product
-    operator, and the first surviving remixing in sampling order wins. The entangling
+    SNE requires every Kraus operator of the stored list, or of the list
+    `_product_decomposition` finds, to classify structurally. The entangling
     verdict needs replayable evidence: a witness violation of the full
     channel, or a stored Kraus operator probed into mapping a product input
-    to an entangled conditional output. Precedence matters: probe evidence
-    speaks only about the stored decomposition, and a channel whose stored
-    operators entangle can still admit a product-preserving remixing, so the
-    remixing search runs before probe-only evidence is allowed to decide.
-    (A witness violation needs no such care — it certifies that the channel
-    itself entangles some product input, which no decomposition can undo.)
+    to an entangled conditional output. Probe evidence speaks only about the
+    stored decomposition, so the search runs first; it also runs before the
+    witnesses, which no SNE channel violates. ``probes=0`` probes nothing.
     """
     config = config or DEFAULT_PROBES
     ch.dims.require_bipartite()
@@ -552,18 +592,13 @@ def certify_kraus_channel(
             structures=structures,
             note="every stored Kraus operator is product-preserving",
         )
-
-    def probe_evidence() -> list[Violation]:
-        found = []
-        for i, (m, s) in enumerate(zip(ch.kraus, structures)):
-            if s.is_product_preserving:
-                continue
-            probe = _probe_bipartite(m, ch.dims, config, stream=i + 1)
-            if probe is not None:
-                v = _stochastic_violation(i, ch.dims, probe)
-                if v is not None:
-                    found.append(v)
-        return found
+    found = _product_decomposition(ch, config.seed)
+    if found is not None:
+        return Certificate(
+            "stochastically_nonentangling",
+            structures=tuple(classify_kraus_many(found, ch.dims, no_probe)),
+            note="a product-preserving remixing of the Kraus list reproduces the Choi matrix",
+        )
 
     violations: list[Violation] = []
     family = default_witness_family(ch.dims) if witnesses is None else witnesses
@@ -574,35 +609,20 @@ def certify_kraus_channel(
             violations.append(
                 Violation(kind="witness", witness=w, input=res.argument, value=res.value)
             )
-    if violations:
-        violations.extend(probe_evidence())  # enrich the certificate
-        return Certificate("entangling", violations=tuple(violations), structures=structures)
-
-    rng = np.random.default_rng((config.seed, 999))
-    stack = np.stack(ch.kraus)
-    for us in _unitary_blocks(len(stack), config.remixings, rng):
-        live = np.arange(len(us))
-        for i in range(len(stack)):  # generic remixings fail on their first operator
-            forms = classify_kraus_many(_remix(us[live, i], stack), ch.dims, no_probe)
-            live = live[[st.is_product_preserving for st in forms]]
-            if not live.size:
-                break
-        else:
-            remixed = _remix(us[live[0]], stack)
-            return Certificate(
-                "stochastically_nonentangling",
-                structures=tuple(classify_kraus_many(remixed, ch.dims, no_probe)),
-                note="a sampled remixing of the Kraus list is product-preserving",
-            )
-
-    violations = probe_evidence()
+    note = "" if violations else (
+        "evidence is stochastic: a stored Kraus operator entangles a "
+        "product input, and no product-preserving remixing was found"
+    )
+    for i, (m, s) in enumerate(zip(ch.kraus, structures)):  # probe evidence
+        if s.is_product_preserving:
+            continue
+        probe = _probe_bipartite(m, ch.dims, config, stream=i + 1)
+        v = None if probe is None else _stochastic_violation(i, ch.dims, probe)
+        if v is not None:
+            violations.append(v)
     if violations:
         return Certificate(
-            "entangling",
-            violations=tuple(violations),
-            structures=structures,
-            note="evidence is stochastic: a stored Kraus operator entangles a "
-            "product input, and no product-preserving remixing was found",
+            "entangling", violations=tuple(violations), structures=structures, note=note
         )
     return Certificate(
         "inconclusive",
@@ -639,16 +659,14 @@ def channel_schmidt_number_bounds(
 ) -> ChannelSchmidtBounds:
     """Bracket the convex-roof channel Schmidt number.
 
-    The upper bound is the best (smallest) max-over-operators image rank over
-    sampled unitary remixings of the Kraus list — a heuristic search, reported
-    as such. The remixings are searched in blocks: the image ranks of
-    operator i are found across the block's live remixings at once, a
-    remixing drops out once one of its operators reaches the current upper
-    bound, and the survivors are taken in sampling order, so the first
-    remixing to lower the bound is kept. Replacement channels short-circuit to their exact value; an
+    Replacement channels short-circuit to their exact value. A channel with
+    a product-preserving Kraus list found by `_product_decomposition` gets
+    ``(1, 1)`` with that list as the certificate. Otherwise the upper bound is
+    the largest image rank found over the stored Kraus operators, and an
     entangling certificate raises the lower bound to 2.
     """
     config = config or DEFAULT_PROBES
+    _require_probes(config)
     ch.dims.require_bipartite()
 
     target = _replacement_target(ch)
@@ -660,38 +678,18 @@ def channel_schmidt_number_bounds(
             method="replacement channel: exact rank of the fixed output",
             certificate=tuple(ch.kraus),
         )
+    found = _product_decomposition(ch, config.seed)
+    if found is not None:
+        return ChannelSchmidtBounds(
+            lower=1, upper=1, method="product-preserving Kraus decomposition", certificate=found
+        )
 
     upper = int(_schmidt_ranks(ch.kraus, ch.dims, config).max())
-    best_ops = tuple(ch.kraus)
-    method = "stored decomposition"
-    if upper > 1:
-        rng = np.random.default_rng((config.seed, 1000))
-        stack = np.stack(ch.kraus)
-        for us in _unitary_blocks(len(stack), config.remixings, rng):
-            worst = np.ones(len(us), dtype=int)
-            live = np.arange(len(us))
-            for i in range(len(stack)):
-                ranks = _schmidt_ranks(_remix(us[live, i], stack), ch.dims, config)
-                worst[live] = np.maximum(worst[live], ranks)
-                live = live[worst[live] < upper]  # cannot improve on the incumbent
-                if not live.size:
-                    break
-            for j in live:
-                if worst[j] < upper:
-                    upper = int(worst[j])
-                    best_ops = tuple(_remix(us[j], stack))
-                    method = "best sampled unitary remixing (heuristic upper bound)"
-            if upper == 1:
-                break
-
     lower = 1
-    if upper > 1:
-        cert = certify_kraus_channel(ch, config)
-        if cert.verdict == "entangling":
-            lower = 2
-    upper = max(upper, lower)
+    if upper > 1 and certify_kraus_channel(ch, config).verdict == "entangling":
+        lower = 2
     return ChannelSchmidtBounds(
-        lower=lower, upper=upper, method=method, certificate=best_ops
+        lower, max(upper, lower), method="stored decomposition", certificate=tuple(ch.kraus)
     )
 
 

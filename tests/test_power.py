@@ -11,7 +11,7 @@ from entpow.channels import (
     unitary_channel,
 )
 from entpow import power
-from entpow.errors import NotAWitnessError
+from entpow.errors import EntpowError, NotAWitnessError
 from entpow.power import (
     ProbeConfig,
     certify_kraus_channel,
@@ -184,26 +184,48 @@ def rank_boost_23():
     return rank_boost_channel(2, 3, np.array([lam0, lam1, np.sqrt(1 - lam0**2 - lam1**2)]))
 
 
-def dft_solved_pair():
-    """``(ab +- cd)/sqrt 2``: the DFT remixing, tried first, recovers ab and cd."""
+def sum_difference_pair():
+    """``(ab +- cd)/sqrt 2``, whose product decomposition is ab, cd."""
     rng = np.random.default_rng(4)
     ab = kron(rand_op(rng, 2), rand_op(rng, 2))
     cd = kron(rand_op(rng, 2), rand_op(rng, 2))
     return KrausChannel([(ab + cd) / np.sqrt(2), (ab - cd) / np.sqrt(2)], (2, 2)), (ab, cd)
 
 
+def hidden_mixture(seed, dims, terms, swap=False):
+    """`terms` weighted local unitaries, each times the party swap when `swap`,
+    with the Kraus list rotated by a Haar unitary."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(terms))
+    ops = np.array([np.sqrt(pi) * kron(haar(rng, dims[0]), haar(rng, dims[1])) for pi in p])
+    if swap:
+        ops = ops @ swap_matrix(dims[0])
+    return KrausChannel(list(np.einsum("ij,jkl->ikl", haar(rng, terms), ops)), dims)
+
+
 def hidden_qutrit_mixture():
-    """Three weighted local unitaries on (3, 3), Kraus list rotated by a Haar unitary."""
-    rng = np.random.default_rng(8)
-    p = rng.dirichlet(np.ones(3))
-    ops = np.array([np.sqrt(pi) * kron(haar(rng, 3), haar(rng, 3)) for pi in p])
-    return KrausChannel(list(np.einsum("ij,jkl->ikl", haar(rng, 3), ops)), (3, 3))
+    return hidden_mixture(8, (3, 3), 3)
 
 
 def bell_mixing():
     return mixing_channel(0.3, DensityMatrix(max_entangled(2, 2).projector(), (2, 2)))
 
 
+def unnormalized_choi(ops):
+    """``sum_k |K_k>><<K_k|``: the Choi matrix up to its index order and scale,
+    defined for channels that are not trace-preserving too."""
+    flat = np.array(ops).reshape(len(ops), -1)
+    return flat.T @ np.conj(flat)
+
+
+def reproduces_choi(ops, ch):
+    want = unnormalized_choi(ch.kraus)
+    return np.linalg.norm(unnormalized_choi(ops) - want) <= 1e-9 * np.linalg.norm(want)
+
+
+SNE = "stochastically_nonentangling"
+DECOMPOSITION = "product-preserving Kraus decomposition"
+DECOMPOSITION_NOTE = "a product-preserving remixing of the Kraus list reproduces the Choi matrix"
 STOCHASTIC_NOTE = (
     "evidence is stochastic: a stored Kraus operator entangles a product input, "
     "and no product-preserving remixing was found"
@@ -214,7 +236,11 @@ STOCHASTIC_NOTE = (
     "build, bounds, verdict, note",
     [
         (rank_boost_23, (2, 3, "stored decomposition"), "entangling", STOCHASTIC_NOTE),
-        (hidden_qutrit_mixture, (2, 3, "stored decomposition"), "entangling", STOCHASTIC_NOTE),
+        # SNE by construction: three local unitaries hidden by a Haar unitary
+        pytest.param(
+            hidden_qutrit_mixture, (1, 1, DECOMPOSITION), SNE, DECOMPOSITION_NOTE,
+            id="hidden_qutrit_mixture-sne",
+        ),
         (bell_mixing, (2, 2, "stored decomposition"), "entangling", ""),
     ],
 )
@@ -223,44 +249,107 @@ def test_golden_bounds_and_verdicts(build, bounds, verdict, note):
     b = channel_schmidt_number_bounds(ch)
     assert (b.lower, b.upper, b.method) == bounds
     assert len(b.certificate) == len(ch.kraus)
-    assert all(np.allclose(c, k) for c, k in zip(b.certificate, ch.kraus))
+    assert reproduces_choi(b.certificate, ch)
+    if b.method == "stored decomposition":
+        assert all(np.allclose(c, k) for c, k in zip(b.certificate, ch.kraus))
     cert = certify_kraus_channel(ch)
     assert (cert.verdict, cert.note) == (verdict, note)
+    assert verdict != SNE or all(s.is_product_preserving for s in cert.structures)
+
+
+def equal_up_to_phase(x, y):
+    overlap = np.vdot(y, x)
+    return np.allclose(x, overlap / abs(overlap) * y, atol=1e-10)
 
 
 def test_golden_dft_remixing_wins():
-    ch, (ab, cd) = dft_solved_pair()
+    ch, (ab, cd) = sum_difference_pair()
     b = channel_schmidt_number_bounds(ch)
-    method = "best sampled unitary remixing (heuristic upper bound)"
-    assert (b.lower, b.upper, b.method) == (1, 1, method)
+    assert (b.lower, b.upper, b.method) == (1, 1, DECOMPOSITION)
     assert len(b.certificate) == 2
-    assert np.allclose(b.certificate[0], ab, atol=1e-12)
-    assert np.allclose(b.certificate[1], cd, atol=1e-12)
-    cert = certify_kraus_channel(ch)
-    assert (cert.verdict, cert.note) == (
-        "stochastically_nonentangling",
-        "a sampled remixing of the Kraus list is product-preserving",
+    x, y = b.certificate
+    assert (equal_up_to_phase(x, ab) and equal_up_to_phase(y, cd)) or (
+        equal_up_to_phase(x, cd) and equal_up_to_phase(y, ab)
     )
+    assert reproduces_choi(b.certificate, ch)
+    cert = certify_kraus_channel(ch)
+    assert (cert.verdict, cert.note) == (SNE, DECOMPOSITION_NOTE)
     assert [s.form for s in cert.structures] == ["tensor_product"] * 2
 
 
-@pytest.mark.parametrize("build", [lambda: dft_solved_pair()[0], hidden_qutrit_mixture])
-def test_remixing_searches_do_not_depend_on_the_block(build, monkeypatch):
+@pytest.mark.parametrize(
+    "build",
+    [lambda: sum_difference_pair()[0], hidden_qutrit_mixture],
+    ids=["sum_difference_pair", "hidden_qutrit_mixture"],
+)
+def test_decomposition_search_does_not_depend_on_the_seed(build):
     ch = build()
-    config = ProbeConfig(remixings=5)
 
-    def run():
+    def run(seed):
+        config = ProbeConfig(seed=seed)
         b = channel_schmidt_number_bounds(ch, config)
         cert = certify_kraus_channel(ch, config)
-        forms = [st.form for st in cert.structures]
-        return (b.lower, b.upper, b.method, cert.verdict, cert.note, forms), b.certificate
+        return b.lower, b.upper, b.method, cert.verdict, [st.form for st in cert.structures]
 
-    expected, ops = run()
-    for block in (1, 2, 3):
-        monkeypatch.setattr(power, "REMIX_BLOCK", block)
-        got, got_ops = run()
-        assert got == expected
-        assert all(np.array_equal(x, y) for x, y in zip(got_ops, ops))
+    results = [run(seed) for seed in range(4)]
+    assert results[0][:4] == (1, 1, DECOMPOSITION, SNE)
+    assert all(r == results[0] for r in results)
+
+
+# -- the product-decomposition search ----------------------------------
+
+
+@pytest.mark.parametrize(
+    "seed, dims, terms, swap",
+    [
+        (11, (2, 2), 3, False),
+        (12, (2, 2), 4, False),
+        (13, (3, 3), 3, False),
+        (14, (3, 3), 4, False),
+        (15, (3, 3), 9, False),
+        (16, (3, 3), 4, True),
+    ],
+    ids=["qubits_3", "qubits_4", "qutrits_3", "qutrits_4", "qutrits_9", "qutrits_swap_4"],
+)
+def test_hidden_local_unitary_mixtures_are_sne(seed, dims, terms, swap):
+    ch = hidden_mixture(seed, dims, terms, swap)
+    cert = certify_kraus_channel(ch)
+    assert (cert.verdict, cert.note) == (SNE, DECOMPOSITION_NOTE)
+    form = "permutation_local" if swap else "tensor_product"
+    assert [s.form for s in cert.structures] == [form] * terms
+    b = channel_schmidt_number_bounds(ch)
+    assert (b.lower, b.upper, b.method) == (1, 1, DECOMPOSITION)
+    assert reproduces_choi(b.certificate, ch)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: KrausChannel([np.sqrt(0.5) * np.eye(4), np.sqrt(0.5) * CNOT], (2, 2)),
+        # weight 1e-12 is far above the rank cutoff, yet below RANK_RTOL * ||Choi||_F
+        lambda: KrausChannel([np.sqrt(1 - 1e-12) * np.eye(4), 1e-6 * CNOT], (2, 2)),
+        lambda: hidden_mixture(17, (2, 2), 5),
+        rank_boost_23,
+    ],
+    ids=["cnot_with_identity", "cnot_admixture", "five_qubit_terms", "rank_boost_23"],
+)
+def test_channels_without_a_product_decomposition_are_never_sne(build):
+    ch = build()
+    assert power._product_decomposition(ch, 0) is None
+    assert certify_kraus_channel(ch).verdict != SNE
+
+
+def test_schmidt_measures_reject_zero_probes():
+    no_probes = ProbeConfig(probes=0)
+    with pytest.raises(EntpowError, match="probes"):
+        channel_schmidt_rank(CNOT, (2, 2), no_probes)
+    with pytest.raises(EntpowError, match="probes"):
+        channel_schmidt_number_bounds(unitary_channel(CNOT, (2, 2)), no_probes)
+    # classification and certification read probes=0 as "no probing"
+    assert classify_kraus(CNOT, (2, 2), no_probes).witness_violation is None
+    cert = certify_kraus_channel(unitary_channel(CNOT, (2, 2)), no_probes)
+    assert cert.verdict == "entangling"
+    assert {v.kind for v in cert.violations} == {"witness"}
 
 
 # -- certificates ------------------------------------------------------
@@ -306,7 +395,7 @@ def test_certify_hidden_product_decomposition_is_sne():
     ch = KrausChannel([(ab + cd) / np.sqrt(2), (ab - cd) / np.sqrt(2)], (2, 2))
     cert = certify_kraus_channel(ch)
     assert cert.verdict == "stochastically_nonentangling"
-    assert "remixing" in cert.note
+    assert cert.note == DECOMPOSITION_NOTE
 
 
 def test_certify_rank_boost_never_sne():
