@@ -7,7 +7,9 @@ For each seed and each of the benchmark's eleven `certify-mix` channels
 ``entpow.cli.main`` with the `src` tree beside this script, and writes stdout
 to ``OUTDIR/<seed>-<channel>-<command>.txt``. Run it from two checkouts and
 compare with ``diff -r``: a change that keeps the search bitwise gives no
-difference. BLAS is held to one thread, as in the benchmark.
+difference. `compare_certify_outputs.py` compares what must stay equal when
+only stochastic evidence may change. BLAS is held to one thread, as in the
+benchmark.
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ from .witnesses import (
     default_witness_family,
     is_witness,
     min_over_products,
+    min_over_products_many,
 )
 
 FORM_TENSOR = "tensor_product"
@@ -52,10 +53,11 @@ FORM_UNKNOWN = "unknown"
 class ProbeConfig:
     """Knobs for the randomized searches in this module.
 
-    `probes` product inputs, refined by `refine_steps` ascent steps, look for
-    entangled images; classification and certification read ``probes=0`` as
-    "no probing", and Schmidt ranks need ``probes >= 1``. `seed` also draws
-    the contractions of the product-decomposition search.
+    `probes` product inputs, refined by `refine_steps` ascent steps, drive
+    the one image-rank search, whose hits classification stores and Schmidt
+    ranks, stochastic evidence and bounds read; classification and
+    certification read ``probes=0`` as "no probing", and Schmidt ranks need
+    ``probes >= 1``. `seed` also draws the product-decomposition search.
     """
 
     probes: int = 200
@@ -174,24 +176,29 @@ def _ascend(ops, scale, a, b, target, steps: int, rng, dims: DimList, eps0=0.3):
     return a, b, s, img, norms
 
 
-def _max_image_ranks(ops, dims: DimList, config: ProbeConfig, stream: int = 17) -> np.ndarray:
-    """For each operator, the largest image Schmidt rank found over product inputs.
+def _image_rank_search(ops, dims: DimList, config: ProbeConfig) -> list[ProbeViolation | None]:
+    """For each operator, the first product input found to reach its largest
+    image Schmidt rank, as a `ProbeViolation` when that rank is at least 2,
+    else None (ranks 0 and 1).
 
     Every operator gets the same search: `config.probes` product inputs drawn
-    from ``(seed, stream)``, then, from its first best probe, rounds of
-    `_ascend` on the next Schmidt coefficient while a round raises the rank
-    below ``min(d1, d2)``. Operators run in blocks of `IMAGE_BLOCK_OPS`; each
-    block redraws the probes. An operator leaves the probing once it reaches
+    from ``(seed, 17)``, then, from its first best probe, rounds of `_ascend`
+    on the next Schmidt coefficient while a round raises the rank below
+    ``min(d1, d2)``. Operators run in blocks of `IMAGE_BLOCK_OPS`; each block
+    redraws the probes. An operator leaves the probing once it reaches
     ``min(d1, d2)`` and the ascent once a round fails to raise its rank, so
-    each result is the one the operator gets alone.
+    each result is the one the operator gets alone. ``probes < 1`` finds
+    nothing.
     """
     d1, d2 = dims.dims
     dmin = min(d1, d2)
     stack = np.asarray(ops)
-    ranks = np.zeros(len(stack), dtype=int)
+    found: list[ProbeViolation | None] = [None] * len(stack)
+    if config.probes < 1:
+        return found
     for lo in range(0, len(stack), IMAGE_BLOCK_OPS):
         block = stack[lo:lo + IMAGE_BLOCK_OPS]
-        rng = np.random.default_rng((config.seed, stream))
+        rng = np.random.default_rng((config.seed, 17))
         a = _unit_rows(rng, config.probes, d1)
         b = _unit_rows(rng, config.probes, d2)
         scale = _scales(block)
@@ -209,56 +216,22 @@ def _max_image_ranks(ops, dims: DimList, config: ProbeConfig, stream: int = 17) 
             todo = todo[rank[todo] < dmin]
             if not todo.size:
                 break
-        av, bv = a[best], b[best]
+        av, bv, out = a[best], b[best], img[np.arange(len(block)), best]
         live = np.flatnonzero(rank < dmin) if config.refine_steps > 0 else np.arange(0)
         while live.size:
-            a2, b2, s, _, _ = _ascend(
+            a2, b2, s, img2, _ = _ascend(
                 block[live], scale[live], av[live], bv[live], rank[live],
                 config.refine_steps, rng, dims,
             )
             new = numerical_rank(s)  # zero on images too small to count
             up = new > rank[live]
-            rank[live[up]], av[live[up]], bv[live[up]] = new[up], a2[up], b2[up]
-            live = live[up][new[up] < dmin]
-        ranks[lo:lo + len(block)] = rank
-    return ranks
-
-
-def _probe_bipartite(m, dims: DimList, config: ProbeConfig, stream: int):
-    """Search product inputs for an entangled image; None when none found."""
-    if config.probes < 1:
-        return None
-    d1, d2 = dims.dims
-    rng = np.random.default_rng((config.seed, stream))
-    a = _unit_rows(rng, config.probes, d1)
-    b = _unit_rows(rng, config.probes, d2)
-    ops = m[None]
-    scale = _scales(ops)
-    img = _images(ops, _products(a, b))
-    svals, norms = _image_svals(img, scale, dims)
-    svals, norms, img = svals[0], norms[0], img[0]
-    ranks = numerical_rank(svals)
-    best = int(np.argmax(ranks))
-    if ranks[best] < 2 and config.refine_steps > 0:
-        # push the second Schmidt coefficient of the most promising probe
-        cand = int(np.argmax(svals[:, 1]))
-        av, bv, s, img1, n1 = (x[0] for x in _ascend(
-            ops, scale, a[[cand]], b[[cand]], np.array([1]), config.refine_steps, rng, dims
-        ))
-        rank = numerical_rank(s)
-        if n1 > 0 and rank >= 2:
-            return ProbeViolation(
-                ProductStateParam((av, bv)), PureState(img1 / n1, dims), rank
-            )
-        return None
-    if ranks[best] < 2:
-        return None
-    vec = img[best] / norms[best]
-    return ProbeViolation(
-        ProductStateParam((a[best], b[best])),
-        PureState(vec, dims),
-        int(ranks[best]),
-    )
+            won = live[up]
+            rank[won], av[won], bv[won], out[won] = new[up], a2[up], b2[up], img2[up]
+            live = won[new[up] < dmin]
+        for k in np.flatnonzero(rank >= 2):
+            image = PureState(out[k] / np.linalg.norm(out[k]), dims)
+            found[lo + k] = ProbeViolation(ProductStateParam((av[k], bv[k])), image, int(rank[k]))
+    return found
 
 
 def _probe_multiparty(m, dims: DimList, config: ProbeConfig, stream: int):
@@ -298,8 +271,9 @@ def classify_kraus_many(ops, dims, config: ProbeConfig | None = None) -> list[Kr
     The tensor, permutation and rank-1 tests each run as one stacked
     reshuffle and SVD over the operators no earlier test classified; the
     permutation test reshuffles with the party swap folded into the index
-    order. No step mixes operators, so each result is the one the operator
-    gets alone.
+    order. One `_image_rank_search` over the operators left `unknown` stores
+    their hits as `witness_violation`. No step mixes operators, so each
+    result is the one the operator gets alone.
     """
     config = config or DEFAULT_PROBES
     dims = DimList.of(dims)
@@ -354,8 +328,9 @@ def classify_kraus_many(ops, dims, config: ProbeConfig | None = None) -> list[Kr
                     right_vector=float(s_m[j, 0]) * np.conj(vh_m[j, 0, :]),
                 )
 
-    for k in np.flatnonzero([st is None for st in out]):
-        viol = _probe_bipartite(mats[k], dims, config, stream=0)
+    rest = np.flatnonzero([st is None for st in out])
+    found = _image_rank_search(stack[rest].reshape(len(rest), d1 * d2, d1 * d2), dims, config)
+    for k, viol in zip(rest, found):
         out[k] = KrausStructure(FORM_UNKNOWN, witness_violation=viol)
     return out
 
@@ -365,31 +340,25 @@ def _require_probes(config: ProbeConfig):
         raise EntpowError(f"a Schmidt rank needs probes >= 1, got probes={config.probes}")
 
 
-def _schmidt_ranks(ops, dims: DimList, config: ProbeConfig) -> np.ndarray:
-    """`channel_schmidt_rank` for each operator of a stack, in order."""
-    structures = classify_kraus_many(ops, dims, ProbeConfig(probes=0, seed=config.seed))
-    ranks = np.ones(len(structures), dtype=int)
-    rest = [k for k, st in enumerate(structures) if not st.is_product_preserving]
-    if rest:
-        ranks[rest] = np.maximum(1, _max_image_ranks(np.asarray(ops)[rest], dims, config))
-    return ranks
+def _max_rank(structures) -> int:
+    """The largest image rank stored in `structures`; 1 when none is stored."""
+    return max([s.witness_violation.image_rank for s in structures if s.witness_violation] + [1])
 
 
 def channel_schmidt_rank(m, dims, config: ProbeConfig | None = None) -> int:
     """Max Schmidt rank of ``M|chi>`` over product inputs, for one Kraus operator.
 
     Structurally product-preserving operators return 1 without search;
-    otherwise the value is the best found by `_max_image_ranks`: randomized
-    probing with local refinement, hence a lower bound on the true maximum.
-    It is the same value the operator gets within a stack.
+    otherwise the value is the `image_rank` of the `witness_violation` that
+    `classify_kraus` stores (1 when none): randomized probing with local
+    refinement, hence a lower bound on the true maximum, and the same value
+    the operator gets within a stack.
     """
     config = config or DEFAULT_PROBES
     _require_probes(config)
     dims = DimList.of(dims)
     dims.require_bipartite()
-    m = as_matrix(m)
-    dims.check_matrix(m)
-    return int(_schmidt_ranks(m[None], dims, config)[0])
+    return _max_rank(classify_kraus_many([m], dims, config))
 
 
 @dataclass(frozen=True)
@@ -567,6 +536,28 @@ def detect_entangling(
     )
 
 
+def _entangling_evidence(
+    ch: KrausChannel, structures, config: ProbeConfig, witnesses: list[Witness] | None = None
+) -> list[Violation]:
+    """Replayable evidence that `ch` entangles: the violations of `witnesses`
+    (the default family when None) by the full channel, minimized in one
+    batch, then a stochastic violation for each stored operator whose
+    structure in `structures` carries an entangled image."""
+    family = default_witness_family(ch.dims) if witnesses is None else witnesses
+    duals = [ch.dual_apply(w.operator) for w in family]
+    violations = [
+        Violation(kind="witness", witness=w, input=res.argument, value=res.value)
+        for w, res in zip(family, min_over_products_many(duals, ch.dims, config.optimizer))
+        if res.value <= -TOL_WITNESS
+    ]
+    for i, s in enumerate(structures):
+        if s.witness_violation is not None:
+            v = _stochastic_violation(i, ch.dims, s.witness_violation)
+            if v is not None:
+                violations.append(v)
+    return violations
+
+
 def certify_kraus_channel(
     ch: KrausChannel,
     config: ProbeConfig | None = None,
@@ -577,15 +568,16 @@ def certify_kraus_channel(
     SNE requires every Kraus operator of the stored list, or of the list
     `_product_decomposition` finds, to classify structurally. The entangling
     verdict needs replayable evidence: a witness violation of the full
-    channel, or a stored Kraus operator probed into mapping a product input
-    to an entangled conditional output. Probe evidence speaks only about the
-    stored decomposition, so the search runs first; it also runs before the
-    witnesses, which no SNE channel violates. ``probes=0`` probes nothing.
+    channel, or the `witness_violation` that classification with `config`
+    stores for a stored Kraus operator: a product input whose conditional
+    output reaches the operator's `channel_schmidt_rank`. Probe evidence
+    speaks only about the stored decomposition, so the decomposition search
+    runs first; it also runs before the witnesses, which no SNE channel
+    violates. ``probes=0`` probes nothing.
     """
     config = config or DEFAULT_PROBES
     ch.dims.require_bipartite()
-    no_probe = ProbeConfig(probes=0, seed=config.seed)
-    structures = tuple(classify_kraus_many(ch.kraus, ch.dims, no_probe))
+    structures = tuple(classify_kraus_many(ch.kraus, ch.dims, config))
     if all(s.is_product_preserving for s in structures):
         return Certificate(
             "stochastically_nonentangling",
@@ -596,31 +588,15 @@ def certify_kraus_channel(
     if found is not None:
         return Certificate(
             "stochastically_nonentangling",
-            structures=tuple(classify_kraus_many(found, ch.dims, no_probe)),
+            structures=tuple(classify_kraus_many(found, ch.dims, ProbeConfig(probes=0))),
             note="a product-preserving remixing of the Kraus list reproduces the Choi matrix",
         )
-
-    violations: list[Violation] = []
-    family = default_witness_family(ch.dims) if witnesses is None else witnesses
-    for w in family:
-        dual = ch.dual_apply(w.operator)
-        res = min_over_products(dual, ch.dims, config.optimizer)
-        if res.value <= -TOL_WITNESS:
-            violations.append(
-                Violation(kind="witness", witness=w, input=res.argument, value=res.value)
-            )
-    note = "" if violations else (
-        "evidence is stochastic: a stored Kraus operator entangles a "
-        "product input, and no product-preserving remixing was found"
-    )
-    for i, (m, s) in enumerate(zip(ch.kraus, structures)):  # probe evidence
-        if s.is_product_preserving:
-            continue
-        probe = _probe_bipartite(m, ch.dims, config, stream=i + 1)
-        v = None if probe is None else _stochastic_violation(i, ch.dims, probe)
-        if v is not None:
-            violations.append(v)
+    violations = _entangling_evidence(ch, structures, config, witnesses)
     if violations:
+        note = "" if violations[0].kind == "witness" else (
+            "evidence is stochastic: a stored Kraus operator entangles a "
+            "product input, and no product-preserving remixing was found"
+        )
         return Certificate(
             "entangling", violations=tuple(violations), structures=structures, note=note
         )
@@ -661,9 +637,9 @@ def channel_schmidt_number_bounds(
 
     Replacement channels short-circuit to their exact value. A channel with
     a product-preserving Kraus list found by `_product_decomposition` gets
-    ``(1, 1)`` with that list as the certificate. Otherwise the upper bound is
-    the largest image rank found over the stored Kraus operators, and an
-    entangling certificate raises the lower bound to 2.
+    ``(1, 1)`` with that list as the certificate. Otherwise one classification
+    of the stored list gives the upper bound, its largest stored image rank,
+    and certify's evidence step on those structures the lower bound of 2.
     """
     config = config or DEFAULT_PROBES
     _require_probes(config)
@@ -684,10 +660,9 @@ def channel_schmidt_number_bounds(
             lower=1, upper=1, method="product-preserving Kraus decomposition", certificate=found
         )
 
-    upper = int(_schmidt_ranks(ch.kraus, ch.dims, config).max())
-    lower = 1
-    if upper > 1 and certify_kraus_channel(ch, config).verdict == "entangling":
-        lower = 2
+    structures = classify_kraus_many(ch.kraus, ch.dims, config)
+    upper = _max_rank(structures)
+    lower = 2 if upper > 1 and _entangling_evidence(ch, structures, config) else 1
     return ChannelSchmidtBounds(
         lower, max(upper, lower), method="stored decomposition", certificate=tuple(ch.kraus)
     )

@@ -3,15 +3,17 @@
 A mixture of weighted local unitaries whose Kraus list is hidden by a random
 unitary on the Kraus index is SNE by construction. Its certificate must not
 depend on which Kraus list of the channel is stored, nor on the order of the
-parties, and the Kraus list it ships must reproduce the channel.
+parties, and the Kraus list it ships must reproduce the channel. Certificates
+and Schmidt-number bounds must also not change when the Kraus list is scaled.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entpow.channels import KrausChannel
+from entpow.channels import KrausChannel, mixing_channel
 from entpow.power import certify_kraus_channel, channel_schmidt_number_bounds
+from entpow.states import DensityMatrix, max_entangled
 from entpow.tensor import kron
 
 PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -75,3 +77,35 @@ def test_sne_survives_relabelling_the_parties(mixture):
     # P |i, j> = |j, i> from the (d1, d2) space to the (d2, d1) space
     p = np.eye(d1 * d2).reshape(d1, d2, d1 * d2).transpose(1, 0, 2).reshape(d1 * d2, -1)
     assert is_sne(p @ ops @ p.T, (d2, d1))
+
+
+CNOT = np.eye(4)[[0, 1, 3, 2]]
+
+
+def fixed_channel(name):
+    if name == "cnot_with_identity":
+        return [np.sqrt(0.5) * np.eye(4), np.sqrt(0.5) * CNOT], (2, 2)
+    bell = DensityMatrix(max_entangled(2, 2).projector(), (2, 2))
+    return list(mixing_channel(0.3, bell).kraus), (2, 2)
+
+
+def answers(ops, dims):
+    ch = KrausChannel(list(ops), dims)
+    cert = certify_kraus_channel(ch)
+    bounds = channel_schmidt_number_bounds(ch)
+    forms = [s.form for s in cert.structures]
+    return cert.verdict, cert.note, forms, bounds.lower, bounds.upper, bounds.method
+
+
+@PROPS
+@given(
+    st.one_of(
+        hidden_mixtures(),
+        st.sampled_from(["cnot_with_identity", "bell_mixing"]).map(fixed_channel),
+    ),
+    st.integers(-3, 3),
+)
+def test_answers_do_not_change_when_the_kraus_list_is_scaled(channel, k):
+    ops, dims = channel
+    scaled = [10.0**k * m for m in ops]
+    assert answers(scaled, dims) == answers(ops, dims)

@@ -3,7 +3,8 @@
 Each batched call must give, for every operator of a stack, what that operator
 gets alone, whatever the block sizes; the stacked classification and image
 ranks must also agree with the one-operator-at-a-time code they replaced,
-kept here as the reference.
+kept here as the reference. The image-rank search reports a hit only for
+ranks of at least 2, so its rank is compared with ``max(1, reference)``.
 """
 
 import numpy as np
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 from entpow import power
 from entpow.power import (
     ProbeConfig,
-    _max_image_ranks,
-    _schmidt_ranks,
+    _image_rank_search,
+    _max_rank,
     channel_schmidt_rank,
     classify_kraus,
     classify_kraus_many,
@@ -109,9 +110,9 @@ def reference_ascend(m, d1, d2, a, b, target, steps, rng, eps0=0.3):
     return a, b
 
 
-def reference_max_image_rank(m, dims, config, stream=17):
+def reference_max_image_rank(m, dims, config):
     d1, d2 = dims
-    rng = np.random.default_rng((config.seed, stream))
+    rng = np.random.default_rng((config.seed, 17))
     a = power._unit_rows(rng, config.probes, d1)
     b = power._unit_rows(rng, config.probes, d2)
     svals, _, _ = reference_image_svals(m, a, b)
@@ -179,6 +180,31 @@ def test_classify_many_matches_each_operator(dims, ops):
             assert all(np.array_equal(p, q) for p, q in zip(st_many.factors, factors))
 
 
+def rank_of(hit):
+    """The image rank a search result stands for: None stands for 0 and 1."""
+    return 1 if hit is None else hit.image_rank
+
+
+def same_hit(x, y):
+    if x is None or y is None:
+        return x is None and y is None
+    return (
+        x.image_rank == y.image_rank
+        and all(np.array_equal(p, q) for p, q in zip(x.input.factors, y.input.factors))
+        and np.array_equal(x.image.amplitudes, y.image.amplitudes)
+    )
+
+
+def replays(m, hit, dims):
+    """The hit's image is the normalized image of its input, of its rank."""
+    img = m @ hit.input.assemble().amplitudes
+    svals = np.linalg.svd(hit.image.amplitudes.reshape(dims), compute_uv=False)
+    return (
+        np.allclose(hit.image.amplitudes, img / np.linalg.norm(img), atol=1e-10)
+        and numerical_rank(svals) == hit.image_rank >= 2
+    )
+
+
 @PROPS
 @given(DIMS, OPS, BLOCK, BLOCK)
 def test_image_ranks_match_each_operator_alone(dims, ops, block, chunk):
@@ -187,10 +213,13 @@ def test_image_ranks_match_each_operator_alone(dims, ops, block, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(power, "IMAGE_BLOCK_OPS", block)
         mp.setattr(power, "PROBE_CHUNK", chunk)
-        batched = _max_image_ranks(stack, dl, SMALL)
-        alone = [int(_max_image_ranks(m[None], dl, SMALL)[0]) for m in stack]
-    assert batched.tolist() == alone
-    assert alone == [reference_max_image_rank(m, dims, SMALL) for m in stack]
+        batched = _image_rank_search(stack, dl, SMALL)
+        alone = [_image_rank_search(m[None], dl, SMALL)[0] for m in stack]
+    assert all(same_hit(x, y) for x, y in zip(batched, alone, strict=True))
+    assert [rank_of(h) for h in alone] == [
+        max(1, reference_max_image_rank(m, dims, SMALL)) for m in stack
+    ]
+    assert all(replays(m, h, dims) for m, h in zip(stack, alone) if h is not None)
 
 
 @PROPS
@@ -199,8 +228,10 @@ def test_schmidt_ranks_match_channel_schmidt_rank(dims, ops, block):
     stack = stack_of(ops, dims)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(power, "IMAGE_BLOCK_OPS", block)
-        batched = _schmidt_ranks(stack, DimList.of(dims), SMALL)
-    assert batched.tolist() == [channel_schmidt_rank(m, dims, SMALL) for m in stack]
+        structures = classify_kraus_many(stack, dims, SMALL)
+    assert [_max_rank([s]) for s in structures] == [
+        channel_schmidt_rank(m, dims, SMALL) for m in stack
+    ]
 
 
 def blind_to_first_probe(seed, dims, config):
@@ -228,13 +259,15 @@ def test_ascent_matches_each_operator_alone(dims, seeds, block):
     dl = DimList.of(dims)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(power, "IMAGE_BLOCK_OPS", block)
-        batched = _max_image_ranks(stack, dl, ONE_PROBE)
-        alone = [int(_max_image_ranks(m[None], dl, ONE_PROBE)[0]) for m in stack]
-        probe_only = _max_image_ranks(stack, dl, ProbeConfig(probes=1, refine_steps=0, seed=5))
-    assert probe_only.tolist() == [1] * len(stack)
-    assert batched.tolist() == alone
-    assert alone == [reference_max_image_rank(m, dims, ONE_PROBE) for m in stack]
-    assert min(alone) > 1
+        batched = _image_rank_search(stack, dl, ONE_PROBE)
+        alone = [_image_rank_search(m[None], dl, ONE_PROBE)[0] for m in stack]
+        probe_only = _image_rank_search(stack, dl, ProbeConfig(probes=1, refine_steps=0, seed=5))
+    assert probe_only == [None] * len(stack)
+    assert all(same_hit(x, y) for x, y in zip(batched, alone, strict=True))
+    assert [rank_of(h) for h in alone] == [
+        max(1, reference_max_image_rank(m, dims, ONE_PROBE)) for m in stack
+    ]
+    assert all(h is not None and replays(m, h, dims) for m, h in zip(stack, alone))
 
 
 @PROPS

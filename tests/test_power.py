@@ -18,6 +18,7 @@ from entpow.power import (
     channel_schmidt_number_bounds,
     channel_schmidt_rank,
     classify_kraus,
+    classify_kraus_many,
     detect_entangling,
     entanglement_annihilating_check,
     nonentangling_threshold,
@@ -255,6 +256,39 @@ def test_golden_bounds_and_verdicts(build, bounds, verdict, note):
     cert = certify_kraus_channel(ch)
     assert (cert.verdict, cert.note) == (verdict, note)
     assert verdict != SNE or all(s.is_product_preserving for s in cert.structures)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: unitary_channel(CNOT, (2, 2)), rank_boost_23, bell_mixing],
+    ids=["cnot", "rank_boost_23", "bell_mixing"],
+)
+def test_one_search_backs_evidence_and_schmidt_ranks(build):
+    ch = build()
+    config = ProbeConfig()
+    cert = certify_kraus_channel(ch, config)
+    structures = classify_kraus_many(ch.kraus, ch.dims, config)
+    stochastic = [v for v in cert.violations if v.kind == "stochastic"]
+    assert stochastic
+    for v in stochastic:
+        hit = structures[v.kraus_index].witness_violation
+        assert all(np.array_equal(x, y) for x, y in zip(v.input.factors, hit.input.factors))
+        assert channel_schmidt_rank(ch.kraus[v.kraus_index], ch.dims, config) == hit.image_rank
+
+
+def test_bounds_classify_and_search_once(monkeypatch):
+    calls = {"classify_kraus_many": 0, "_product_decomposition": 0}
+    for name in calls:
+        original = getattr(power, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(power, name, counted)
+    b = channel_schmidt_number_bounds(rank_boost_23())
+    assert (b.lower, b.upper) == (2, 3)
+    assert calls == {"classify_kraus_many": 1, "_product_decomposition": 1}
 
 
 def equal_up_to_phase(x, y):
