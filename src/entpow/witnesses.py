@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     DimensionError,
@@ -344,62 +343,73 @@ def schmidt_class_max(
 
 # -- closed forms for the two benchmark scans --------------------------
 
+# Most points per block of `unitary_mix_scan_min`: each holds a row of 721 angles
+CLOSED_FORM_BLOCK = 256
 
-def measurement_scan_min(p: float, q: float) -> float:
+
+def _scan_points(p, q, top: float, total: float) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) as float arrays of one shape, each entry in 0 <= p, q <= top, p + q <= total."""
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    bad = np.flatnonzero(~((0.0 <= p) & (p <= top) & (0.0 <= q) & (q <= top) & (p + q <= total)))
+    if bad.size:
+        raise EntpowError(f"(p, q) = ({p.flat[bad[0]]}, {q.flat[bad[0]]}) outside the domain")
+    return p, q
+
+
+def measurement_scan_min(p, q):
     """Exact product-state minimum of the dual swap witness for the
     two-outcome singlet-detector channel.
 
     The dual observable is a linear pencil in x = <singlet projector>, which
     ranges over [0, 1/2] on product states, so the minimum sits at an
-    endpoint: min(1 - 2q, (1 - 3p)/4 + (1 - 2q)/2).
+    endpoint: min(1 - 2q, (1 - 3p)/4 + (1 - 2q)/2). Scalar `p`, `q` give a
+    float, arrays an array; an entry outside the unit square is an `EntpowError`.
     """
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        raise EntpowError(f"(p, q) = ({p}, {q}) outside the unit square")
-    return min(1.0 - 2.0 * q, (1.0 - 3.0 * p) / 4.0 + (1.0 - 2.0 * q) / 2.0)
+    p, q = _scan_points(p, q, 1.0, 2.0)
+    out = np.minimum(1.0 - 2.0 * q, (1.0 - 3.0 * p) / 4.0 + (1.0 - 2.0 * q) / 2.0)
+    return float(out) if out.ndim == 0 else out
 
 
-def _unitary_mix_gram(beta: np.ndarray, p: float, q: float):
-    """2x2 quadratic form (in the first party's real amplitudes) whose top
-    eigenvalue is the best expectation at fixed second-party angle beta."""
-    b0, b1 = np.cos(beta), np.sin(beta)
-    g00 = 0.5 * ((1 - p - q) * b0**2 + p * b0**2 + q * b1**2)
-    g11 = 0.5 * ((1 - p - q) * b1**2 + p * b0**2 + q * b0**2)
-    g01 = 0.5 * ((1 - p - q) * b0 * b1 + p * b0**2 + q * b0 * b1)
-    return g00, g01, g11
+def _unitary_mix_peak(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Max over t of <L> in `unitary_mix_scan_min`, per entry of 1-D p and q."""
+    p, q = p[:, None], q[:, None]
+    a2, b = (1.0 - p - 2.0 * q) ** 2, 1.0 - p
+
+    def value(t):
+        c, s = np.cos(t), np.sin(t)
+        return ((1.0 + p * c) + np.sqrt(a2 * c * c + (b * s + p + p * c) ** 2)) / 4.0
+
+    theta = np.linspace(0.0, 2.0 * np.pi, 721)
+    grid, h = value(theta), theta[1]
+    t = theta[np.argmax(grid, axis=1), None]
+    # central-difference Newton steps, at most one grid spacing and only where
+    # the curve bends down; the grid peak stays the answer at sqrt kinks
+    for span in (h, 1e-4, 1e-6):
+        lo, mid, hi = (value(t + d) for d in (-span, 0.0, span))
+        bend = 2.0 * (lo + hi - 2.0 * mid)
+        step = np.divide(span * (lo - hi), bend, out=np.zeros_like(t), where=bend < 0.0)
+        t = t + np.clip(step, -h, h)
+    return np.fmax(grid.max(axis=1), value(t)[:, 0])
 
 
-def _unitary_mix_best(beta, p: float, q: float):
-    g00, g01, g11 = _unitary_mix_gram(np.asarray(beta, dtype=float), p, q)
-    tr = g00 + g11
-    disc = np.sqrt(np.maximum((g00 - g11) ** 2 + 4.0 * g01**2, 0.0))
-    return (tr + disc) / 2.0
-
-
-def unitary_mix_scan_min(p: float, q: float, shift: float = 0.8) -> float:
+def unitary_mix_scan_min(p, q, shift: float = 0.8):
     """Product-state minimum of ``shift*I - L`` pulled back through the
     identity/controlled-X/local-flip unitary mixture with weights
     (1-p-q, p, q).
 
-    Real amplitudes suffice; maximizing over the first party analytically
-    leaves a smooth single-angle problem, solved on a dense grid plus a
-    bounded local refinement.
+    Real amplitudes suffice, and the best first-party vector leaves one angle
+    t of the second party: <L> = (1 + p cos t + sqrt((1-p-2q)^2 cos^2 t +
+    ((1-p) sin t + p + p cos t)^2)) / 4, maximized as the larger of the best of
+    721 grid angles and three Newton steps from it. Scalar `p`, `q` give a
+    float, arrays an array (in blocks of `CLOSED_FORM_BLOCK` points, each value
+    bitwise its point's alone); p, q >= 0, p + q <= 1 or `EntpowError`.
     """
-    if not (0.0 <= p <= 1.0 + 1e-12 and 0.0 <= q <= 1.0 + 1e-12):
-        raise EntpowError(f"(p, q) = ({p}, {q}) outside the unit square")
-    if p + q > 1.0 + 1e-9:
-        raise EntpowError(f"weights require p + q <= 1, got {p + q}")
-    grid = np.linspace(0.0, np.pi, 721)
-    best = _unitary_mix_best(grid, p, q)
-    k = int(np.argmax(best))
-    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-    res = scipy.optimize.minimize_scalar(
-        lambda b: -_unitary_mix_best(b, p, q),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    peak = max(float(best[k]), float(-res.fun))
-    return shift - peak
+    p, q = _scan_points(p, q, 1.0 + 1e-12, 1.0 + 1e-9)
+    flat_p, flat_q, out = p.ravel(), q.ravel(), np.empty(p.size)
+    for lo in range(0, p.size, CLOSED_FORM_BLOCK):
+        block = slice(lo, lo + CLOSED_FORM_BLOCK)
+        out[block] = shift - _unitary_mix_peak(flat_p[block], flat_q[block])
+    return float(out[0]) if p.ndim == 0 else out.reshape(p.shape)
 
 
 class MixShiftResult(NamedTuple):

@@ -1,8 +1,15 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from entpow import witnesses
-from entpow.errors import SpecError
+import entpow
+from entpow import scans, witnesses
+from entpow.errors import EntpowError, SpecError
 from entpow.scans import (
     CSV_HEADER,
     SCENARIO_ALIASES,
@@ -71,9 +78,9 @@ def test_optimizer_scan_values_do_not_depend_on_the_batch(monkeypatch):
     monkeypatch.setattr(witnesses, "BLOCK_ROWS", 7)
     cfg = OptimizerConfig(restarts=16, seed=3)
     scenario = get_scenario("measurement")
-    witness = scenario.build_witness()
     scan = run_scan("measurement", step=0.25, engine="optimizer", optimizer=cfg)
-    duals = [scenario.build_channel(p, q).dual_apply(witness.operator) for p, q, _ in scan.rows]
+    p, q, _ = np.array(scan.rows).T
+    duals = scans._duals(scenario, p, q)
     batched = witnesses.min_over_products_many(duals, scenario.dims, cfg)
     for (_, _, v), dual, res in zip(scan.rows, duals, batched):
         alone = witnesses.min_over_products(dual, scenario.dims, cfg)
@@ -110,3 +117,80 @@ def test_measurement_zero_contour_on_grid():
         p = (3 - 4 * q) / 3
         if abs(p / 0.05 - round(p / 0.05)) < 1e-9:
             assert abs(by_pq[(round(p, 10), q)]) < 1e-12
+
+
+REPO = Path(__file__).resolve().parent.parent
+REFERENCE = REPO / "bench" / "reference" / "unitary_mix_closed_form.npy"
+
+
+def test_unitary_mix_scan_matches_the_stored_reference():
+    # values stored from the first benchmarked version, which maximized with scipy
+    reference = np.load(REFERENCE)
+    values = np.array([v for _, _, v in run_scan("unitary_mix", step=0.005).rows])
+    assert values.shape == reference.shape == (20301,)
+    assert np.max(np.abs(values - reference)) < 1e-12
+
+
+@pytest.mark.parametrize("closed_form, name", [
+    (measurement_scan_min, "measurement"),
+    (unitary_mix_scan_min, "unitary_mix"),
+])
+def test_closed_forms_on_arrays_equal_scalar_calls(closed_form, name, monkeypatch):
+    # blocks of 7 points split the grid at many places
+    monkeypatch.setattr(witnesses, "CLOSED_FORM_BLOCK", 7)
+    p, q, _ = np.array(run_scan(name, step=0.05).rows).T
+    values = closed_form(p, q)
+    assert isinstance(closed_form(p[7], q[7]), float)
+    assert values.shape == p.shape
+    assert values.tolist() == [closed_form(a, b) for a, b in zip(p.tolist(), q.tolist())]
+    grid = closed_form(p.reshape(1, -1), q.reshape(1, -1))
+    assert grid.shape == (1, p.size) and grid[0].tolist() == values.tolist()
+
+
+@pytest.mark.parametrize("closed_form, bad", [
+    (measurement_scan_min, (1.5, 0.0)),
+    (measurement_scan_min, (0.0, -0.1)),
+    (unitary_mix_scan_min, (0.8, 0.8)),
+    (unitary_mix_scan_min, (np.nan, 0.0)),
+])
+def test_closed_forms_reject_one_bad_entry(closed_form, bad):
+    p, q = np.full(10, 0.25), np.full(10, 0.5)
+    p[6], q[6] = bad
+    with pytest.raises(EntpowError, match=r"\(p, q\)"):
+        closed_form(p, q)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_affine_duals_match_per_point_channels(name):
+    scenario = SCENARIOS[name]
+    witness = scenario.build_witness()
+    p, q, _ = np.array(run_scan(name, step=0.1).rows).T
+    duals = scans._duals(scenario, p, q)
+    for a, b, dual in zip(p, q, duals):
+        direct = scenario.build_channel(a, b).dual_apply(witness.operator)
+        assert np.max(np.abs(dual - direct)) < 1e-14
+
+
+def test_optimizer_scan_builds_three_channels(monkeypatch):
+    built = []
+    scenario = SCENARIOS["unitary_mix"]
+
+    def build(p, q):
+        built.append((p, q))
+        return scenario.build_channel(p, q)
+
+    counted = dataclasses.replace(scenario, build_channel=build)
+    monkeypatch.setitem(SCENARIOS, "unitary_mix", counted)
+    cfg = OptimizerConfig(restarts=4, seed=0)
+    res = run_scan("unitary_mix", step=0.25, engine="optimizer", optimizer=cfg)
+    assert len(res.rows) == 15
+    assert built == [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+
+
+def test_import_does_not_load_scipy():
+    code = ("import sys, entpow, entpow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(entpow.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
