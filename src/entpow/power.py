@@ -23,7 +23,7 @@ evidence alone never certifies it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -571,13 +571,13 @@ def certify_kraus_channel(
     channel, or the `witness_violation` that classification with `config`
     stores for a stored Kraus operator: a product input whose conditional
     output reaches the operator's `channel_schmidt_rank`. Probe evidence
-    speaks only about the stored decomposition, so the decomposition search
-    runs first; it also runs before the witnesses, which no SNE channel
-    violates. ``probes=0`` probes nothing.
+    speaks only about the stored decomposition, so the stored list is probed
+    only after the decomposition search fails, both before the witnesses,
+    which no SNE channel violates. ``probes=0`` probes nothing.
     """
     config = config or DEFAULT_PROBES
     ch.dims.require_bipartite()
-    structures = tuple(classify_kraus_many(ch.kraus, ch.dims, config))
+    structures = tuple(classify_kraus_many(ch.kraus, ch.dims, replace(config, probes=0)))
     if all(s.is_product_preserving for s in structures):
         return Certificate(
             "stochastically_nonentangling",
@@ -591,6 +591,7 @@ def certify_kraus_channel(
             structures=tuple(classify_kraus_many(found, ch.dims, ProbeConfig(probes=0))),
             note="a product-preserving remixing of the Kraus list reproduces the Choi matrix",
         )
+    structures = tuple(classify_kraus_many(ch.kraus, ch.dims, config))
     violations = _entangling_evidence(ch, structures, config, witnesses)
     if violations:
         note = "" if violations[0].kind == "witness" else (

@@ -11,12 +11,12 @@ frozen, the objective is a Hermitian quadratic form in the free party, whose
 exact minimizer is an extremal eigenvector. Sweeps are monotone, so each
 restart converges; restarts guard against local minima.
 `min_over_products_many` minimizes a whole stack of observables at once:
-every (observable, restart) pair is one row, and each sweep contracts all
-active rows with one einsum and one stacked eigh. A row leaves the active set
-the sweep it converges (row compaction), so no row waits for the slowest
-restart. No step mixes rows, so a value does not depend on the batch it ran
-in; `min_over_products` is the one-observable case. Convergence and
-Hermiticity tolerances are relative to the observable's size.
+every (observable, restart) pair is one row. Each sweep contracts the active
+rows with one einsum and takes their lowest eigenpairs in closed form for a
+qubit party (`_lowest`). A row that converges frees its slot for the next
+waiting row (the refill), so no sweep waits on the slowest restart. No step
+mixes rows, so a value does not depend on the batch it ran in; tolerances
+are relative to the observable's size.
 """
 
 from __future__ import annotations
@@ -97,16 +97,8 @@ class OptimizationResult:
     spread: float
 
 
-def _hermitian_part(obs, dims: DimList) -> np.ndarray:
-    obs = as_matrix(obs)
-    dims.check_matrix(obs)
-    if not is_hermitian(obs, 1e-8 * np.max(np.abs(obs))):
-        raise DimensionError("observable must be Hermitian (to 1e-8 of its largest entry)")
-    return (obs + dagger(obs)) / 2.0
-
-
-# Most rows optimized together. A block's working set is its rows times each
-# party's reshuffled operator, so blocks bound memory on whole grids.
+# Most rows active at once. The active set's working set is its rows times
+# each party's reshuffled operator, so this bounds memory on whole grids.
 BLOCK_ROWS = 2048
 
 
@@ -118,28 +110,56 @@ def _reshuffle(stack: np.ndarray, d: tuple[int, ...], i: int) -> np.ndarray:
     return t.reshape(len(stack), -1, d[i] ** 2)
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, summed as `np.linalg.norm` sums one vector."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
 def _starts(d: tuple[int, ...], config: OptimizerConfig) -> list[np.ndarray]:
-    """Per-party start vectors; restart r draws from ``default_rng(seed + r)``."""
+    """Per-party start vectors; restart r makes one draw from ``default_rng(seed + r)``."""
     r_count = max(1, int(config.restarts))
-    factors = [np.empty((r_count, di), dtype=complex) for di in d]
-    for r in range(r_count):
-        rng = np.random.default_rng(config.seed + r)
-        for i, di in enumerate(d):
-            v = rng.normal(size=di) + 1j * rng.normal(size=di)
-            factors[i][r] = v / np.linalg.norm(v)
-    return factors
+    draws = np.array([np.random.default_rng(config.seed + r).normal(size=2 * sum(d))
+                      for r in range(r_count)])
+    parts = np.split(draws, 2 * np.cumsum(d)[:-1], axis=1)  # per party: real, then imaginary
+    vs = [part[:, :di] + 1j * part[:, di:] for part, di in zip(parts, d)]
+    return [v / _row_norms(v)[:, None] for v in vs]
 
 
-def _descend(shuffled, owner, tols, live, values, converged, factors, max_sweeps):
-    """Coordinate descent, in place, on the rows ``live``.
+def _lowest(eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenvalue and a unit eigenvector of the Hermitian part of each
+    matrix in the stack; in closed form for 2x2, by `eigh` otherwise."""
+    if eff.shape[-1] != 2:
+        evals, evecs = np.linalg.eigh((eff + np.conj(eff.transpose(0, 2, 1))) / 2.0)
+        return evals[:, 0], evecs[:, :, 0]
+    a, c = eff[:, 0, 0].real, eff[:, 1, 1].real
+    b = (eff[:, 0, 1] + np.conj(eff[:, 1, 0])) / 2.0
+    h = (a - c) / 2.0
+    r = np.hypot(h, np.abs(b))
+    # (-b, h + r) and (r - h, -conj(b)) both solve the first row, with squared
+    # norm 2r(r + |h|); take the one free of cancellation. At r = 0, A is scalar.
+    up = h >= 0.0
+    vec = np.stack([np.where(up, -b, r - h), np.where(up, h + r, -np.conj(b))], axis=1)
+    norm = np.sqrt(2.0 * r * (r + np.abs(h)))
+    vec[r == 0.0], norm[r == 0.0] = (1.0, 0.0), 1.0
+    return (a + c) / 2.0 - r, vec / norm[:, None]
 
-    Row k minimizes observable ``owner[k]`` from its current vectors
-    ``factors[i][k]`` and has converged once a sweep moves ``values[k]`` by at
-    most ``tols[k]``; it then leaves the active set. Every step acts on each
-    row alone, so a row's result does not depend on which rows share its block.
+
+def _descend(shuffled, owner, tols, factors, max_sweeps):
+    """Coordinate descent, in place, from the vectors ``factors[i][k]``;
+    returns each row's value and whether it converged.
+
+    Row k minimizes observable ``owner[k]`` and has converged once a sweep
+    moves its value by at most ``tols[k]``. At most `BLOCK_ROWS` rows are
+    active: a row that converges or reaches `max_sweeps` sweeps frees its
+    slot at the end of the sweep, and the next waiting row takes it. Every
+    step acts on each row alone, so no result depends on the other rows.
     """
+    rows = len(owner)
+    values, converged = np.full(rows, np.inf), np.zeros(rows, dtype=bool)
+    nxt = min(BLOCK_ROWS, rows) if max_sweeps > 0 else 0
+    live, sweeps = np.arange(nxt), np.zeros(nxt, dtype=int)
     cur = [f[live] for f in factors]
-    for _ in range(max_sweeps):
+    while live.size:
         for i, di in enumerate(f.shape[1] for f in factors):
             ket = np.ones((len(live), 1), dtype=complex)
             for j, f in enumerate(cur):
@@ -147,19 +167,26 @@ def _descend(shuffled, owner, tols, live, values, converged, factors, max_sweeps
                     ket = (ket[:, :, None] * f[:, None, :]).reshape(len(live), -1)
             w = (np.conj(ket)[:, :, None] * ket[:, None, :]).reshape(len(live), -1)
             eff = np.einsum("nm,nmq->nq", w, shuffled[i][owner[live]]).reshape(-1, di, di)
-            eff = (eff + np.conj(eff.transpose(0, 2, 1))) / 2.0
-            evals, evecs = np.linalg.eigh(eff)
-            cur[i] = evecs[:, :, 0]
-        new = evals[:, 0]
+            new, cur[i] = _lowest(eff)
+        sweeps += 1
         done = np.abs(new - values[live]) <= tols[live]
         values[live] = new
-        for f, c in zip(factors, cur):
-            f[live] = c
         converged[live[done]] = True
-        live = live[~done]
-        if not live.size:
-            break
-        cur = [c[~done] for c in cur]
+        free = np.flatnonzero(done | (sweeps >= max_sweeps))
+        if not free.size:
+            continue
+        for f, c in zip(factors, cur):
+            f[live[free]] = c[free]
+        fresh = np.arange(nxt, min(nxt + free.size, rows))
+        nxt += fresh.size
+        fill, free = free[:fresh.size], free[fresh.size:]
+        live[fill], sweeps[fill] = fresh, 0
+        for c, f in zip(cur, factors):
+            c[fill] = f[fresh]
+        if free.size:  # nothing left waiting: drop the idle slots
+            live, sweeps = np.delete(live, free), np.delete(sweeps, free)
+            cur = [np.delete(c, free, axis=0) for c in cur]
+    return values, converged
 
 
 def min_over_products_many(
@@ -167,33 +194,33 @@ def min_over_products_many(
 ) -> list[OptimizationResult]:
     """`min_over_products` for each observable, in order, in one batch.
 
-    Every (observable, restart) pair is one row; rows run in blocks of at
-    most `BLOCK_ROWS`. Each result is bitwise the one `min_over_products`
-    gives for that observable alone.
+    Every (observable, restart) pair is one row, and one `_descend` runs them
+    all. Each result is bitwise the one `min_over_products` gives for that
+    observable alone.
     """
     dims = DimList.of(dims)
     config = config or DEFAULT_CONFIG
-    mats = [_hermitian_part(obs, dims) for obs in observables]
+    mats = [as_matrix(obs) for obs in observables]
     if not mats:
         return []
+    for m in mats:
+        dims.check_matrix(m)
     stack = np.array(mats)
-    scale = np.array([np.linalg.norm(m) for m in mats])
+    adjoint = np.conj(stack.transpose(0, 2, 1))
+    if np.any(np.abs(stack - adjoint).max(axis=(1, 2)) > 1e-8 * np.abs(stack).max(axis=(1, 2))):
+        raise DimensionError("observable must be Hermitian (to 1e-8 of its largest entry)")
+    stack = (stack + adjoint) / 2.0
+    scale = _row_norms(stack.reshape(len(stack), -1))
     starts = _starts(dims.dims, config)
     r_count = len(starts[0])
     shuffled = [_reshuffle(stack, dims.dims, i) for i in range(dims.n)]
-    rows = len(mats) * r_count
     owner = np.repeat(np.arange(len(mats)), r_count)
-    tols = config.tol * scale[owner]
-    values = np.full(rows, np.inf)
-    converged = np.zeros(rows, dtype=bool)
     factors = [np.tile(s, (len(mats), 1)) for s in starts]
-    for lo in range(0, rows, BLOCK_ROWS):
-        live = np.arange(lo, min(lo + BLOCK_ROWS, rows))
-        _descend(shuffled, owner, tols, live, values, converged, factors, config.max_sweeps)
+    tols = config.tol * scale[owner]
+    values, converged = _descend(shuffled, owner, tols, factors, config.max_sweeps)
     results = []
     for k in range(len(mats)):
-        own = slice(k * r_count, (k + 1) * r_count)
-        vals = values[own]
+        vals = values[k * r_count:(k + 1) * r_count]
         # lowest value wins; ties (within the convergence tolerance) go to the earliest restart
         best = k * r_count + int(np.argmax(vals <= vals.min() + config.tol * scale[k]))
         results.append(OptimizationResult(

@@ -1,11 +1,24 @@
 """Property tests of the batched product-state optimizer."""
 
+from dataclasses import replace
+from functools import reduce
+from unittest.mock import patch
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entpow import witnesses
+from entpow.errors import DimensionError
 from entpow.tensor import dagger, kron_all
-from entpow.witnesses import OptimizerConfig, min_over_products, min_over_products_many
+from entpow.witnesses import (
+    OptimizerConfig,
+    _lowest,
+    _starts,
+    min_over_products,
+    min_over_products_many,
+)
 
 CFG = OptimizerConfig(restarts=16, seed=11)
 PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -76,3 +89,116 @@ def test_local_unitary_conjugation_keeps_the_minimum(dims, seed, u_seed):
     rotated = (rotated + dagger(rotated)) / 2
     a, b = min_over_products_many([obs, rotated], dims, CFG)
     assert abs(a.value - b.value) < 1e-8
+
+
+def starts_one_party_at_a_time(d, config):
+    """Reference start vectors: per restart, one draw per party and part."""
+    r_count = max(1, int(config.restarts))
+    factors = [np.empty((r_count, di), dtype=complex) for di in d]
+    for r in range(r_count):
+        rng = np.random.default_rng(config.seed + r)
+        for i, di in enumerate(d):
+            v = rng.normal(size=di) + 1j * rng.normal(size=di)
+            factors[i][r] = v / np.linalg.norm(v)
+    return factors
+
+
+@PROPS
+@given(st.sampled_from([(2, 2), (3, 3), (4, 4), (2, 2, 2)]), st.integers(0, 2**31), st.integers(1, 9))
+def test_start_vectors_match_one_draw_per_party(dims, seed, restarts):
+    config = OptimizerConfig(restarts=restarts, seed=seed)
+    for a, b in zip(_starts(dims, config), starts_one_party_at_a_time(dims, config)):
+        assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-15
+
+
+def check_lowest(stack):
+    vals, vecs = _lowest(stack)
+    size = np.linalg.norm(stack, ord=2, axis=(1, 2))
+    assert np.all(np.abs(vals - np.linalg.eigvalsh(stack)[:, 0]) <= 1e-14 * size)
+    residual = np.linalg.norm(np.einsum("nij,nj->ni", stack, vecs) - vals[:, None] * vecs, axis=1)
+    assert np.all(residual <= 1e-14 * size)
+    assert np.max(np.abs(np.linalg.norm(vecs, axis=1) - 1.0)) <= 1e-14
+
+
+@PROPS
+@given(SEEDS, st.sampled_from([1e-11, 1.0, 1e3]))
+def test_qubit_eigenpairs_match_eigh(seed, scale):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(32, 2, 2)) + 1j * rng.normal(size=(32, 2, 2))
+    check_lowest(scale * (m + np.conj(m.transpose(0, 2, 1))) / 2)
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1.0, 1e3])
+def test_qubit_eigenpairs_of_scalar_and_diagonal_matrices(scale):
+    cases = np.array([
+        [[0, 0], [0, 0]],           # zero
+        [[0.7, 0], [0, 0.7]],       # b = 0, a = c
+        [[2, 0], [0, -1]],          # diagonal, a > c
+        [[-1, 0], [0, 2]],          # diagonal, a < c
+        [[1, 1e-9j], [-1e-9j, 1]],  # nearly scalar
+    ], dtype=complex)
+    check_lowest(scale * cases)
+    _, vecs = _lowest(scale * cases)
+    assert np.array_equal(vecs[:2], [[1, 0], [1, 0]])
+    assert np.array_equal(np.abs(vecs[2:4]), [[0, 1], [1, 0]])
+
+
+@PROPS
+@given(
+    st.sampled_from([(2, 2), (2, 3), (2, 2, 2)]),
+    st.lists(SEEDS, min_size=1, max_size=3),
+    st.sampled_from([3, 5]),
+    st.sampled_from([CFG, replace(CFG, max_sweeps=1), replace(CFG, max_sweeps=12)]),
+)
+def test_refilled_rows_match_each_observable_alone(dims, seeds, block, config):
+    obs = [observable(s, dims) for s in seeds]
+    alone = [min_over_products(o, dims, config) for o in obs]
+    with patch.object(witnesses, "BLOCK_ROWS", block):
+        refilled = min_over_products_many(obs, dims, config)
+    for a, b in zip(alone, refilled):
+        assert same(a, b) and a.restarts_used == b.restarts_used == config.restarts
+    if config.max_sweeps == 1:
+        assert not any(r.converged for r in refilled)
+
+
+def eigh_descent(obs, dims, config):
+    """Reference optimizer: each restart alone, every eigenpair from `eigh`;
+    the earliest restart within the tolerance of the lowest value wins."""
+    tol = config.tol * np.linalg.norm(obs)
+    values = []
+    for start in zip(*_starts(dims, config)):
+        vecs, value = list(start), np.inf
+        for _ in range(config.max_sweeps):
+            for i, di in enumerate(dims):
+                embed = reduce(np.kron, [
+                    np.eye(di) if j == i else v[:, None] for j, v in enumerate(vecs)
+                ])
+                evals, evecs = np.linalg.eigh(dagger(embed) @ obs @ embed)
+                vecs[i], new = evecs[:, 0], evals[0]
+            done, value = abs(new - value) <= tol, new
+            if done:
+                break
+        values.append(value)
+    values = np.array(values)
+    return values[np.argmax(values <= values.min() + tol)]
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(DIMS, SEEDS)
+def test_descent_agrees_with_an_eigh_only_descent(dims, seed):
+    obs = observable(seed, dims)
+    obs = obs / np.linalg.norm(obs)
+    assert abs(min_over_products(obs, dims, CFG).value - eigh_descent(obs, dims, CFG)) <= 1e-12
+
+
+def test_non_hermitian_observable_in_a_stack_raises():
+    dims = (2, 2)
+    obs = [observable(s, dims) for s in range(5)]
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 1] = 1e-3
+    for scale in (1.0, 1e-9):
+        stack = obs[:4] + [scale * (obs[4] + skew)]
+        with pytest.raises(DimensionError, match="must be Hermitian"):
+            min_over_products_many(stack, dims, CFG)
+    with pytest.raises(DimensionError, match="does not match dims"):
+        min_over_products_many(obs[:4] + [np.eye(3)], dims, CFG)

@@ -74,7 +74,7 @@ def test_optimizer_engine_agrees_with_closed_form():
 
 
 def test_optimizer_scan_values_do_not_depend_on_the_batch(monkeypatch):
-    # blocks of 7 rows split each point's 16 restarts across blocks
+    # an active set of 7 rows splits each point's 16 restarts across refills
     monkeypatch.setattr(witnesses, "BLOCK_ROWS", 7)
     cfg = OptimizerConfig(restarts=16, seed=3)
     scenario = get_scenario("measurement")
