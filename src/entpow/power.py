@@ -293,7 +293,7 @@ def classify_kraus_many(ops, dims, config: ProbeConfig | None = None) -> list[Kr
         return []
     d1, d2 = dims.dims
     stack = np.array(mats).reshape(-1, d1, d2, d1, d2)
-    out: list[KrausStructure | None] = [None] * len(mats)
+    out = [KrausStructure(FORM_UNKNOWN)] * len(mats)
     rest = np.arange(len(mats))
 
     # A (x) B, then (A (x) B) V for the swap V: operator Schmidt rank at most
@@ -328,9 +328,14 @@ def classify_kraus_many(ops, dims, config: ProbeConfig | None = None) -> list[Kr
                     right_vector=float(s_m[j, 0]) * np.conj(vh_m[j, 0, :]),
                 )
 
-    rest = np.flatnonzero([st is None for st in out])
-    found = _image_rank_search(stack[rest].reshape(len(rest), d1 * d2, d1 * d2), dims, config)
-    for k, viol in zip(rest, found):
+    return _probe_unknown(out, stack.reshape(len(mats), d1 * d2, -1), dims, config)
+
+
+def _probe_unknown(structures, stack: np.ndarray, dims: DimList, config: ProbeConfig):
+    """`structures`, each `unknown` one with its operator's hit in `_image_rank_search`."""
+    out = list(structures)
+    rest = [k for k, st in enumerate(out) if st.form == FORM_UNKNOWN]
+    for k, viol in zip(rest, _image_rank_search(stack[rest], dims, config)):
         out[k] = KrausStructure(FORM_UNKNOWN, witness_violation=viol)
     return out
 
@@ -571,9 +576,10 @@ def certify_kraus_channel(
     channel, or the `witness_violation` that classification with `config`
     stores for a stored Kraus operator: a product input whose conditional
     output reaches the operator's `channel_schmidt_rank`. Probe evidence
-    speaks only about the stored decomposition, so the stored list is probed
-    only after the decomposition search fails, both before the witnesses,
-    which no SNE channel violates. ``probes=0`` probes nothing.
+    speaks only about the stored decomposition, so the stored list's
+    `unknown` operators are probed only after the decomposition search
+    fails, both before the witnesses, which no SNE channel violates.
+    ``probes=0`` probes nothing.
     """
     config = config or DEFAULT_PROBES
     ch.dims.require_bipartite()
@@ -591,7 +597,7 @@ def certify_kraus_channel(
             structures=tuple(classify_kraus_many(found, ch.dims, ProbeConfig(probes=0))),
             note="a product-preserving remixing of the Kraus list reproduces the Choi matrix",
         )
-    structures = tuple(classify_kraus_many(ch.kraus, ch.dims, config))
+    structures = tuple(_probe_unknown(structures, np.array(ch.kraus), ch.dims, config))
     violations = _entangling_evidence(ch, structures, config, witnesses)
     if violations:
         note = "" if violations[0].kind == "witness" else (

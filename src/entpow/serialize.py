@@ -20,7 +20,7 @@ from .errors import SpecError
 from .power import Certificate
 from .states import DensityMatrix, ProductStateParam, PureState
 from .tensor import DimList
-from .witnesses import OptimizationResult, Witness
+from .witnesses import Witness
 
 
 def _pairs(arr: np.ndarray) -> list[list[float]]:
@@ -272,16 +272,6 @@ def witness_from_json(obj: dict, field: str = "witness") -> Witness:
 
 def product_state_to_json(param: ProductStateParam) -> list[list[list[float]]]:
     return [_pairs(f) for f in param.factors]
-
-
-def optimization_result_to_json(res: OptimizationResult) -> dict:
-    return {
-        "value": res.value,
-        "argument": product_state_to_json(res.argument),
-        "restarts": res.restarts_used,
-        "converged": res.converged,
-        "spread": res.spread,
-    }
 
 
 def certificate_to_json(cert: Certificate, version: str) -> dict:

@@ -111,8 +111,8 @@ def _reshuffle(stack: np.ndarray, d: tuple[int, ...], i: int) -> np.ndarray:
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, summed as `np.linalg.norm` sums one vector."""
-    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    """Euclidean norm of each row, by the dot products `np.linalg.norm` takes of one vector."""
+    return np.sqrt(sum(x[:, None, :] @ x[:, :, None] for x in (v.real, v.imag)))[:, 0, 0]
 
 
 def _starts(d: tuple[int, ...], config: OptimizerConfig) -> list[np.ndarray]:
@@ -134,12 +134,13 @@ def _lowest(eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a, c = eff[:, 0, 0].real, eff[:, 1, 1].real
     b = (eff[:, 0, 1] + np.conj(eff[:, 1, 0])) / 2.0
     h = (a - c) / 2.0
-    r = np.hypot(h, np.abs(b))
-    # (-b, h + r) and (r - h, -conj(b)) both solve the first row, with squared
-    # norm 2r(r + |h|); take the one free of cancellation. At r = 0, A is scalar.
+    abs_b = np.abs(b)
+    r = np.hypot(h, abs_b)
+    # (-b, h + r) and (r - h, -conj(b)) both solve the first row, with norm
+    # hypot(|b|, r + |h|); take the one free of cancellation. At r = 0, A is scalar.
     up = h >= 0.0
     vec = np.stack([np.where(up, -b, r - h), np.where(up, h + r, -np.conj(b))], axis=1)
-    norm = np.sqrt(2.0 * r * (r + np.abs(h)))
+    norm = np.hypot(abs_b, r + np.abs(h))
     vec[r == 0.0], norm[r == 0.0] = (1.0, 0.0), 1.0
     return (a + c) / 2.0 - r, vec / norm[:, None]
 

@@ -115,7 +115,8 @@ def check_lowest(stack):
     vals, vecs = _lowest(stack)
     size = np.linalg.norm(stack, ord=2, axis=(1, 2))
     assert np.all(np.abs(vals - np.linalg.eigvalsh(stack)[:, 0]) <= 1e-14 * size)
-    residual = np.linalg.norm(np.einsum("nij,nj->ni", stack, vecs) - vals[:, None] * vecs, axis=1)
+    res = np.einsum("nij,nj->ni", stack, vecs) - vals[:, None] * vecs
+    residual = np.hypot(np.abs(res[:, 0]), np.abs(res[:, 1]))  # cannot overflow at 1e200
     assert np.all(residual <= 1e-14 * size)
     assert np.max(np.abs(np.linalg.norm(vecs, axis=1) - 1.0)) <= 1e-14
 
@@ -128,7 +129,7 @@ def test_qubit_eigenpairs_match_eigh(seed, scale):
     check_lowest(scale * (m + np.conj(m.transpose(0, 2, 1))) / 2)
 
 
-@pytest.mark.parametrize("scale", [1e-11, 1.0, 1e3])
+@pytest.mark.parametrize("scale", [1e-200, 1e-11, 1.0, 1e3, 1e200])
 def test_qubit_eigenpairs_of_scalar_and_diagonal_matrices(scale):
     cases = np.array([
         [[0, 0], [0, 0]],           # zero
