@@ -129,7 +129,8 @@ def _schmidt_state_report(state: PureState | DensityMatrix, args) -> int:
 def _schmidt_channel_report(ch: KrausChannel, args) -> int:
     config = _probe_config(args)
     print(f"channel on dims {ch.dims.dims} with {len(ch.kraus)} Kraus operator(s)")
-    forms = classify_kraus_many(ch.kraus, ch.dims, ProbeConfig(probes=0, seed=config.seed))
+    if len(ch.kraus) == 1 or args.cut is not None:  # the form line and the swap-cut note
+        forms = classify_kraus_many(ch.kraus, ch.dims, ProbeConfig(probes=0))
     if len(ch.kraus) == 1:
         rank = channel_schmidt_rank(ch.kraus[0], ch.dims, config)
         print(f"kraus form: {forms[0].form}")

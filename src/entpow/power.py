@@ -22,7 +22,6 @@ evidence alone never certifies it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -53,15 +52,14 @@ FORM_UNKNOWN = "unknown"
 class ProbeConfig:
     """Knobs for the randomized searches in this module.
 
-    `probes` product inputs, refined by `refine_steps` ascent steps, drive
-    the one image-rank search, whose hits classification stores and Schmidt
-    ranks, stochastic evidence and bounds read; classification and
-    certification read ``probes=0`` as "no probing", and Schmidt ranks need
-    ``probes >= 1``. `seed` also draws the product-decomposition search.
+    `probes` product inputs drive the one image-rank search, whose hits
+    classification stores and Schmidt ranks, stochastic evidence and bounds
+    read; classification and certification read ``probes=0`` as "no
+    probing", and Schmidt ranks need ``probes >= 1``. `seed` also draws the
+    product-decomposition search.
     """
 
     probes: int = 200
-    refine_steps: int = 10
     seed: int = 0
     optimizer: OptimizerConfig = DEFAULT_CONFIG
 
@@ -113,21 +111,9 @@ def _scales(ops: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.norm(ops.reshape(len(ops), -1), axis=1), 1.0)
 
 
-def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows ``a[p] (x) b[p]``."""
-    return np.einsum("pi,pj->pij", a, b).reshape(len(a), -1)
-
-
-def _images(ops: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """``M chi`` for each operator M of a stack: chi (P, d) sends every input
-    through every operator, giving (K, P, d); chi (K, 1, d) sends input k
-    through operator k, giving (K, 1, d)."""
-    return chi @ ops.transpose(0, 2, 1)
-
-
-def _image_svals(img: np.ndarray, scale: np.ndarray, dims: DimList):
-    """Schmidt coefficients and norms of images (K, P, d) of operators with
-    scales (K,); an image below ``1e-12 * scale`` gets zero coefficients."""
+def _image_svals(img: np.ndarray, scale: np.ndarray, dims: DimList) -> np.ndarray:
+    """Schmidt coefficients of images (K, P, d) of operators with scales
+    (K,); an image below ``1e-12 * scale`` gets zero coefficients."""
     d1, d2 = dims.dims
     norms = np.linalg.norm(img, axis=-1)
     ok = norms > 1e-12 * scale[:, None]
@@ -135,59 +121,21 @@ def _image_svals(img: np.ndarray, scale: np.ndarray, dims: DimList):
     if np.any(ok):
         normalized = img[ok] / norms[ok][:, None]
         svals[ok] = np.linalg.svd(normalized.reshape(-1, d1, d2), compute_uv=False)
-    return svals, norms
-
-
-def _ascend(ops, scale, a, b, target, steps: int, rng, dims: DimList, eps0=0.3):
-    """Local random ascent, for each operator k, of Schmidt coefficient
-    ``target[k]`` of the image of ``a[k] (x) b[k]``.
-
-    Each step draws one perturbation pair from `rng` whether or not any row
-    accepts it, and every row uses it; an operator ascending alone therefore
-    sees the same draws as in a stack. Returns the final inputs with the
-    singular values, images and image norms there.
-    """
-    d1, d2 = dims.dims
-    rows = np.arange(len(ops))
-
-    def evaluate(av, bv):
-        img = _images(ops, _products(av, bv)[:, None, :])
-        svals, norms = _image_svals(img, scale, dims)
-        return svals[:, 0], img[:, 0], norms[:, 0]
-
-    s, img, norms = evaluate(a, b)
-    best = s[rows, target]
-    eps = np.full(len(ops), eps0)
-    for _ in range(steps):
-        da = rng.normal(size=d1) + 1j * rng.normal(size=d1)
-        db = rng.normal(size=d2) + 1j * rng.normal(size=d2)
-        a2 = a + eps[:, None] * da
-        a2 /= np.linalg.norm(a2, axis=1, keepdims=True)
-        b2 = b + eps[:, None] * db
-        b2 /= np.linalg.norm(b2, axis=1, keepdims=True)
-        s2, img2, norms2 = evaluate(a2, b2)
-        val = s2[rows, target]
-        up = val > best
-        a, b, s, img = (np.where(up[:, None], x2, x) for x2, x in
-                        ((a2, a), (b2, b), (s2, s), (img2, img)))
-        norms = np.where(up, norms2, norms)
-        best = np.where(up, val, best)
-        eps = np.where(up, eps, eps * 0.7)
-    return a, b, s, img, norms
+    return svals
 
 
 def _image_rank_search(ops, dims: DimList, config: ProbeConfig) -> list[ProbeViolation | None]:
-    """For each operator, the first product input found to reach its largest
-    image Schmidt rank, as a `ProbeViolation` when that rank is at least 2,
-    else None (ranks 0 and 1).
+    """For each operator, the first of `config.probes` product inputs drawn
+    from ``(seed, 17)`` that reaches the largest image Schmidt rank among
+    them, as a `ProbeViolation` when that rank is at least 2, else None
+    (ranks 0 and 1).
 
-    Every operator gets the same search: `config.probes` product inputs drawn
-    from ``(seed, 17)``, then, from its first best probe, rounds of `_ascend`
-    on the next Schmidt coefficient while a round raises the rank below
-    ``min(d1, d2)``. Operators run in blocks of `IMAGE_BLOCK_OPS`; each block
-    redraws the probes. An operator leaves the probing once it reaches
-    ``min(d1, d2)`` and the ascent once a round fails to raise its rank, so
-    each result is the one the operator gets alone. ``probes < 1`` finds
+    Image rank at least R means a non-zero R x R minor of the bilinear map
+    ``(a, b) -> M (a (x) b)``, a polynomial that vanishes only on a null set,
+    so one Gaussian probe reaches the largest rank with probability 1.
+    Operators run in blocks of `IMAGE_BLOCK_OPS`; each block redraws the
+    probes. An operator leaves the probing once it reaches ``min(d1, d2)``,
+    so each result is the one the operator gets alone. ``probes < 1`` finds
     nothing.
     """
     d1, d2 = dims.dims
@@ -202,12 +150,13 @@ def _image_rank_search(ops, dims: DimList, config: ProbeConfig) -> list[ProbeVio
         a = _unit_rows(rng, config.probes, d1)
         b = _unit_rows(rng, config.probes, d2)
         scale = _scales(block)
-        img = _images(block, _products(a, b))
+        # img[k, p] = M_k (a[p] (x) b[p]): every probe through every operator
+        img = np.einsum("pi,pj->pij", a, b).reshape(len(a), -1) @ block.transpose(0, 2, 1)
         rank = np.zeros(len(block), dtype=int)
         best = np.zeros(len(block), dtype=int)
         todo = np.arange(len(block))
         for p in range(0, config.probes, PROBE_CHUNK):
-            s, _ = _image_svals(img[todo, p:p + PROBE_CHUNK], scale[todo], dims)
+            s = _image_svals(img[todo, p:p + PROBE_CHUNK], scale[todo], dims)
             r = numerical_rank(s)
             top = np.argmax(r, axis=1)
             got = r[np.arange(len(todo)), top]
@@ -216,49 +165,18 @@ def _image_rank_search(ops, dims: DimList, config: ProbeConfig) -> list[ProbeVio
             todo = todo[rank[todo] < dmin]
             if not todo.size:
                 break
-        av, bv, out = a[best], b[best], img[np.arange(len(block)), best]
-        live = np.flatnonzero(rank < dmin) if config.refine_steps > 0 else np.arange(0)
-        while live.size:
-            a2, b2, s, img2, _ = _ascend(
-                block[live], scale[live], av[live], bv[live], rank[live],
-                config.refine_steps, rng, dims,
-            )
-            new = numerical_rank(s)  # zero on images too small to count
-            up = new > rank[live]
-            won = live[up]
-            rank[won], av[won], bv[won], out[won] = new[up], a2[up], b2[up], img2[up]
-            live = won[new[up] < dmin]
         for k in np.flatnonzero(rank >= 2):
-            image = PureState(out[k] / np.linalg.norm(out[k]), dims)
-            found[lo + k] = ProbeViolation(ProductStateParam((av[k], bv[k])), image, int(rank[k]))
+            p = best[k]
+            image = PureState(img[k, p] / np.linalg.norm(img[k, p]), dims)
+            factors = (a[p].copy(), b[p].copy())  # a view would keep every probe alive
+            found[lo + k] = ProbeViolation(ProductStateParam(factors), image, int(rank[k]))
     return found
-
-
-def _probe_multiparty(m, dims: DimList, config: ProbeConfig, stream: int):
-    """Probe-only product preservation test across all single-party cuts."""
-    rng = np.random.default_rng((config.seed, stream))
-    scale = max(float(np.linalg.norm(m)), 1.0)
-    for _ in range(config.probes):
-        param = ProductStateParam(
-            tuple(_unit_rows(rng, 1, d)[0] for d in dims)
-        )
-        chi = param.assemble().amplitudes
-        img = m @ chi
-        nrm = np.linalg.norm(img)
-        if nrm <= 1e-12 * scale:
-            continue
-        state = PureState(img / nrm, dims)
-        worst = max(schmidt_rank(state, cut=(i,)) for i in range(dims.n))
-        if worst >= 2:
-            return ProbeViolation(param, state, worst)
-    return None
 
 
 def classify_kraus(m, dims, config: ProbeConfig | None = None) -> KrausStructure:
     """Classify one Kraus operator against the product-preserving forms.
 
-    Bipartite operators get exact structural tests; with more than two
-    parties only the randomized probe runs (with a warning). An `unknown`
+    Bipartite only: more than two parties raise `ArityError`. An `unknown`
     form with a stored `witness_violation` means the operator demonstrably
     creates entanglement from a product input.
     """
@@ -277,18 +195,10 @@ def classify_kraus_many(ops, dims, config: ProbeConfig | None = None) -> list[Kr
     """
     config = config or DEFAULT_PROBES
     dims = DimList.of(dims)
+    dims.require_bipartite()
     mats = [as_matrix(m) for m in ops]
     for m in mats:
         dims.check_matrix(m)
-    if dims.n != 2:
-        warnings.warn(
-            "structural classification is bipartite-only; falling back to probes",
-            stacklevel=2,
-        )
-        return [
-            KrausStructure(FORM_UNKNOWN, witness_violation=_probe_multiparty(m, dims, config, 0))
-            for m in mats
-        ]
     if not mats:
         return []
     d1, d2 = dims.dims
@@ -355,9 +265,10 @@ def channel_schmidt_rank(m, dims, config: ProbeConfig | None = None) -> int:
 
     Structurally product-preserving operators return 1 without search;
     otherwise the value is the `image_rank` of the `witness_violation` that
-    `classify_kraus` stores (1 when none): randomized probing with local
-    refinement, hence a lower bound on the true maximum, and the same value
-    the operator gets within a stack.
+    `classify_kraus` stores (1 when none): the largest rank over seeded
+    Gaussian product probes, which reach the true maximum with probability 1
+    since it holds at generic inputs, and the same value the operator gets
+    within a stack.
     """
     config = config or DEFAULT_PROBES
     _require_probes(config)

@@ -84,6 +84,11 @@ class OptimizerConfig:
     tol: float = 1e-12  # relative to the observable's Frobenius norm
     max_sweeps: int = 500
 
+    def __post_init__(self):
+        for name in ("restarts", "max_sweeps"):
+            if getattr(self, name) < 1:
+                raise EntpowError(f"optimizer needs {name} >= 1, got {getattr(self, name)}")
+
 
 DEFAULT_CONFIG = OptimizerConfig()
 
@@ -117,9 +122,8 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 def _starts(d: tuple[int, ...], config: OptimizerConfig) -> list[np.ndarray]:
     """Per-party start vectors; restart r makes one draw from ``default_rng(seed + r)``."""
-    r_count = max(1, int(config.restarts))
     draws = np.array([np.random.default_rng(config.seed + r).normal(size=2 * sum(d))
-                      for r in range(r_count)])
+                      for r in range(config.restarts)])
     parts = np.split(draws, 2 * np.cumsum(d)[:-1], axis=1)  # per party: real, then imaginary
     vs = [part[:, :di] + 1j * part[:, di:] for part, di in zip(parts, d)]
     return [v / _row_norms(v)[:, None] for v in vs]
@@ -157,7 +161,7 @@ def _descend(shuffled, owner, tols, factors, max_sweeps):
     """
     rows = len(owner)
     values, converged = np.full(rows, np.inf), np.zeros(rows, dtype=bool)
-    nxt = min(BLOCK_ROWS, rows) if max_sweeps > 0 else 0
+    nxt = min(BLOCK_ROWS, rows)
     live, sweeps = np.arange(nxt), np.zeros(nxt, dtype=int)
     cur = [f[live] for f in factors]
     while live.size:
@@ -344,7 +348,7 @@ def schmidt_class_max(
     shift = max(0.0, -float(evals[0])) + 1.0
     lifted = test_op + shift * np.eye(dims.total)
 
-    r_count = max(1, int(config.restarts))
+    r_count = config.restarts
     rng = np.random.default_rng(config.seed)
     psi = rng.normal(size=(r_count, d1, d2)) + 1j * rng.normal(size=(r_count, d1, d2))
 

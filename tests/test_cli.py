@@ -57,6 +57,12 @@ def test_classify_missing_file_exits_2(tmp_path, capsys):
     assert "spec error" in capsys.readouterr().err
 
 
+def test_classify_zero_restarts_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path, "swap.json", channel_to_json(swap_channel(2)))
+    assert main(["classify", spec, "--restarts", "0"]) == 2
+    assert "restarts >= 1" in capsys.readouterr().err
+
+
 def test_scan_writes_deterministic_csv(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -11,7 +11,7 @@ from entpow.channels import (
     unitary_channel,
 )
 from entpow import power
-from entpow.errors import EntpowError, NotAWitnessError
+from entpow.errors import ArityError, EntpowError, NotAWitnessError
 from entpow.power import (
     ProbeConfig,
     certify_kraus_channel,
@@ -102,6 +102,11 @@ def test_classify_rank_one_entangling_is_not_product_preserving():
     st = classify_kraus(m, (2, 2))
     assert st.form == "unknown"
     assert not st.is_product_preserving
+
+
+def test_classify_is_bipartite_only():
+    with pytest.raises(ArityError):
+        classify_kraus(np.eye(8), (2, 2, 2))
 
 
 # -- channel Schmidt rank (single Kraus operator) ----------------------

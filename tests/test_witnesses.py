@@ -4,6 +4,7 @@ import pytest
 from entpow.channels import mixing_channel
 from entpow.errors import (
     DimensionError,
+    EntpowError,
     IncomparableWitnessError,
     NotAWitnessError,
 )
@@ -125,6 +126,13 @@ def test_non_hermitian_rejected():
     # the check is relative to the largest entry, so scaling does not hide it
     with pytest.raises(DimensionError):
         min_over_products(1e-9 * np.array([[0, 1], [0, 0]], dtype=complex), (2,), FAST)
+
+
+def test_optimizer_config_needs_a_restart_and_a_sweep():
+    with pytest.raises(EntpowError, match="restarts"):
+        OptimizerConfig(restarts=0)
+    with pytest.raises(EntpowError, match="max_sweeps"):
+        OptimizerConfig(max_sweeps=0)
 
 
 def _unit_norm_herm(seed, d):
