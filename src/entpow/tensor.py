@@ -8,6 +8,7 @@ plain numpy calls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -47,7 +48,7 @@ class DimList:
 
     @property
     def total(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def __iter__(self):
         return iter(self.dims)

@@ -11,17 +11,24 @@ frozen, the objective is a Hermitian quadratic form in the free party, whose
 exact minimizer is an extremal eigenvector. Sweeps are monotone, so each
 restart converges; restarts guard against local minima.
 `min_over_products_many` minimizes a whole stack of observables at once:
-every (observable, restart) pair is one row. Each sweep contracts the active
-rows with one einsum and takes their lowest eigenpairs in closed form for a
-qubit party (`_lowest`). A row that converges frees its slot for the next
-waiting row (the refill), so no sweep waits on the slowest restart. No step
-mixes rows, so a value does not depend on the batch it ran in; tolerances
-are relative to the observable's size.
+every (observable, restart) pair is one row. It works in real coordinates:
+each party's projector ``conj(u) u^T`` and each observable are expanded in an
+orthogonal Hermitian basis (Pauli for a qubit, ``E_jj``, ``E_jk + E_kj``,
+``i(E_jk - E_kj)`` otherwise), so every observable becomes one real tensor
+``T[a_1, ..., a_n]``, built once per call. A step contracts the other
+parties' coordinates with it in one einsum. A qubit party then moves in
+closed form on the Bloch sphere (`_bloch_step`); a larger one takes the
+lowest eigenvector of its effective matrix (`_eigh_step`). Qubit unit
+vectors are recovered only for each observable's best row. A row that
+converges frees its slot for the next waiting row (the refill), so no sweep
+waits on the slowest restart. No step mixes rows, so a value does not depend
+on the batch it ran in; tolerances are relative to the observable's size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -103,16 +110,82 @@ class OptimizationResult:
 
 
 # Most rows active at once. The active set's working set is its rows times
-# each party's reshuffled operator, so this bounds memory on whole grids.
+# each party's gathered coordinate tensor, so this bounds memory on whole grids.
 BLOCK_ROWS = 2048
 
 
-def _reshuffle(stack: np.ndarray, d: tuple[int, ...], i: int) -> np.ndarray:
-    """Per observable, the (m, d_i**2) matrix taking ``conj(ket) (x) ket``, for
-    ``ket`` the other parties' product vector, to party i's flattened operator."""
+def _basis_contract(t: np.ndarray, d: int) -> np.ndarray:
+    """``sum_{x,y} t[..., x, y] B_a[x, y]`` for each element B_a of the
+    orthogonal Hermitian basis of party dimension d, on a new last axis a.
+
+    The basis is Pauli (I, X, Y, Z) for a qubit; otherwise E_jj for each j,
+    then E_jk + E_kj, then i(E_jk - E_kj), for each j < k in row-major order.
+    """
+    if d == 2:
+        t00, t01, t10, t11 = t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1]
+        return np.stack([t00 + t11, t01 + t10, 1j * (t10 - t01), t00 - t11], axis=-1)
+    j, k = np.triu_indices(d, 1)
+    upper, lower = t[..., j, k], t[..., k, j]
+    diag = np.diagonal(t, axis1=-2, axis2=-1)
+    return np.concatenate([diag, upper + lower, 1j * (upper - lower)], axis=-1)
+
+
+def _observable_coordinates(stack: np.ndarray, d: tuple[int, ...]) -> np.ndarray:
+    """``T[k, a_1, ..., a_n] = sum_{x,y} stack[k, x, y] prod_j B_{a_j}[x_j, y_j]``:
+    real, since each observable and each basis element is Hermitian."""
     n = len(d)
-    t = np.moveaxis(stack.reshape(len(stack), *d, *d), (1 + i, 1 + n + i), (-2, -1))
-    return t.reshape(len(stack), -1, d[i] ** 2)
+    t = stack.reshape(len(stack), *d, *d)
+    for i, di in enumerate(d):  # axes: k, x then y of parties i.., a of parties before i
+        t = _basis_contract(np.moveaxis(t, (1, 1 + n - i), (-2, -1)), di)
+    return t.real
+
+
+def _ket_coordinates(u: np.ndarray) -> np.ndarray:
+    """Per row, the real coordinates q_a = Tr(B_a P) / Tr(B_a B_a) of the
+    projector ``P = conj(u) u^T`` of a unit vector u, so ``P = sum_a q_a B_a``."""
+    d = u.shape[1]
+    q = _basis_contract(u[:, :, None] * np.conj(u)[:, None, :], d).real
+    q[:, 0 if d == 2 else d:] /= 2.0  # Tr(B_a B_a) is 2, except 1 for E_jj
+    return q
+
+
+def _bloch_step(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least value of ``q . v`` over a qubit's projector coordinates
+    ``q = (1, m) / 2``, m a unit Bloch vector, and the coordinates attaining it.
+
+    The value is ``(v_0 - |v'|) / 2`` at ``m = -v' / |v'|``, for ``v' = v[1:]``;
+    at ``v' = 0`` every m attains it, and m = +z (the ket |0>) is taken.
+    """
+    norm = np.hypot(np.hypot(v[:, 1], v[:, 2]), v[:, 3])
+    flat = norm == 0.0
+    q = np.empty_like(v)
+    q[:, 0] = 0.5
+    q[:, 1:] = v[:, 1:] / (-2.0 * np.where(flat, 1.0, norm))[:, None]
+    q[flat, 1:] = (0.0, 0.0, 0.5)
+    return (v[:, 0] - norm) / 2.0, q
+
+
+def _bloch_ket(q: np.ndarray) -> np.ndarray:
+    """A unit vector u with ``conj(u) u^T = sum_a q_a B_a`` for qubit coordinates
+    ``q = (1, m) / 2``; of the two free of cancellation, the one with a real
+    non-negative second entry when m_z <= 0, and first entry otherwise."""
+    m1, m2, m3 = 2.0 * q[:, 1], 2.0 * q[:, 2], 2.0 * q[:, 3]
+    up = m3 <= 0.0
+    ket = np.stack([np.where(up, m1 + 1j * m2, 1.0 + m3),
+                    np.where(up, 1.0 - m3, m1 - 1j * m2)], axis=1)
+    return ket / np.hypot(np.hypot(m1, m2), 1.0 + np.abs(m3))[:, None]
+
+
+def _eigh_step(v: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least value of ``q . v`` over the projector coordinates q of a unit
+    vector of dimension d, and that vector: the lowest eigenpair of
+    ``sum_a v_a conj(B_a) / Tr(B_a B_a)``, read from its lower triangle."""
+    j, k = np.triu_indices(d, 1)
+    eff = np.zeros((len(v), d, d), dtype=complex)
+    eff[:, range(d), range(d)] = v[:, :d]
+    eff[:, k, j] = (v[:, d:d + len(j)] + 1j * v[:, d + len(j):]) / 2.0
+    evals, evecs = np.linalg.eigh(eff, UPLO="L")
+    return evals[:, 0], evecs[:, :, 0]
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -129,31 +202,13 @@ def _starts(d: tuple[int, ...], config: OptimizerConfig) -> list[np.ndarray]:
     return [v / _row_norms(v)[:, None] for v in vs]
 
 
-def _lowest(eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest eigenvalue and a unit eigenvector of the Hermitian part of each
-    matrix in the stack; in closed form for 2x2, by `eigh` otherwise."""
-    if eff.shape[-1] != 2:
-        evals, evecs = np.linalg.eigh((eff + np.conj(eff.transpose(0, 2, 1))) / 2.0)
-        return evals[:, 0], evecs[:, :, 0]
-    a, c = eff[:, 0, 0].real, eff[:, 1, 1].real
-    b = (eff[:, 0, 1] + np.conj(eff[:, 1, 0])) / 2.0
-    h = (a - c) / 2.0
-    abs_b = np.abs(b)
-    r = np.hypot(h, abs_b)
-    # (-b, h + r) and (r - h, -conj(b)) both solve the first row, with norm
-    # hypot(|b|, r + |h|); take the one free of cancellation. At r = 0, A is scalar.
-    up = h >= 0.0
-    vec = np.stack([np.where(up, -b, r - h), np.where(up, h + r, -np.conj(b))], axis=1)
-    norm = np.hypot(abs_b, r + np.abs(h))
-    vec[r == 0.0], norm[r == 0.0] = (1.0, 0.0), 1.0
-    return (a + c) / 2.0 - r, vec / norm[:, None]
+def _descend(tensors, dims, owner, tols, states, max_sweeps):
+    """Coordinate descent, in place, from the party states ``states[i][k]``:
+    a qubit's projector coordinates, any other party's unit vector. Returns
+    each row's value and whether it converged.
 
-
-def _descend(shuffled, owner, tols, factors, max_sweeps):
-    """Coordinate descent, in place, from the vectors ``factors[i][k]``;
-    returns each row's value and whether it converged.
-
-    Row k minimizes observable ``owner[k]`` and has converged once a sweep
+    Row k minimizes observable ``owner[k]``, whose coordinates with party i's
+    axis first are ``tensors[i][owner[k]]``, and has converged once a sweep
     moves its value by at most ``tols[k]``. At most `BLOCK_ROWS` rows are
     active: a row that converges or reaches `max_sweeps` sweeps frees its
     slot at the end of the sweep, and the next waiting row takes it. Every
@@ -163,16 +218,15 @@ def _descend(shuffled, owner, tols, factors, max_sweeps):
     values, converged = np.full(rows, np.inf), np.zeros(rows, dtype=bool)
     nxt = min(BLOCK_ROWS, rows)
     live, sweeps = np.arange(nxt), np.zeros(nxt, dtype=int)
-    cur = [f[live] for f in factors]
+    cur = [s[live] for s in states]
     while live.size:
-        for i, di in enumerate(f.shape[1] for f in factors):
-            ket = np.ones((len(live), 1), dtype=complex)
-            for j, f in enumerate(cur):
-                if j != i:
-                    ket = (ket[:, :, None] * f[:, None, :]).reshape(len(live), -1)
-            w = (np.conj(ket)[:, :, None] * ket[:, None, :]).reshape(len(live), -1)
-            eff = np.einsum("nm,nmq->nq", w, shuffled[i][owner[live]]).reshape(-1, di, di)
-            new, cur[i] = _lowest(eff)
+        own = owner[live]
+        for i, (t, di) in enumerate(zip(tensors, dims)):
+            others = [c if dj == 2 else _ket_coordinates(c)
+                      for j, (c, dj) in enumerate(zip(cur, dims)) if j != i]
+            w = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(len(a), -1), others)
+            v = np.einsum("nm,nam->na", w, np.take(t, own, axis=0))
+            new, cur[i] = _bloch_step(v) if di == 2 else _eigh_step(v, di)
         sweeps += 1
         done = np.abs(new - values[live]) <= tols[live]
         values[live] = new
@@ -180,14 +234,14 @@ def _descend(shuffled, owner, tols, factors, max_sweeps):
         free = np.flatnonzero(done | (sweeps >= max_sweeps))
         if not free.size:
             continue
-        for f, c in zip(factors, cur):
-            f[live[free]] = c[free]
+        for s, c in zip(states, cur):
+            s[live[free]] = c[free]
         fresh = np.arange(nxt, min(nxt + free.size, rows))
         nxt += fresh.size
         fill, free = free[:fresh.size], free[fresh.size:]
         live[fill], sweeps[fill] = fresh, 0
-        for c, f in zip(cur, factors):
-            c[fill] = f[fresh]
+        for c, s in zip(cur, states):
+            c[fill] = s[fresh]
         if free.size:  # nothing left waiting: drop the idle slots
             live, sweeps = np.delete(live, free), np.delete(sweeps, free)
             cur = [np.delete(c, free, axis=0) for c in cur]
@@ -208,7 +262,7 @@ def min_over_products_many(
     mats = [as_matrix(obs) for obs in observables]
     if not mats:
         return []
-    for m in mats:
+    for m in {m.shape: m for m in mats}.values():  # one check per distinct shape
         dims.check_matrix(m)
     stack = np.array(mats)
     adjoint = np.conj(stack.transpose(0, 2, 1))
@@ -216,26 +270,33 @@ def min_over_products_many(
         raise DimensionError("observable must be Hermitian (to 1e-8 of its largest entry)")
     stack = (stack + adjoint) / 2.0
     scale = _row_norms(stack.reshape(len(stack), -1))
-    starts = _starts(dims.dims, config)
+    d = dims.dims
+    coords = _observable_coordinates(stack, d)
+    tensors = [np.ascontiguousarray(np.moveaxis(coords, 1 + i, 1).reshape(len(mats), di * di, -1))
+               for i, di in enumerate(d)]
+    starts = [_ket_coordinates(s) if di == 2 else s for s, di in zip(_starts(d, config), d)]
     r_count = len(starts[0])
-    shuffled = [_reshuffle(stack, dims.dims, i) for i in range(dims.n)]
     owner = np.repeat(np.arange(len(mats)), r_count)
-    factors = [np.tile(s, (len(mats), 1)) for s in starts]
+    states = [np.tile(s, (len(mats), 1)) for s in starts]
     tols = config.tol * scale[owner]
-    values, converged = _descend(shuffled, owner, tols, factors, config.max_sweeps)
-    results = []
-    for k in range(len(mats)):
-        vals = values[k * r_count:(k + 1) * r_count]
-        # lowest value wins; ties (within the convergence tolerance) go to the earliest restart
-        best = k * r_count + int(np.argmax(vals <= vals.min() + config.tol * scale[k]))
-        results.append(OptimizationResult(
-            value=float(values[best]),
-            argument=ProductStateParam(tuple(f[best] for f in factors)),
+    values, converged = _descend(tensors, d, owner, tols, states, config.max_sweeps)
+    per_obs = values.reshape(len(mats), r_count)
+    low = per_obs.min(axis=1)
+    # lowest value wins; ties (within the convergence tolerance) go to the earliest restart
+    first = np.argmax(per_obs <= (low + config.tol * scale)[:, None], axis=1)
+    best = np.arange(len(mats)) * r_count + first
+    spread = per_obs.max(axis=1) - low
+    kets = [_bloch_ket(s[best]) if di == 2 else s[best] for s, di in zip(states, d)]
+    return [
+        OptimizationResult(
+            value=float(values[b]),
+            argument=ProductStateParam(tuple(ket[k] for ket in kets)),
             restarts_used=r_count,
-            converged=bool(converged[best]),
-            spread=float(vals.max() - vals.min()),
-        ))
-    return results
+            converged=bool(converged[b]),
+            spread=float(spread[k]),
+        )
+        for k, b in enumerate(best)
+    ]
 
 
 def min_over_products(obs, dims, config: OptimizerConfig | None = None) -> OptimizationResult:
@@ -331,8 +392,10 @@ def schmidt_class_max(
 
     Multi-start power iteration with rank-r truncation after every step (the
     test operator is shifted to be PSD first, which leaves the maximizer
-    unchanged). r = min(d1, d2) reduces to the largest eigenvalue; r = 1
-    agrees with `max_over_products`.
+    unchanged). The shift and the stopping tolerance are relative to the
+    largest |eigenvalue|, so the value scales with the operator.
+    r = min(d1, d2) reduces to the largest eigenvalue; r = 1 agrees with
+    `max_over_products`.
     """
     dims = DimList.of(dims)
     dims.require_bipartite()
@@ -345,7 +408,10 @@ def schmidt_class_max(
         raise DimensionError(f"Schmidt class r={r} outside 1..{min(d1, d2)}")
     config = config or DEFAULT_CONFIG
     evals = np.linalg.eigvalsh(test_op)
-    shift = max(0.0, -float(evals[0])) + 1.0
+    size = float(np.max(np.abs(evals)))
+    if size == 0.0:
+        return 0.0
+    shift = max(0.0, -float(evals[0])) + size
     lifted = test_op + shift * np.eye(dims.total)
 
     r_count = config.restarts
@@ -366,7 +432,7 @@ def schmidt_class_max(
         psi = truncate((vec @ lifted.T).reshape(r_count, d1, d2))
         vec = psi.reshape(r_count, -1)
         vals = np.real(np.einsum("zi,ij,zj->z", np.conj(vec), test_op, vec))
-        if np.max(np.abs(vals - prev)) < 1e-13:
+        if np.max(np.abs(vals - prev)) < 1e-13 * size:
             prev = vals
             break
         prev = vals

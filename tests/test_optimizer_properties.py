@@ -14,7 +14,11 @@ from entpow.errors import DimensionError
 from entpow.tensor import dagger, kron_all
 from entpow.witnesses import (
     OptimizerConfig,
-    _lowest,
+    _bloch_ket,
+    _bloch_step,
+    _eigh_step,
+    _ket_coordinates,
+    _observable_coordinates,
     _starts,
     min_over_products,
     min_over_products_many,
@@ -111,22 +115,65 @@ def test_start_vectors_match_one_draw_per_party(dims, seed, restarts):
         assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-15
 
 
-def check_lowest(stack):
-    vals, vecs = _lowest(stack)
+def hermitian_basis(d):
+    """The optimizer's basis, built here from its definition: Pauli (I, X, Y, Z)
+    for a qubit, else E_jj, then E_jk + E_kj, then i(E_jk - E_kj), j < k."""
+    if d == 2:
+        return np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    unit = np.einsum("jx,ky->jkxy", np.eye(d), np.eye(d))  # unit[j, k] = E_jk
+    j, k = np.triu_indices(d, 1)
+    return np.concatenate([unit[range(d), range(d)], unit[j, k] + unit[k, j],
+                           1j * (unit[j, k] - unit[k, j])]).astype(complex)
+
+
+def step(stack):
+    """One party step on effective matrices M (lowest eigenpair of each):
+    their coordinates ``v_a = sum M[x, y] B_a[x, y]``, then the optimizer's step."""
+    d = stack.shape[-1]
+    v = np.einsum("nxy,axy->na", stack, hermitian_basis(d)).real
+    if d != 2:
+        return _eigh_step(v, d)
+    vals, q = _bloch_step(v)
+    proj = np.einsum("na,axy->nxy", q, hermitian_basis(2))  # conj(u) u^T
+    return vals, _bloch_ket(q), proj
+
+
+def largest(a):
+    return np.max(np.abs(a), axis=tuple(range(1, a.ndim)))  # cannot overflow at 1e200
+
+
+def check_step(stack):
+    out = step(stack)
+    vals, vecs = out[:2]
     size = np.linalg.norm(stack, ord=2, axis=(1, 2))
     assert np.all(np.abs(vals - np.linalg.eigvalsh(stack)[:, 0]) <= 1e-14 * size)
     res = np.einsum("nij,nj->ni", stack, vecs) - vals[:, None] * vecs
-    residual = np.hypot(np.abs(res[:, 0]), np.abs(res[:, 1]))  # cannot overflow at 1e200
-    assert np.all(residual <= 1e-14 * size)
+    assert np.all(largest(res) <= 1e-14 * size)
     assert np.max(np.abs(np.linalg.norm(vecs, axis=1) - 1.0)) <= 1e-14
+    if len(out) == 3:  # the qubit step's projector, from its coordinates alone
+        eig_proj = np.conj(out[2])
+        res = np.einsum("nij,njk->nik", stack, eig_proj) - vals[:, None, None] * eig_proj
+        assert np.all(largest(res) <= 1e-14 * size)
+        ket_proj = vecs[:, :, None] * np.conj(vecs)[:, None, :]
+        assert np.max(np.abs(ket_proj - eig_proj)) <= 1e-15
+
+
+def random_hermitian(seed, d, scale):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(32, d, d)) + 1j * rng.normal(size=(32, d, d))
+    return scale * (m + np.conj(m.transpose(0, 2, 1))) / 2
 
 
 @PROPS
 @given(SEEDS, st.sampled_from([1e-11, 1.0, 1e3]))
 def test_qubit_eigenpairs_match_eigh(seed, scale):
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(32, 2, 2)) + 1j * rng.normal(size=(32, 2, 2))
-    check_lowest(scale * (m + np.conj(m.transpose(0, 2, 1))) / 2)
+    check_step(random_hermitian(seed, 2, scale))
+
+
+@PROPS
+@given(SEEDS, st.sampled_from([1e-11, 1.0, 1e3]), st.sampled_from([3, 4]))
+def test_eigh_step_matches_eigh(seed, scale, d):
+    check_step(random_hermitian(seed, d, scale))
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e-11, 1.0, 1e3, 1e200])
@@ -138,10 +185,24 @@ def test_qubit_eigenpairs_of_scalar_and_diagonal_matrices(scale):
         [[-1, 0], [0, 2]],          # diagonal, a < c
         [[1, 1e-9j], [-1e-9j, 1]],  # nearly scalar
     ], dtype=complex)
-    check_lowest(scale * cases)
-    _, vecs = _lowest(scale * cases)
+    check_step(scale * cases)
+    _, vecs, _ = step(scale * cases)
     assert np.array_equal(vecs[:2], [[1, 0], [1, 0]])
     assert np.array_equal(np.abs(vecs[2:4]), [[0, 1], [1, 0]])
+
+
+@PROPS
+@given(DIMS, SEEDS, SEEDS)
+def test_coordinates_reproduce_the_expectation(dims, seed, chi_seed):
+    obs = observable(seed, dims)
+    rng = np.random.default_rng(chi_seed)
+    kets = [k / np.linalg.norm(k) for k in (rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims)]
+    t = _observable_coordinates(obs[None], dims)[0]
+    for ket in kets:
+        t = np.tensordot(_ket_coordinates(ket[None])[0], t, axes=(0, 0))
+    chi = reduce(np.kron, kets)
+    exact = np.real(np.conj(chi) @ obs @ chi)
+    assert abs(t - exact) <= 1e-12 * np.linalg.norm(obs)
 
 
 @PROPS

@@ -277,6 +277,18 @@ def test_schmidt_class_max_limits():
         schmidt_class_max(obs, 4, (3, 3), FAST)
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_schmidt_class_max_scales_with_the_operator(d):
+    rng = np.random.default_rng(d)
+    obs = rand_herm(rng, d * d)
+    obs /= np.linalg.norm(obs, 2)
+    for r in (1, 2):
+        ref = schmidt_class_max(obs, r, (d, d), FAST)
+        for s in (1e-11, 1e-6, 1e3, 1e6):
+            assert abs(schmidt_class_max(s * obs, r, (d, d), FAST) / s - ref) < 1e-9
+    assert schmidt_class_max(np.zeros((d * d, d * d)), 1, (d, d), FAST) == 0.0
+
+
 # -- closed-form scan oracles -----------------------------------------
 
 
