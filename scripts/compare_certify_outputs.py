@@ -1,15 +1,12 @@
 """Compare two `dump_certify_outputs.py` directories; exit 1 on a difference.
 
-    python3 scripts/compare_certify_outputs.py DIR_A DIR_B [--witness-tol 1e-15]
+    python3 scripts/compare_certify_outputs.py DIR_A DIR_B
 
 Both directories must hold the same files. The ``schmidt`` outputs must be
 byte-equal. For each ``classify`` output the two sides must agree on the
 verdict, the note, every witness violation (kind "witness") and the list of
 ``(kind, kraus_index)`` over all violations; stochastic violations may differ
-in their input and value. With ``--witness-tol TOL`` a witness violation may
-differ in its value by up to TOL, and each factor of its input by up to TOL
-entrywise once the factors' global phases are aligned; the largest such
-differences are printed. The benchmark's verifier (`bench/verify.py`
+in their input and value. The benchmark's verifier (`bench/verify.py`
 ``check_classify``, read but never changed) must report the same problem
 kinds and the same ``decided`` count on both sides. Prints one line per
 difference and a summary.
@@ -23,8 +20,6 @@ import re
 import sys
 from functools import lru_cache
 from pathlib import Path
-
-import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "bench")]
@@ -53,46 +48,14 @@ def verifier(seed: int, name: str, blob: dict) -> tuple[list[str], int]:
     return sorted(p.kind for p in outcome.problems), outcome.decided
 
 
-def witness_gaps(va: dict, vb: dict) -> tuple[float, float] | None:
-    """Value and phase-aligned input differences of two witness violations,
-    or None when they differ in anything else."""
-    if {k: v for k, v in va.items() if k not in ("value", "input")} != \
-            {k: v for k, v in vb.items() if k not in ("value", "input")}:
-        return None
-    if len(va["input"]) != len(vb["input"]):
-        return None
-    gap = 0.0
-    for fa, fb in zip(va["input"], vb["input"]):
-        ka, kb = (np.array(f) @ [1.0, 1.0j] for f in (fa, fb))
-        if ka.shape != kb.shape:
-            return None
-        overlap = np.vdot(kb, ka)
-        phase = overlap / abs(overlap) if overlap else 1.0
-        gap = max(gap, float(np.max(np.abs(ka - phase * kb))))
-    return abs(va["value"] - vb["value"]), gap
-
-
-def classify_differences(seed: int, name: str, text_a: str, text_b: str,
-                         tol: float, largest: list[float]) -> list[str]:
-    """What differs between two ``classify`` outputs; `largest` collects the
-    largest witness value and input differences when `tol` is non-zero."""
+def classify_differences(seed: int, name: str, text_a: str, text_b: str) -> list[str]:
     a, b = certificate(text_a), certificate(text_b)
     out = []
     for key in ("verdict", "note"):
         if a.get(key) != b.get(key):
             out.append(f"{key} {a.get(key)!r} vs {b.get(key)!r}")
     va, vb = a.get("violations", []), b.get("violations", [])
-    wa = [v for v in va if v["kind"] == "witness"]
-    wb = [v for v in vb if v["kind"] == "witness"]
-    if tol and len(wa) == len(wb):
-        gaps = [witness_gaps(x, y) for x, y in zip(wa, wb)]
-        if None in gaps:
-            out.append("witness violations differ beyond value and input")
-        for i, gap in enumerate(g for g in gaps if g is not None):
-            largest[:] = np.maximum(largest, gap).tolist()
-            if max(gap) > tol:
-                out.append(f"witness violation {i}: value by {gap[0]:.3g}, input by {gap[1]:.3g}")
-    elif wa != wb:
+    if [v for v in va if v["kind"] == "witness"] != [v for v in vb if v["kind"] == "witness"]:
         out.append("witness violations differ")
     kinds_a = [(v["kind"], v["kraus_index"]) for v in va]
     kinds_b = [(v["kind"], v["kraus_index"]) for v in vb]
@@ -108,9 +71,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", type=Path)
     parser.add_argument("b", type=Path)
-    parser.add_argument("--witness-tol", type=float, default=0.0)
     args = parser.parse_args()
-    largest = [0.0, 0.0]
     files_a = {p.name for p in args.a.iterdir()}
     files_b = {p.name for p in args.b.iterdir()}
     problems = [f"{f}: only in {args.a}" for f in sorted(files_a - files_b)]
@@ -127,15 +88,12 @@ def main() -> int:
                 problems.append(f"{f}: schmidt output differs")
             continue
         try:
-            found = classify_differences(int(m.group(1)), m.group(2), text_a, text_b,
-                                         args.witness_tol, largest)
+            found = classify_differences(int(m.group(1)), m.group(2), text_a, text_b)
         except (ValueError, KeyError) as exc:
             found = [f"unreadable: {exc!r}"]
         problems += [f"{f}: {d}" for d in found]
     for line in problems:
         print(line)
-    if args.witness_tol:
-        print(f"largest witness differences: value {largest[0]:.3g}, input {largest[1]:.3g}")
     print(f"{len(common)} files compared, {len(problems)} differences")
     return 1 if problems else 0
 

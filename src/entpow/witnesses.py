@@ -224,7 +224,8 @@ def _descend(tensors, dims, owner, tols, states, max_sweeps):
         for i, (t, di) in enumerate(zip(tensors, dims)):
             others = [c if dj == 2 else _ket_coordinates(c)
                       for j, (c, dj) in enumerate(zip(cur, dims)) if j != i]
-            w = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(len(a), -1), others)
+            w = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(len(a), -1),
+                       others[1:], others[0]) if others else np.ones((live.size, 1))
             v = np.einsum("nm,nam->na", w, np.take(t, own, axis=0))
             new, cur[i] = _bloch_step(v) if di == 2 else _eigh_step(v, di)
         sweeps += 1

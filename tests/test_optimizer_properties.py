@@ -138,8 +138,9 @@ def step(stack):
     return vals, _bloch_ket(q), proj
 
 
-def largest(a):
-    return np.max(np.abs(a), axis=tuple(range(1, a.ndim)))  # cannot overflow at 1e200
+def norms(a):
+    """Each row's 2-norm (Frobenius for matrices), by hypot: cannot overflow at 1e200."""
+    return reduce(np.hypot, np.abs(a).reshape(len(a), -1).T)
 
 
 def check_step(stack):
@@ -148,12 +149,12 @@ def check_step(stack):
     size = np.linalg.norm(stack, ord=2, axis=(1, 2))
     assert np.all(np.abs(vals - np.linalg.eigvalsh(stack)[:, 0]) <= 1e-14 * size)
     res = np.einsum("nij,nj->ni", stack, vecs) - vals[:, None] * vecs
-    assert np.all(largest(res) <= 1e-14 * size)
+    assert np.all(norms(res) <= 1e-14 * size)
     assert np.max(np.abs(np.linalg.norm(vecs, axis=1) - 1.0)) <= 1e-14
     if len(out) == 3:  # the qubit step's projector, from its coordinates alone
         eig_proj = np.conj(out[2])
         res = np.einsum("nij,njk->nik", stack, eig_proj) - vals[:, None, None] * eig_proj
-        assert np.all(largest(res) <= 1e-14 * size)
+        assert np.all(norms(res) <= 1e-14 * size)
         ket_proj = vecs[:, :, None] * np.conj(vecs)[:, None, :]
         assert np.max(np.abs(ket_proj - eig_proj)) <= 1e-15
 

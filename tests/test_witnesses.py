@@ -120,6 +120,18 @@ def test_multiparty_known_overlaps():
     assert abs(res.value - 4 / 9) < 1e-8
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_one_party_optimizer_is_the_spectrum(d):
+    rng = np.random.default_rng(d)
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    obs = (m + dagger(m)) / 2
+    evals = np.linalg.eigvalsh(obs)
+    assert abs(min_over_products(obs, (d,), FAST).value - evals[0]) < 1e-12
+    assert abs(max_over_products(obs, (d,), FAST).value - evals[-1]) < 1e-12
+    check = is_witness(Witness(obs - evals[0] * np.eye(d), (d,)), FAST)
+    assert check.is_witness and abs(check.result.value) < 1e-12
+
+
 def test_non_hermitian_rejected():
     with pytest.raises(DimensionError):
         min_over_products(np.array([[0, 1], [0, 0]], dtype=complex), (2,), FAST)
