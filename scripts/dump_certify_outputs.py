@@ -1,11 +1,12 @@
 """Write the CLI output of every `certify-mix` operation, for byte comparison.
 
-    python3 scripts/dump_certify_outputs.py OUTDIR --seeds 1 2 3 4 5 6
+    python3 scripts/dump_certify_outputs.py OUTDIR [--seeds 1 2 3]
 
-For each seed and each of the benchmark's eleven `certify-mix` channels
-(`bench/workloads.py`), runs ``classify SPEC`` and ``schmidt SPEC`` through
-``entpow.cli.main`` with the `src` tree beside this script, and writes stdout
-to ``OUTDIR/<seed>-<channel>-<command>.txt``. Run it from two checkouts and
+For each seed (1 to 10 by default: 220 files) and each of the benchmark's
+eleven `certify-mix` channels (`bench/workloads.py`), runs ``classify SPEC``
+and ``schmidt SPEC`` through ``entpow.cli.main`` with the `src` tree beside
+this script, and writes stdout to ``OUTDIR/<seed>-<channel>-<command>.txt``.
+Run it from two checkouts and
 compare with ``diff -r``: a change that keeps the search bitwise gives no
 difference. `compare_certify_outputs.py` compares what must stay equal when
 only stochastic evidence may change. BLAS is held to one thread, as in the
@@ -36,7 +37,7 @@ import workloads  # noqa: E402
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", type=Path)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5, 6])
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:

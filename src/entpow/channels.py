@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .states import DensityMatrix, PureState, pure_from_density
+from .states import DensityMatrix, PureState, max_entangled, pure_from_density, schmidt_diagonal
 from .tensor import DimList, as_matrix, dagger, kron, swap_matrix
 
 TP_ATOL = 1e-10
@@ -302,8 +302,6 @@ class RankBoostChannel(MeasurementChannel):
     """
 
     def __init__(self, k: int, d: int, schmidt_coeffs):
-        from .states import max_entangled
-
         coeffs = np.asarray(schmidt_coeffs, dtype=float)
         if not 2 <= k <= d:
             raise DimensionError(f"need 2 <= k <= d, got k={k}, d={d}")
@@ -319,9 +317,7 @@ class RankBoostChannel(MeasurementChannel):
             raise DimensionError("squared Schmidt coefficients must sum to 1")
         dims = DimList((d, d))
         phi = max_entangled(k, d)
-        psi = np.zeros(d * d, dtype=complex)
-        for b in range(d):
-            psi[b * d + b] = coeffs[b]
+        psi = schmidt_diagonal(coeffs, dims)
         e0 = phi.projector()
         effects = [e0, np.eye(d * d) - e0]
         outputs = [

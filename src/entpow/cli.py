@@ -23,10 +23,8 @@ from . import __version__
 from .channels import KrausChannel
 from .errors import EntpowError, SpecError
 from .power import (
-    ProbeConfig,
     certify_kraus_channel,
     channel_schmidt_number_bounds,
-    channel_schmidt_rank,
     classify_kraus_many,
 )
 from .scans import SCENARIO_ALIASES, get_scenario, run_scan, write_csv
@@ -52,11 +50,6 @@ _SWAP_CUT_NOTE = (
 )
 
 
-def _probe_config(args) -> ProbeConfig:
-    opt = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-    return ProbeConfig(seed=args.seed, optimizer=opt)
-
-
 def _parse_cut(text: str, n_parties: int) -> tuple[int, ...]:
     try:
         parts = tuple(int(x) for x in text.split(","))
@@ -78,7 +71,7 @@ def _fmt_cut(cut, n_parties: int) -> str:
 def cmd_classify(args) -> int:
     spec = load_spec(args.spec)
     ch = channel_from_json(spec)
-    cert = certify_kraus_channel(ch, _probe_config(args))
+    cert = certify_kraus_channel(ch, OptimizerConfig(restarts=args.restarts, seed=args.seed))
     print(json.dumps(certificate_to_json(cert, __version__), indent=2))
     return 0
 
@@ -127,15 +120,14 @@ def _schmidt_state_report(state: PureState | DensityMatrix, args) -> int:
 
 
 def _schmidt_channel_report(ch: KrausChannel, args) -> int:
-    config = _probe_config(args)
+    config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     print(f"channel on dims {ch.dims.dims} with {len(ch.kraus)} Kraus operator(s)")
-    if len(ch.kraus) == 1 or args.cut is not None:  # the form line and the swap-cut note
-        forms = classify_kraus_many(ch.kraus, ch.dims, ProbeConfig(probes=0))
+    if len(ch.kraus) == 1 or args.cut is not None:  # the form and rank lines, the swap-cut note
+        forms = classify_kraus_many(ch.kraus, ch.dims, config)
     if len(ch.kraus) == 1:
-        rank = channel_schmidt_rank(ch.kraus[0], ch.dims, config)
         print(f"kraus form: {forms[0].form}")
         print(
-            f"channel schmidt rank: {rank} "
+            f"channel schmidt rank: {forms[0].image_rank} "
             "(structural classification + randomized product probes)"
         )
     else:

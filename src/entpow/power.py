@@ -17,18 +17,23 @@ input to an entangled conditional output. The latter speaks about the stored
 decomposition; a different decomposition of the same channel may be free of
 such operators. "stochastically_nonentangling" requires structural
 classification of every operator in at least one decomposition; probe
-evidence alone never certifies it.
+evidence alone never certifies it. The channel Schmidt number is 1 exactly
+for SNE channels, so its bounds read the certificate.
+
+Every seeded search takes one `OptimizerConfig`: its restarts drive the
+witness minimizations, and its seed also draws the image-rank probes and
+the decomposition search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .channels import KrausChannel, MeasurementChannel
-from .errors import DimensionError, EntpowError, NotAWitnessError
+from .errors import DimensionError, NotAWitnessError
 from .states import ProductStateParam, PureState, schmidt_rank
 from .tensor import RANK_RTOL, DimList, as_matrix, numerical_rank, swap_matrix
 from .witnesses import (
@@ -38,7 +43,6 @@ from .witnesses import (
     Witness,
     default_witness_family,
     is_witness,
-    min_over_products,
     min_over_products_many,
 )
 
@@ -46,25 +50,13 @@ FORM_TENSOR = "tensor_product"
 FORM_PERMUTATION = "permutation_local"
 FORM_RANK1 = "rank1_product"
 FORM_UNKNOWN = "unknown"
+SNE = "stochastically_nonentangling"
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Knobs for the randomized searches in this module.
-
-    `probes` product inputs drive the one image-rank search, whose hits
-    classification stores and Schmidt ranks, stochastic evidence and bounds
-    read; classification and certification read ``probes=0`` as "no
-    probing", and Schmidt ranks need ``probes >= 1``. `seed` also draws the
-    product-decomposition search.
-    """
-
-    probes: int = 200
-    seed: int = 0
-    optimizer: OptimizerConfig = DEFAULT_CONFIG
-
-
-DEFAULT_PROBES = ProbeConfig()
+# Product inputs of the one image-rank search, drawn from ``(config.seed, 17)``:
+# classification stores its hits, and Schmidt ranks, stochastic evidence and
+# bounds read them.
+PROBES = 200
 
 # Block sizes of the image-rank kernel: IMAGE_BLOCK_OPS operators at a time,
 # whose images of every probe are decomposed PROBE_CHUNK probes at a time until
@@ -100,6 +92,11 @@ class KrausStructure:
     def is_product_preserving(self) -> bool:
         return self.form in (FORM_TENSOR, FORM_PERMUTATION, FORM_RANK1)
 
+    @property
+    def image_rank(self) -> int:
+        """The largest image Schmidt rank the probes found; 1 when none is stored."""
+        return self.witness_violation.image_rank if self.witness_violation else 1
+
 
 def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     v = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
@@ -124,8 +121,8 @@ def _image_svals(img: np.ndarray, scale: np.ndarray, dims: DimList) -> np.ndarra
     return svals
 
 
-def _image_rank_search(ops, dims: DimList, config: ProbeConfig) -> list[ProbeViolation | None]:
-    """For each operator, the first of `config.probes` product inputs drawn
+def _image_rank_search(ops, dims: DimList, config: OptimizerConfig) -> list[ProbeViolation | None]:
+    """For each operator, the first of `PROBES` product inputs drawn
     from ``(seed, 17)`` that reaches the largest image Schmidt rank among
     them, as a `ProbeViolation` when that rank is at least 2, else None
     (ranks 0 and 1).
@@ -135,27 +132,24 @@ def _image_rank_search(ops, dims: DimList, config: ProbeConfig) -> list[ProbeVio
     so one Gaussian probe reaches the largest rank with probability 1.
     Operators run in blocks of `IMAGE_BLOCK_OPS`; each block redraws the
     probes. An operator leaves the probing once it reaches ``min(d1, d2)``,
-    so each result is the one the operator gets alone. ``probes < 1`` finds
-    nothing.
+    so each result is the one the operator gets alone.
     """
     d1, d2 = dims.dims
     dmin = min(d1, d2)
     stack = np.asarray(ops)
     found: list[ProbeViolation | None] = [None] * len(stack)
-    if config.probes < 1:
-        return found
     for lo in range(0, len(stack), IMAGE_BLOCK_OPS):
         block = stack[lo:lo + IMAGE_BLOCK_OPS]
         rng = np.random.default_rng((config.seed, 17))
-        a = _unit_rows(rng, config.probes, d1)
-        b = _unit_rows(rng, config.probes, d2)
+        a = _unit_rows(rng, PROBES, d1)
+        b = _unit_rows(rng, PROBES, d2)
         scale = _scales(block)
         # img[k, p] = M_k (a[p] (x) b[p]): every probe through every operator
         img = np.einsum("pi,pj->pij", a, b).reshape(len(a), -1) @ block.transpose(0, 2, 1)
         rank = np.zeros(len(block), dtype=int)
         best = np.zeros(len(block), dtype=int)
         todo = np.arange(len(block))
-        for p in range(0, config.probes, PROBE_CHUNK):
+        for p in range(0, PROBES, PROBE_CHUNK):
             s = _image_svals(img[todo, p:p + PROBE_CHUNK], scale[todo], dims)
             r = numerical_rank(s)
             top = np.argmax(r, axis=1)
@@ -173,7 +167,7 @@ def _image_rank_search(ops, dims: DimList, config: ProbeConfig) -> list[ProbeVio
     return found
 
 
-def classify_kraus(m, dims, config: ProbeConfig | None = None) -> KrausStructure:
+def classify_kraus(m, dims, config: OptimizerConfig | None = None) -> KrausStructure:
     """Classify one Kraus operator against the product-preserving forms.
 
     Bipartite only: more than two parties raise `ArityError`. An `unknown`
@@ -183,17 +177,13 @@ def classify_kraus(m, dims, config: ProbeConfig | None = None) -> KrausStructure
     return classify_kraus_many([m], dims, config)[0]
 
 
-def classify_kraus_many(ops, dims, config: ProbeConfig | None = None) -> list[KrausStructure]:
-    """`classify_kraus` for each operator, in order.
-
-    The tensor, permutation and rank-1 tests each run as one stacked
-    reshuffle and SVD over the operators no earlier test classified; the
-    permutation test reshuffles with the party swap folded into the index
-    order. One `_image_rank_search` over the operators left `unknown` stores
-    their hits as `witness_violation`. No step mixes operators, so each
-    result is the one the operator gets alone.
+def classify_kraus_many(ops, dims, config: OptimizerConfig | None = None) -> list[KrausStructure]:
+    """`classify_kraus` for each operator, in order: the structural tests of
+    `_structures`, then one `_image_rank_search` over the operators they left
+    `unknown`, whose hits are stored as `witness_violation`. No step mixes
+    operators, so each result is the one the operator gets alone.
     """
-    config = config or DEFAULT_PROBES
+    config = config or DEFAULT_CONFIG
     dims = DimList.of(dims)
     dims.require_bipartite()
     mats = [as_matrix(m) for m in ops]
@@ -201,10 +191,21 @@ def classify_kraus_many(ops, dims, config: ProbeConfig | None = None) -> list[Kr
         dims.check_matrix(m)
     if not mats:
         return []
+    stack = np.array(mats)
+    return _probe_unknown(_structures(stack, dims), stack, dims, config)
+
+
+def _structures(ops: np.ndarray, dims: DimList) -> list[KrausStructure]:
+    """The structural form of each operator of the (K, D, D) stack `ops`, with
+    no probing. The tensor, permutation and rank-1 tests each run as one
+    stacked reshuffle and SVD over the operators no earlier test classified;
+    the permutation test reshuffles with the party swap folded into the
+    index order.
+    """
     d1, d2 = dims.dims
-    stack = np.array(mats).reshape(-1, d1, d2, d1, d2)
-    out = [KrausStructure(FORM_UNKNOWN)] * len(mats)
-    rest = np.arange(len(mats))
+    stack = ops.reshape(-1, d1, d2, d1, d2)
+    out = [KrausStructure(FORM_UNKNOWN)] * len(ops)
+    rest = np.arange(len(ops))
 
     # A (x) B, then (A (x) B) V for the swap V: operator Schmidt rank at most
     # one after reshuffling (out1, in1 | out2, in2); V swaps the input axes.
@@ -237,11 +238,10 @@ def classify_kraus_many(ops, dims, config: ProbeConfig | None = None) -> list[Kr
                     factors=(s2j[0] * u2j[:, 0], vh2j[0, :]),
                     right_vector=float(s_m[j, 0]) * np.conj(vh_m[j, 0, :]),
                 )
+    return out
 
-    return _probe_unknown(out, stack.reshape(len(mats), d1 * d2, -1), dims, config)
 
-
-def _probe_unknown(structures, stack: np.ndarray, dims: DimList, config: ProbeConfig):
+def _probe_unknown(structures, stack: np.ndarray, dims: DimList, config: OptimizerConfig):
     """`structures`, each `unknown` one with its operator's hit in `_image_rank_search`."""
     out = list(structures)
     rest = [k for k, st in enumerate(out) if st.form == FORM_UNKNOWN]
@@ -250,31 +250,16 @@ def _probe_unknown(structures, stack: np.ndarray, dims: DimList, config: ProbeCo
     return out
 
 
-def _require_probes(config: ProbeConfig):
-    if config.probes < 1:
-        raise EntpowError(f"a Schmidt rank needs probes >= 1, got probes={config.probes}")
-
-
-def _max_rank(structures) -> int:
-    """The largest image rank stored in `structures`; 1 when none is stored."""
-    return max([s.witness_violation.image_rank for s in structures if s.witness_violation] + [1])
-
-
-def channel_schmidt_rank(m, dims, config: ProbeConfig | None = None) -> int:
+def channel_schmidt_rank(m, dims, config: OptimizerConfig | None = None) -> int:
     """Max Schmidt rank of ``M|chi>`` over product inputs, for one Kraus operator.
 
     Structurally product-preserving operators return 1 without search;
-    otherwise the value is the `image_rank` of the `witness_violation` that
-    `classify_kraus` stores (1 when none): the largest rank over seeded
-    Gaussian product probes, which reach the true maximum with probability 1
-    since it holds at generic inputs, and the same value the operator gets
-    within a stack.
+    otherwise the value is the `image_rank` of the structure `classify_kraus`
+    returns: the largest rank over seeded Gaussian product probes, which
+    reach the true maximum with probability 1 since it holds at generic
+    inputs, and the same value the operator gets within a stack.
     """
-    config = config or DEFAULT_PROBES
-    _require_probes(config)
-    dims = DimList.of(dims)
-    dims.require_bipartite()
-    return _max_rank(classify_kraus_many([m], dims, config))
+    return classify_kraus(m, dims, config).image_rank
 
 
 @dataclass(frozen=True)
@@ -309,6 +294,7 @@ class Certificate:
     verdict: str  # "stochastically_nonentangling" | "entangling" | "inconclusive"
     violations: tuple[Violation, ...] = ()
     structures: tuple[KrausStructure, ...] | None = None
+    kraus: tuple[np.ndarray, ...] | None = None  # what `structures` classify: ch.kraus or found
     note: str = ""
 
 
@@ -426,7 +412,7 @@ def _stochastic_violation(
 
 
 def detect_entangling(
-    ch: KrausChannel, w: Witness, config: ProbeConfig | None = None
+    ch: KrausChannel, w: Witness, config: OptimizerConfig | None = None
 ) -> Certificate:
     """Witness test for entanglement generation by the full channel.
 
@@ -435,37 +421,40 @@ def detect_entangling(
     stored); otherwise the result is inconclusive — one witness proving
     nothing is expected, not exceptional.
     """
-    config = config or DEFAULT_PROBES
-    check = is_witness(w, config.optimizer)
+    check = is_witness(w, config)
     if not check.is_witness:
         raise NotAWitnessError(
             f"operator is not a witness (separable minimum {check.result.value})"
         )
-    dual = ch.dual_apply(w.operator)
-    res = min_over_products(dual, ch.dims, config.optimizer)
-    if res.value <= -TOL_WITNESS:
-        v = Violation(kind="witness", witness=w, input=res.argument, value=res.value)
-        return Certificate("entangling", violations=(v,))
+    violations = _witness_violations(ch, [w], config)
+    if violations:
+        return Certificate("entangling", violations=tuple(violations))
     return Certificate(
         "inconclusive",
         note="no violation for this witness; this proves nothing about the channel",
     )
 
 
-def _entangling_evidence(
-    ch: KrausChannel, structures, config: ProbeConfig, witnesses: list[Witness] | None = None
+def _witness_violations(
+    ch: KrausChannel, witnesses: list[Witness], config: OptimizerConfig | None
 ) -> list[Violation]:
-    """Replayable evidence that `ch` entangles: the violations of `witnesses`
-    (the default family when None) by the full channel, minimized in one
-    batch, then a stochastic violation for each stored operator whose
-    structure in `structures` carries an entangled image."""
-    family = default_witness_family(ch.dims) if witnesses is None else witnesses
-    duals = [ch.dual_apply(w.operator) for w in family]
-    violations = [
+    """The violations of `witnesses` by the full channel, minimized in one batch."""
+    duals = [ch.dual_apply(w.operator) for w in witnesses]
+    return [
         Violation(kind="witness", witness=w, input=res.argument, value=res.value)
-        for w, res in zip(family, min_over_products_many(duals, ch.dims, config.optimizer))
+        for w, res in zip(witnesses, min_over_products_many(duals, ch.dims, config))
         if res.value <= -TOL_WITNESS
     ]
+
+
+def _entangling_evidence(
+    ch: KrausChannel, structures, config: OptimizerConfig, witnesses: list[Witness] | None
+) -> list[Violation]:
+    """Replayable evidence that `ch` entangles: the violations of `witnesses`
+    (the default family when None), then a stochastic violation for each
+    stored operator whose structure in `structures` carries an entangled image."""
+    family = default_witness_family(ch.dims) if witnesses is None else witnesses
+    violations = _witness_violations(ch, family, config)
     for i, s in enumerate(structures):
         if s.witness_violation is not None:
             v = _stochastic_violation(i, ch.dims, s.witness_violation)
@@ -476,39 +465,42 @@ def _entangling_evidence(
 
 def certify_kraus_channel(
     ch: KrausChannel,
-    config: ProbeConfig | None = None,
+    config: OptimizerConfig | None = None,
     witnesses: list[Witness] | None = None,
 ) -> Certificate:
     """Three-way certificate: SNE / entangling / inconclusive.
 
     SNE requires every Kraus operator of the stored list, or of the list
-    `_product_decomposition` finds, to classify structurally. The entangling
-    verdict needs replayable evidence: a witness violation of the full
-    channel, or the `witness_violation` that classification with `config`
-    stores for a stored Kraus operator: a product input whose conditional
-    output reaches the operator's `channel_schmidt_rank`. Probe evidence
-    speaks only about the stored decomposition, so the stored list's
-    `unknown` operators are probed only after the decomposition search
-    fails, both before the witnesses, which no SNE channel violates.
-    ``probes=0`` probes nothing.
+    `_product_decomposition` finds, to classify structurally; `kraus` is
+    that list. The entangling verdict needs replayable evidence: a witness
+    violation of the full channel, or the `witness_violation` that
+    `classify_kraus_many` with `config` stores for a stored Kraus operator: a
+    product input whose conditional output reaches the operator's
+    `channel_schmidt_rank`. Probe evidence speaks only about the stored
+    decomposition, so the stored list's `unknown` operators are probed only
+    after the decomposition search fails, both before the witnesses, which
+    no SNE channel violates.
     """
-    config = config or DEFAULT_PROBES
+    config = config or DEFAULT_CONFIG
     ch.dims.require_bipartite()
-    structures = tuple(classify_kraus_many(ch.kraus, ch.dims, replace(config, probes=0)))
+    stored = np.array(ch.kraus)
+    structures = tuple(_structures(stored, ch.dims))
     if all(s.is_product_preserving for s in structures):
         return Certificate(
-            "stochastically_nonentangling",
+            SNE,
             structures=structures,
+            kraus=ch.kraus,
             note="every stored Kraus operator is product-preserving",
         )
     found = _product_decomposition(ch, config.seed)
     if found is not None:
         return Certificate(
-            "stochastically_nonentangling",
-            structures=tuple(classify_kraus_many(found, ch.dims, ProbeConfig(probes=0))),
+            SNE,
+            structures=tuple(_structures(np.array(found), ch.dims)),
+            kraus=found,
             note="a product-preserving remixing of the Kraus list reproduces the Choi matrix",
         )
-    structures = tuple(_probe_unknown(structures, np.array(ch.kraus), ch.dims, config))
+    structures = tuple(_probe_unknown(structures, stored, ch.dims, config))
     violations = _entangling_evidence(ch, structures, config, witnesses)
     if violations:
         note = "" if violations[0].kind == "witness" else (
@@ -516,11 +508,13 @@ def certify_kraus_channel(
             "product input, and no product-preserving remixing was found"
         )
         return Certificate(
-            "entangling", violations=tuple(violations), structures=structures, note=note
+            "entangling", violations=tuple(violations), structures=structures,
+            kraus=ch.kraus, note=note,
         )
     return Certificate(
         "inconclusive",
         structures=structures,
+        kraus=ch.kraus,
         note="structural classification incomplete and no violation found",
     )
 
@@ -549,18 +543,17 @@ def _replacement_target(ch: KrausChannel):
 
 
 def channel_schmidt_number_bounds(
-    ch: KrausChannel, config: ProbeConfig | None = None
+    ch: KrausChannel, config: OptimizerConfig | None = None
 ) -> ChannelSchmidtBounds:
     """Bracket the convex-roof channel Schmidt number.
 
-    Replacement channels short-circuit to their exact value. A channel with
-    a product-preserving Kraus list found by `_product_decomposition` gets
-    ``(1, 1)`` with that list as the certificate. Otherwise one classification
-    of the stored list gives the upper bound, its largest stored image rank,
-    and certify's evidence step on those structures the lower bound of 2.
+    Replacement channels short-circuit to their exact value. Otherwise the
+    bounds read one `certify_kraus_channel` result: the Schmidt number is 1
+    exactly when the channel is SNE, so an SNE verdict gives ``(1, 1)`` with
+    the certificate's Kraus list. Otherwise the upper bound is the largest
+    image rank stored for the stored list, and the lower bound is 2 exactly
+    when the verdict is `entangling`.
     """
-    config = config or DEFAULT_PROBES
-    _require_probes(config)
     ch.dims.require_bipartite()
 
     target = _replacement_target(ch)
@@ -572,17 +565,15 @@ def channel_schmidt_number_bounds(
             method="replacement channel: exact rank of the fixed output",
             certificate=tuple(ch.kraus),
         )
-    found = _product_decomposition(ch, config.seed)
-    if found is not None:
-        return ChannelSchmidtBounds(
-            lower=1, upper=1, method="product-preserving Kraus decomposition", certificate=found
-        )
-
-    structures = classify_kraus_many(ch.kraus, ch.dims, config)
-    upper = _max_rank(structures)
-    lower = 2 if upper > 1 and _entangling_evidence(ch, structures, config) else 1
+    cert = certify_kraus_channel(ch, config)
+    if cert.verdict == SNE:
+        method = ("stored decomposition" if cert.kraus is ch.kraus
+                  else "product-preserving Kraus decomposition")
+        return ChannelSchmidtBounds(lower=1, upper=1, method=method, certificate=cert.kraus)
+    upper = max(s.image_rank for s in cert.structures)
+    lower = 2 if cert.verdict == "entangling" else 1
     return ChannelSchmidtBounds(
-        lower, max(upper, lower), method="stored decomposition", certificate=tuple(ch.kraus)
+        lower, max(upper, lower), method="stored decomposition", certificate=cert.kraus
     )
 
 
@@ -628,7 +619,7 @@ def nonentangling_threshold(k: int, d: int, schmidt_coeffs) -> ThresholdReport:
 
 
 def entanglement_annihilating_check(
-    ch: KrausChannel, witnesses: list[Witness], config: ProbeConfig | None = None
+    ch: KrausChannel, witnesses: list[Witness], config: OptimizerConfig | None = None
 ) -> bool:
     """PSD test of the dual on sampled witnesses.
 

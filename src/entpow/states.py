@@ -180,10 +180,16 @@ def max_entangled(k: int, d: int) -> PureState:
         raise DimensionError(f"rank k={k} exceeds local dimension d={d}")
     if k == 1:
         warnings.warn("max_entangled with k=1 is the product state |00>", stacklevel=2)
-    vec = np.zeros(d * d, dtype=complex)
-    for a in range(k):
-        vec[a * d + a] = 1.0 / np.sqrt(k)
-    return PureState(vec, DimList((d, d)))
+    dims = DimList((d, d))
+    return PureState(schmidt_diagonal(np.full(k, 1.0 / np.sqrt(k)), dims), dims)
+
+
+def schmidt_diagonal(coeffs, dims) -> np.ndarray:
+    """Amplitudes of ``sum_a coeffs[a] |a, a>`` on bipartite dims (d1, d2)."""
+    d1, d2 = DimList.of(dims).dims
+    vec = np.zeros(d1 * d2, dtype=complex)
+    vec[np.arange(len(coeffs)) * (d2 + 1)] = coeffs
+    return vec
 
 
 class BellBasis(NamedTuple):

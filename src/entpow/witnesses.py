@@ -28,7 +28,7 @@ on the batch it ran in; tolerances are relative to the observable's size.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -39,11 +39,13 @@ from .errors import (
     IncomparableWitnessError,
     NotAWitnessError,
 )
-from .states import ProductStateParam, PureState, bell_states, max_entangled, schmidt_rank
+from .states import ProductStateParam, PureState, bell_states, schmidt_diagonal, schmidt_rank
 from .tensor import DimList, as_matrix, dagger, is_hermitian, partial_transpose
 
 TOL_WITNESS = 1e-8  # minima above -TOL_WITNESS still count as a witness
 TOL_ZERO = 1e-6     # minima below +TOL_ZERO count as touching zero (optimality)
+TOL_SWEEP = 1e-12   # a restart converges once a sweep moves it by this, relative to ||O||_F
+MAX_SWEEPS = 500    # sweeps after which a restart stops unconverged
 
 
 @dataclass(frozen=True)
@@ -86,15 +88,17 @@ class Witness:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """The one config of the seeded searches: `restarts` optimizer restarts,
+    restart r drawn from ``default_rng(seed + r)``; `entpow.power` draws its
+    image-rank probes from ``(seed, 17)`` and its decomposition search from
+    ``(seed, 23)``."""
+
     restarts: int = 64
     seed: int = 0
-    tol: float = 1e-12  # relative to the observable's Frobenius norm
-    max_sweeps: int = 500
 
     def __post_init__(self):
-        for name in ("restarts", "max_sweeps"):
-            if getattr(self, name) < 1:
-                raise EntpowError(f"optimizer needs {name} >= 1, got {getattr(self, name)}")
+        if self.restarts < 1:
+            raise EntpowError(f"optimizer needs restarts >= 1, got {self.restarts}")
 
 
 DEFAULT_CONFIG = OptimizerConfig()
@@ -114,6 +118,12 @@ class OptimizationResult:
 BLOCK_ROWS = 2048
 
 
+@cache
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(d, 1)``: the pairs j < k in row-major order, once per d."""
+    return np.triu_indices(d, 1)
+
+
 def _basis_contract(t: np.ndarray, d: int) -> np.ndarray:
     """``sum_{x,y} t[..., x, y] B_a[x, y]`` for each element B_a of the
     orthogonal Hermitian basis of party dimension d, on a new last axis a.
@@ -124,7 +134,7 @@ def _basis_contract(t: np.ndarray, d: int) -> np.ndarray:
     if d == 2:
         t00, t01, t10, t11 = t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1]
         return np.stack([t00 + t11, t01 + t10, 1j * (t10 - t01), t00 - t11], axis=-1)
-    j, k = np.triu_indices(d, 1)
+    j, k = _upper_pairs(d)
     upper, lower = t[..., j, k], t[..., k, j]
     diag = np.diagonal(t, axis1=-2, axis2=-1)
     return np.concatenate([diag, upper + lower, 1j * (upper - lower)], axis=-1)
@@ -180,7 +190,7 @@ def _eigh_step(v: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Least value of ``q . v`` over the projector coordinates q of a unit
     vector of dimension d, and that vector: the lowest eigenpair of
     ``sum_a v_a conj(B_a) / Tr(B_a B_a)``, read from its lower triangle."""
-    j, k = np.triu_indices(d, 1)
+    j, k = _upper_pairs(d)
     eff = np.zeros((len(v), d, d), dtype=complex)
     eff[:, range(d), range(d)] = v[:, :d]
     eff[:, k, j] = (v[:, d:d + len(j)] + 1j * v[:, d + len(j):]) / 2.0
@@ -202,7 +212,7 @@ def _starts(d: tuple[int, ...], config: OptimizerConfig) -> list[np.ndarray]:
     return [v / _row_norms(v)[:, None] for v in vs]
 
 
-def _descend(tensors, dims, owner, tols, states, max_sweeps):
+def _descend(tensors, dims, owner, tols, states):
     """Coordinate descent, in place, from the party states ``states[i][k]``:
     a qubit's projector coordinates, any other party's unit vector. Returns
     each row's value and whether it converged.
@@ -210,7 +220,7 @@ def _descend(tensors, dims, owner, tols, states, max_sweeps):
     Row k minimizes observable ``owner[k]``, whose coordinates with party i's
     axis first are ``tensors[i][owner[k]]``, and has converged once a sweep
     moves its value by at most ``tols[k]``. At most `BLOCK_ROWS` rows are
-    active: a row that converges or reaches `max_sweeps` sweeps frees its
+    active: a row that converges or reaches `MAX_SWEEPS` sweeps frees its
     slot at the end of the sweep, and the next waiting row takes it. Every
     step acts on each row alone, so no result depends on the other rows.
     """
@@ -232,7 +242,7 @@ def _descend(tensors, dims, owner, tols, states, max_sweeps):
         done = np.abs(new - values[live]) <= tols[live]
         values[live] = new
         converged[live[done]] = True
-        free = np.flatnonzero(done | (sweeps >= max_sweeps))
+        free = np.flatnonzero(done | (sweeps >= MAX_SWEEPS))
         if not free.size:
             continue
         for s, c in zip(states, cur):
@@ -279,12 +289,12 @@ def min_over_products_many(
     r_count = len(starts[0])
     owner = np.repeat(np.arange(len(mats)), r_count)
     states = [np.tile(s, (len(mats), 1)) for s in starts]
-    tols = config.tol * scale[owner]
-    values, converged = _descend(tensors, d, owner, tols, states, config.max_sweeps)
+    tols = TOL_SWEEP * scale[owner]
+    values, converged = _descend(tensors, d, owner, tols, states)
     per_obs = values.reshape(len(mats), r_count)
     low = per_obs.min(axis=1)
     # lowest value wins; ties (within the convergence tolerance) go to the earliest restart
-    first = np.argmax(per_obs <= (low + config.tol * scale)[:, None], axis=1)
+    first = np.argmax(per_obs <= (low + TOL_SWEEP * scale)[:, None], axis=1)
     best = np.arange(len(mats)) * r_count + first
     spread = per_obs.max(axis=1) - low
     kets = [_bloch_ket(s[best]) if di == 2 else s[best] for s, di in zip(states, d)]
@@ -428,7 +438,7 @@ def schmidt_class_max(
 
     psi = truncate(psi)
     prev = np.full(r_count, -np.inf)
-    for _ in range(config.max_sweeps):
+    for _ in range(MAX_SWEEPS):
         vec = psi.reshape(r_count, -1)
         psi = truncate((vec @ lifted.T).reshape(r_count, d1, d2))
         vec = psi.reshape(r_count, -1)
@@ -562,20 +572,13 @@ def default_witness_family(dims) -> list[Witness]:
         phi = bell_states().phi_plus.projector()
         family.append(Witness.from_shift(0.8, phi, dims, label="benchmark_4/5"))
     for k in range(2, dmin + 1):
-        if d1 == d2:
-            proj = max_entangled(k, d1).projector()
-        else:
-            amps = np.zeros(d1 * d2, dtype=complex)
-            for a in range(k):
-                amps[a * d2 + a] = 1.0 / np.sqrt(k)
-            proj = np.outer(amps, np.conj(amps))
+        amps = schmidt_diagonal(np.full(k, 1.0 / np.sqrt(k)), dims)
+        proj = np.outer(amps, np.conj(amps))
         family.append(
             Witness.from_shift(1.0 / k, proj, dims, label=f"shifted_rank{k}")
         )
     if dmin >= 2:
-        amps = np.zeros(d1 * d2, dtype=complex)
-        for a in range(dmin):
-            amps[a * d2 + a] = 1.0 / np.sqrt(dmin)
+        amps = schmidt_diagonal(np.full(dmin, 1.0 / np.sqrt(dmin)), dims)
         family.append(ppt_witness_from_pure(PureState(amps, dims)))
     if (d1, d2) == (2, 2):
         family.append(ppt_witness_from_pure(bell_states().psi_minus))

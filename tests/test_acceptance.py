@@ -19,7 +19,6 @@ from entpow.channels import (
     swap_channel,
 )
 from entpow.power import (
-    ProbeConfig,
     channel_schmidt_number_bounds,
     channel_schmidt_rank,
     classify_kraus,
@@ -470,7 +469,7 @@ def test_criterion_6_property_suites():
 
         # structural classification recognizes every generated instance
         rng = np.random.default_rng(63)
-        cfg = ProbeConfig(seed=63)
+        cfg = OptimizerConfig(seed=63)
         unknowns = 0
         for kind in forms:
             for _ in range(1000):

@@ -109,3 +109,37 @@ def test_answers_do_not_change_when_the_kraus_list_is_scaled(channel, k):
     ops, dims = channel
     scaled = [10.0**k * m for m in ops]
     assert answers(scaled, dims) == answers(ops, dims)
+
+
+@st.composite
+def stored_lists(draw):
+    """One to three operators, each local ``A (x) B`` or generic, as stored."""
+    d1, d2 = draw(DIMS)
+    rng = np.random.default_rng(draw(SEEDS))
+    kinds = draw(st.lists(st.sampled_from(["local", "generic"]), min_size=1, max_size=3))
+
+    def rand(n):
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+    ops = [kron(rand(d1), rand(d2)) if kind == "local" else rand(d1 * d2) for kind in kinds]
+    return np.array(ops), (d1, d2)
+
+
+@PROPS
+@given(
+    st.one_of(
+        hidden_mixtures(),
+        stored_lists(),
+        st.sampled_from(["cnot_with_identity", "bell_mixing"]).map(fixed_channel),
+    )
+)
+def test_bounds_read_the_certificate(channel):
+    ops, dims = channel
+    ch = KrausChannel(list(ops), dims)
+    cert = certify_kraus_channel(ch)
+    bounds = channel_schmidt_number_bounds(ch)
+    assert ((bounds.lower, bounds.upper) == (1, 1)) == (cert.verdict == SNE)
+    assert (bounds.lower == 2) == (cert.verdict == "entangling")
+    want = unnormalized_choi(ops)
+    for kraus in (cert.kraus, bounds.certificate):
+        assert np.linalg.norm(unnormalized_choi(kraus) - want) <= 1e-9 * np.linalg.norm(want)

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+from entpow import power
 from entpow.channels import rank_boost_channel, swap_channel, unitary_channel
 from entpow.cli import main
 from entpow.serialize import channel_to_json, state_to_json
@@ -152,6 +154,16 @@ def test_schmidt_channel_report_and_cut(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "choi cut (0,2)|(1,3): schmidt rank 4" in captured.out
     assert "rank d^2" in captured.err  # swap-cut advisory
+
+
+def test_schmidt_single_operator_classifies_once(tmp_path, capsys):
+    spec = write_spec(tmp_path, "cx.json", channel_to_json(unitary_channel(CNOT, (2, 2))))
+    with patch.object(power, "_structures", wraps=power._structures) as structural, \
+            patch.object(power, "_image_rank_search", wraps=power._image_rank_search) as search:
+        assert main(["schmidt", spec]) == 0
+    out = capsys.readouterr().out
+    assert "kraus form: unknown" in out and "channel schmidt rank: 2" in out
+    assert (structural.call_count, search.call_count) == (1, 1)
 
 
 def test_schmidt_rank_boost_channel(tmp_path, capsys):

@@ -14,15 +14,14 @@ from hypothesis import strategies as st
 
 from entpow import power
 from entpow.power import (
-    ProbeConfig,
     _image_rank_search,
-    _max_rank,
+    _structures,
     channel_schmidt_rank,
-    classify_kraus,
     classify_kraus_many,
 )
 from entpow.states import PureState, schmidt_rank
 from entpow.tensor import DimList, kron, numerical_rank, operator_schmidt, swap_matrix
+from entpow.witnesses import OptimizerConfig
 
 PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -35,8 +34,10 @@ OPS = st.lists(st.tuples(KINDS, SEEDS), min_size=1, max_size=7)
 BLOCK = st.integers(1, 3)
 SCALES = st.sampled_from([1e-9, 1.0, 1e3])
 
-# Few probes, so that several probe chunks run.
-SMALL = ProbeConfig(probes=5, seed=3)
+# Few probes, so that several probe chunks run: `power.PROBES` is patched to
+# SMALL_PROBES wherever SMALL is used.
+SMALL_PROBES = 5
+SMALL = OptimizerConfig(seed=3)
 
 # The largest image rank of each kind of `operator`; "generic" reaches min(d1, d2).
 KNOWN_RANK = {
@@ -97,8 +98,8 @@ def reference_image_svals(m, a, b):
 def reference_max_image_rank(m, dims, config):
     d1, d2 = dims
     rng = np.random.default_rng((config.seed, 17))
-    a = power._unit_rows(rng, config.probes, d1)
-    b = power._unit_rows(rng, config.probes, d2)
+    a = power._unit_rows(rng, SMALL_PROBES, d1)
+    b = power._unit_rows(rng, SMALL_PROBES, d2)
     return max(numerical_rank(s) for s in reference_image_svals(m, a, b))
 
 
@@ -141,11 +142,11 @@ def same_structure(x, y):
 @given(DIMS, OPS)
 def test_classify_many_matches_each_operator(dims, ops):
     stack = stack_of(ops, dims)
-    no_probe = ProbeConfig(probes=0)
-    batched = classify_kraus_many(stack, dims, no_probe)
+    dl = DimList.of(dims)
+    batched = _structures(stack, dl)
     assert len(batched) == len(stack)
     for m, st_many in zip(stack, batched):
-        assert same_structure(st_many, classify_kraus(m, dims, no_probe))
+        assert same_structure(st_many, _structures(m[None], dl)[0])
         form, factors = reference_form(m, dims)
         assert st_many.form == form
         if factors is not None:
@@ -185,6 +186,7 @@ def test_image_ranks_match_each_operator_alone(dims, ops, block, chunk, scale):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(power, "IMAGE_BLOCK_OPS", block)
         mp.setattr(power, "PROBE_CHUNK", chunk)
+        mp.setattr(power, "PROBES", SMALL_PROBES)
         batched = _image_rank_search(stack, dl, SMALL)
         alone = [_image_rank_search(m[None], dl, SMALL)[0] for m in stack]
     assert all(same_hit(x, y) for x, y in zip(batched, alone, strict=True))
@@ -199,8 +201,8 @@ def test_image_ranks_match_each_operator_alone(dims, ops, block, chunk, scale):
 def test_schmidt_ranks_match_channel_schmidt_rank(dims, ops, block):
     stack = stack_of(ops, dims)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(power, "PROBES", SMALL_PROBES)
+        alone = [channel_schmidt_rank(m, dims, SMALL) for m in stack]
         mp.setattr(power, "IMAGE_BLOCK_OPS", block)
         structures = classify_kraus_many(stack, dims, SMALL)
-    assert [_max_rank([s]) for s in structures] == [
-        channel_schmidt_rank(m, dims, SMALL) for m in stack
-    ]
+    assert [s.image_rank for s in structures] == alone

@@ -1,6 +1,5 @@
 """Property tests of the batched product-state optimizer."""
 
-from dataclasses import replace
 from functools import reduce
 from unittest.mock import patch
 
@@ -211,27 +210,28 @@ def test_coordinates_reproduce_the_expectation(dims, seed, chi_seed):
     st.sampled_from([(2, 2), (2, 3), (2, 2, 2)]),
     st.lists(SEEDS, min_size=1, max_size=3),
     st.sampled_from([3, 5]),
-    st.sampled_from([CFG, replace(CFG, max_sweeps=1), replace(CFG, max_sweeps=12)]),
+    st.sampled_from([witnesses.MAX_SWEEPS, 1, 12]),
 )
-def test_refilled_rows_match_each_observable_alone(dims, seeds, block, config):
+def test_refilled_rows_match_each_observable_alone(dims, seeds, block, max_sweeps):
     obs = [observable(s, dims) for s in seeds]
-    alone = [min_over_products(o, dims, config) for o in obs]
-    with patch.object(witnesses, "BLOCK_ROWS", block):
-        refilled = min_over_products_many(obs, dims, config)
+    with patch.object(witnesses, "MAX_SWEEPS", max_sweeps):
+        alone = [min_over_products(o, dims, CFG) for o in obs]
+        with patch.object(witnesses, "BLOCK_ROWS", block):
+            refilled = min_over_products_many(obs, dims, CFG)
     for a, b in zip(alone, refilled):
-        assert same(a, b) and a.restarts_used == b.restarts_used == config.restarts
-    if config.max_sweeps == 1:
+        assert same(a, b) and a.restarts_used == b.restarts_used == CFG.restarts
+    if max_sweeps == 1:
         assert not any(r.converged for r in refilled)
 
 
 def eigh_descent(obs, dims, config):
     """Reference optimizer: each restart alone, every eigenpair from `eigh`;
     the earliest restart within the tolerance of the lowest value wins."""
-    tol = config.tol * np.linalg.norm(obs)
+    tol = witnesses.TOL_SWEEP * np.linalg.norm(obs)
     values = []
     for start in zip(*_starts(dims, config)):
         vecs, value = list(start), np.inf
-        for _ in range(config.max_sweeps):
+        for _ in range(witnesses.MAX_SWEEPS):
             for i, di in enumerate(dims):
                 embed = reduce(np.kron, [
                     np.eye(di) if j == i else v[:, None] for j, v in enumerate(vecs)

@@ -1,3 +1,6 @@
+from contextlib import ExitStack
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
@@ -11,9 +14,8 @@ from entpow.channels import (
     unitary_channel,
 )
 from entpow import power
-from entpow.errors import ArityError, EntpowError, NotAWitnessError
+from entpow.errors import ArityError, NotAWitnessError
 from entpow.power import (
-    ProbeConfig,
     certify_kraus_channel,
     channel_schmidt_number_bounds,
     channel_schmidt_rank,
@@ -32,7 +34,7 @@ from entpow.states import (
     schmidt_rank,
 )
 from entpow.tensor import kron, swap_matrix
-from entpow.witnesses import Witness, default_witness_family, swap_witness
+from entpow.witnesses import OptimizerConfig, Witness, default_witness_family, swap_witness
 
 CNOT = np.eye(4)[[0, 1, 3, 2]]
 
@@ -270,7 +272,7 @@ def test_golden_bounds_and_verdicts(build, bounds, verdict, note):
 )
 def test_one_search_backs_evidence_and_schmidt_ranks(build):
     ch = build()
-    config = ProbeConfig()
+    config = OptimizerConfig()
     cert = certify_kraus_channel(ch, config)
     structures = classify_kraus_many(ch.kraus, ch.dims, config)
     stochastic = [v for v in cert.violations if v.kind == "stochastic"]
@@ -281,19 +283,16 @@ def test_one_search_backs_evidence_and_schmidt_ranks(build):
         assert channel_schmidt_rank(ch.kraus[v.kraus_index], ch.dims, config) == hit.image_rank
 
 
-def test_bounds_classify_and_search_once(monkeypatch):
-    calls = {"classify_kraus_many": 0, "_product_decomposition": 0}
-    for name in calls:
-        original = getattr(power, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(power, name, counted)
-    b = channel_schmidt_number_bounds(rank_boost_23())
+def test_bounds_classify_and_search_once():
+    names = ("_structures", "_image_rank_search", "_product_decomposition")
+    with ExitStack() as stack:
+        spies = [
+            stack.enter_context(patch.object(power, n, wraps=getattr(power, n))) for n in names
+        ]
+        b = channel_schmidt_number_bounds(rank_boost_23())
     assert (b.lower, b.upper) == (2, 3)
-    assert calls == {"classify_kraus_many": 1, "_product_decomposition": 1}
+    assert [spy.call_count for spy in spies] == [1, 1, 1]
+
 
 
 def equal_up_to_phase(x, y):
@@ -325,7 +324,7 @@ def test_decomposition_search_does_not_depend_on_the_seed(build):
     ch = build()
 
     def run(seed):
-        config = ProbeConfig(seed=seed)
+        config = OptimizerConfig(seed=seed)
         b = channel_schmidt_number_bounds(ch, config)
         cert = certify_kraus_channel(ch, config)
         return b.lower, b.upper, b.method, cert.verdict, [st.form for st in cert.structures]
@@ -376,19 +375,6 @@ def test_channels_without_a_product_decomposition_are_never_sne(build):
     ch = build()
     assert power._product_decomposition(ch, 0) is None
     assert certify_kraus_channel(ch).verdict != SNE
-
-
-def test_schmidt_measures_reject_zero_probes():
-    no_probes = ProbeConfig(probes=0)
-    with pytest.raises(EntpowError, match="probes"):
-        channel_schmidt_rank(CNOT, (2, 2), no_probes)
-    with pytest.raises(EntpowError, match="probes"):
-        channel_schmidt_number_bounds(unitary_channel(CNOT, (2, 2)), no_probes)
-    # classification and certification read probes=0 as "no probing"
-    assert classify_kraus(CNOT, (2, 2), no_probes).witness_violation is None
-    cert = certify_kraus_channel(unitary_channel(CNOT, (2, 2)), no_probes)
-    assert cert.verdict == "entangling"
-    assert {v.kind for v in cert.violations} == {"witness"}
 
 
 # -- certificates ------------------------------------------------------

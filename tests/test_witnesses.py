@@ -140,11 +140,9 @@ def test_non_hermitian_rejected():
         min_over_products(1e-9 * np.array([[0, 1], [0, 0]], dtype=complex), (2,), FAST)
 
 
-def test_optimizer_config_needs_a_restart_and_a_sweep():
+def test_optimizer_config_needs_a_restart():
     with pytest.raises(EntpowError, match="restarts"):
         OptimizerConfig(restarts=0)
-    with pytest.raises(EntpowError, match="max_sweeps"):
-        OptimizerConfig(max_sweeps=0)
 
 
 def _unit_norm_herm(seed, d):
