@@ -4,12 +4,15 @@
 
 Both directories must hold the same files. The ``schmidt`` outputs must be
 byte-equal. For each ``classify`` output the two sides must agree on the
-verdict, the note, every witness violation (kind "witness") and the list of
-``(kind, kraus_index)`` over all violations; stochastic violations may differ
-in their input and value. The benchmark's verifier (`bench/verify.py`
-``check_classify``, read but never changed) must report the same problem
-kinds and the same ``decided`` count on both sides. Prints one line per
-difference and a summary.
+verdict, the note, the witness violations (kind "witness") and the list of
+``(kind, kraus_index)`` over the other violations; stochastic violations may
+differ in their input and value. Witness violations are matched by witness
+label: per file it prints the labels only one side has (dropped from A, or
+added in B) and, per label on both sides, how far the value moved, and any
+of these that is not an exact match is a difference. The benchmark's
+verifier (`bench/verify.py` ``check_classify``, read but never changed) must
+report the same problem kinds and the same ``decided`` count on both sides.
+Prints one line per difference and a summary.
 """
 
 from __future__ import annotations
@@ -48,6 +51,42 @@ def verifier(seed: int, name: str, blob: dict) -> tuple[list[str], int]:
     return sorted(p.kind for p in outcome.problems), outcome.decided
 
 
+def by_label(violations: list[dict]) -> dict:
+    """Witness violations keyed by label; a repeated label gets ``#2``, ``#3``, ..."""
+    out = {}
+    for v in violations:
+        if v["kind"] == "witness":
+            label = v["witness"].get("label", "")
+            key, n = label, 1
+            while key in out:
+                n += 1
+                key = f"{label}#{n}"
+            out[key] = v
+    return out
+
+
+def witness_differences(va: list[dict], vb: list[dict]) -> list[str]:
+    """Dropped and added witness labels, then, over the labels on both sides,
+    the largest value move and the labels whose violation is not equal."""
+    a, b = by_label(va), by_label(vb)
+    out = []
+    dropped, added = [k for k in a if k not in b], [k for k in b if k not in a]
+    if dropped:
+        out.append(f"witness labels dropped {dropped}")
+    if added:
+        out.append(f"witness labels added {added}")
+    kept = [k for k in a if k in b]
+    if kept != [k for k in b if k in a]:
+        out.append("kept witness labels in a different order")
+    moved = [k for k in kept if a[k] != b[k]]
+    if moved:
+        moves = {k: abs(a[k]["value"] - b[k]["value"]) for k in moved}
+        top = max(moves, key=moves.get)
+        out.append(f"witness violations differ for {moved}; largest value move "
+                   f"{moves[top]:.3g} ({top})")
+    return out
+
+
 def classify_differences(seed: int, name: str, text_a: str, text_b: str) -> list[str]:
     a, b = certificate(text_a), certificate(text_b)
     out = []
@@ -55,10 +94,9 @@ def classify_differences(seed: int, name: str, text_a: str, text_b: str) -> list
         if a.get(key) != b.get(key):
             out.append(f"{key} {a.get(key)!r} vs {b.get(key)!r}")
     va, vb = a.get("violations", []), b.get("violations", [])
-    if [v for v in va if v["kind"] == "witness"] != [v for v in vb if v["kind"] == "witness"]:
-        out.append("witness violations differ")
-    kinds_a = [(v["kind"], v["kraus_index"]) for v in va]
-    kinds_b = [(v["kind"], v["kraus_index"]) for v in vb]
+    out += witness_differences(va, vb)
+    kinds_a = [(v["kind"], v["kraus_index"]) for v in va if v["kind"] != "witness"]
+    kinds_b = [(v["kind"], v["kraus_index"]) for v in vb if v["kind"] != "witness"]
     if kinds_a != kinds_b:
         out.append(f"(kind, kraus_index) {kinds_a} vs {kinds_b}")
     check_a, check_b = verifier(seed, name, a), verifier(seed, name, b)

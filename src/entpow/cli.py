@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import __version__
 from .channels import KrausChannel
@@ -163,7 +164,9 @@ def cmd_schmidt(args) -> int:
     return _schmidt_channel_report(channel_from_json(spec), args)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: each `parse_args` call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="entpow",
         description="Entangling power of quantum channels: classification, "
@@ -209,8 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SpecError as exc:

@@ -618,9 +618,7 @@ def nonentangling_threshold(k: int, d: int, schmidt_coeffs) -> ThresholdReport:
     )
 
 
-def entanglement_annihilating_check(
-    ch: KrausChannel, witnesses: list[Witness], config: OptimizerConfig | None = None
-) -> bool:
+def entanglement_annihilating_check(ch: KrausChannel, witnesses: list[Witness]) -> bool:
     """PSD test of the dual on sampled witnesses.
 
     True means every sampled witness pulls back to a PSD operator — evidence

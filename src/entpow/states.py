@@ -112,6 +112,14 @@ class ProductStateParam:
             fs.append(f)
         object.__setattr__(self, "factors", tuple(fs))
 
+    @classmethod
+    def of_unit_vectors(cls, factors: tuple[np.ndarray, ...]) -> "ProductStateParam":
+        """Wrap complex 1-D unit vectors the caller has already checked,
+        without checking each again (the optimizer checks a whole batch at once)."""
+        param = object.__new__(cls)
+        object.__setattr__(param, "factors", factors)
+        return param
+
     @property
     def dims(self) -> DimList:
         return DimList(tuple(len(f) for f in self.factors))

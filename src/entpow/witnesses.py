@@ -23,12 +23,20 @@ vectors are recovered only for each observable's best row. A row that
 converges frees its slot for the next waiting row (the refill), so no sweep
 waits on the slowest restart. No step mixes rows, so a value does not depend
 on the batch it ran in; tolerances are relative to the observable's size.
+
+Before any descent, each bipartite observable of the form
+``c I - |psi><psi|`` is solved exactly (`_shifted_pure_minima`): the product
+minimum is ``c - s_1(psi)^2``, attained at psi's top Schmidt pair
+(Eckart-Young). The form is read from the trace and the Frobenius norm, with
+no eigendecomposition, and is common: a shifted pure witness pulled back
+through a unitary or a mixing channel keeps it, and so does the two-qubit
+swap, ``I - 2 |psi^-><psi^-|``. Only the other observables are descended.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +54,7 @@ TOL_WITNESS = 1e-8  # minima above -TOL_WITNESS still count as a witness
 TOL_ZERO = 1e-6     # minima below +TOL_ZERO count as touching zero (optimality)
 TOL_SWEEP = 1e-12   # a restart converges once a sweep moves it by this, relative to ||O||_F
 MAX_SWEEPS = 500    # sweeps after which a restart stops unconverged
+TOL_SHIFTED_PURE = 1e-12  # eigenvalue error of the shifted-pure form, relative to ||O||_F
 
 
 @dataclass(frozen=True)
@@ -203,13 +212,18 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(sum(x[:, None, :] @ x[:, :, None] for x in (v.real, v.imag)))[:, 0, 0]
 
 
-def _starts(d: tuple[int, ...], config: OptimizerConfig) -> list[np.ndarray]:
-    """Per-party start vectors; restart r makes one draw from ``default_rng(seed + r)``."""
+@lru_cache(maxsize=64)
+def _starts(d: tuple[int, ...], config: OptimizerConfig) -> tuple[np.ndarray, ...]:
+    """Per-party start vectors, read-only and drawn once per ``(d, config)``;
+    restart r makes one draw from ``default_rng(seed + r)``."""
     draws = np.array([np.random.default_rng(config.seed + r).normal(size=2 * sum(d))
                       for r in range(config.restarts)])
     parts = np.split(draws, 2 * np.cumsum(d)[:-1], axis=1)  # per party: real, then imaginary
     vs = [part[:, :di] + 1j * part[:, di:] for part, di in zip(parts, d)]
-    return [v / _row_norms(v)[:, None] for v in vs]
+    out = tuple(v / _row_norms(v)[:, None] for v in vs)
+    for v in out:
+        v.flags.writeable = False
+    return out
 
 
 def _descend(tensors, dims, owner, tols, states):
@@ -259,14 +273,77 @@ def _descend(tensors, dims, owner, tols, states):
     return values, converged
 
 
+def _shifted_pure_minima(stack: np.ndarray, dims: tuple[int, int]):
+    """The observables of the bipartite stack of the form ``c I - |psi><psi|``,
+    as a mask, and for those the product vectors u (x) v of psi's top Schmidt
+    pair, which attain the exact product minimum ``c - s_1(psi)^2``
+    (Eckart-Young).
+
+    The form is read from moments, with no eigendecomposition. For D = d1 d2
+    it has ``p = ||psi||^2 = sqrt((||O||_F^2 - tr(O)^2 / D) / (1 - 1/D))`` and
+    ``c = (tr O + p) / D``, and ``M = c I - O`` is then ``|psi><psi|``, so
+    ``M^2 = p M``. With t = `TOL_SHIFTED_PURE`, O is taken when
+    ``||M^2 - p M||_F <= t (p + t ||O||_F) ||O||_F``. Every eigenvalue of M is
+    then within ``2 t ||O||_F`` of 0 or of p, and since ``tr M = p``, only one
+    is near p unless p itself is below ``2 D t ||O||_F`` (O is then that close
+    to c I), so the value is within a few ``D t ||O||_F`` of the minimum, and
+    attained. psi is M's column of largest diagonal entry over that entry's
+    root. Each O is first divided by its largest entry, so no square under-
+    or overflows at any scale.
+    """
+    count, big = stack.shape[:2]
+    peak = np.abs(stack).max(axis=(1, 2))
+    o = stack / np.where(peak > 0.0, peak, 1.0)[:, None, None]
+    scale = _row_norms(o.reshape(count, -1))
+    trace = np.trace(o, axis1=1, axis2=2).real
+    p = np.sqrt(np.maximum(scale**2 - trace**2 / big, 0.0) / (1.0 - 1.0 / big))
+    m = -o
+    m[:, range(big), range(big)] += ((trace + p) / big)[:, None]
+    residual = _row_norms((m @ m - p[:, None, None] * m).reshape(count, -1))
+    exact = residual <= TOL_SHIFTED_PURE * (p + TOL_SHIFTED_PURE * scale) * scale
+    m = m[exact]
+    diag = np.diagonal(m, axis1=1, axis2=2).real
+    col = np.argmax(diag, axis=1)
+    root = np.sqrt(np.maximum(diag[range(len(m)), col], 0.0))
+    psi = m[range(len(m)), :, col] / np.where(root > 0.0, root, 1.0)[:, None]
+    u, _, vh = np.linalg.svd(psi.reshape(len(m), *dims))
+    return exact, (u[:, :, 0], vh[:, 0, :])
+
+
+def _descent_minima(stack: np.ndarray, d: tuple[int, ...], config: OptimizerConfig):
+    """Multi-start `_descend` over every (observable, restart) row of the
+    stack: per observable, the best row's value, whether it converged, the
+    restart spread and the best row's party kets."""
+    count = len(stack)
+    scale = _row_norms(stack.reshape(count, -1))
+    coords = _observable_coordinates(stack, d)
+    tensors = [np.ascontiguousarray(np.moveaxis(coords, 1 + i, 1).reshape(count, di * di, -1))
+               for i, di in enumerate(d)]
+    starts = [_ket_coordinates(s) if di == 2 else s for s, di in zip(_starts(d, config), d)]
+    r_count = len(starts[0])
+    owner = np.repeat(np.arange(count), r_count)
+    states = [np.tile(s, (count, 1)) for s in starts]
+    values, converged = _descend(tensors, d, owner, TOL_SWEEP * scale[owner], states)
+    per_obs = values.reshape(count, r_count)
+    low = per_obs.min(axis=1)
+    # lowest value wins; ties (within the convergence tolerance) go to the earliest restart
+    first = np.argmax(per_obs <= (low + TOL_SWEEP * scale)[:, None], axis=1)
+    best = np.arange(count) * r_count + first
+    kets = [_bloch_ket(s[best]) if di == 2 else s[best] for s, di in zip(states, d)]
+    return values[best], converged[best], per_obs.max(axis=1) - low, kets
+
+
 def min_over_products_many(
     observables, dims, config: OptimizerConfig | None = None
 ) -> list[OptimizationResult]:
     """`min_over_products` for each observable, in order, in one batch.
 
-    Every (observable, restart) pair is one row, and one `_descend` runs them
-    all. Each result is bitwise the one `min_over_products` gives for that
-    observable alone.
+    A bipartite observable ``c I - |psi><psi|`` is solved exactly
+    (`_shifted_pure_minima`): its value is ``<chi|O|chi>`` at the product
+    vector of psi's top Schmidt pair, with no restarts (`restarts_used` 0,
+    converged, spread 0). Every (observable, restart) pair of the others is
+    one row, and one `_descend` runs them all. Each result is bitwise the one
+    `min_over_products` gives for that observable alone.
     """
     dims = DimList.of(dims)
     config = config or DEFAULT_CONFIG
@@ -280,33 +357,36 @@ def min_over_products_many(
     if np.any(np.abs(stack - adjoint).max(axis=(1, 2)) > 1e-8 * np.abs(stack).max(axis=(1, 2))):
         raise DimensionError("observable must be Hermitian (to 1e-8 of its largest entry)")
     stack = (stack + adjoint) / 2.0
-    scale = _row_norms(stack.reshape(len(stack), -1))
     d = dims.dims
-    coords = _observable_coordinates(stack, d)
-    tensors = [np.ascontiguousarray(np.moveaxis(coords, 1 + i, 1).reshape(len(mats), di * di, -1))
-               for i, di in enumerate(d)]
-    starts = [_ket_coordinates(s) if di == 2 else s for s, di in zip(_starts(d, config), d)]
-    r_count = len(starts[0])
-    owner = np.repeat(np.arange(len(mats)), r_count)
-    states = [np.tile(s, (len(mats), 1)) for s in starts]
-    tols = TOL_SWEEP * scale[owner]
-    values, converged = _descend(tensors, d, owner, tols, states)
-    per_obs = values.reshape(len(mats), r_count)
-    low = per_obs.min(axis=1)
-    # lowest value wins; ties (within the convergence tolerance) go to the earliest restart
-    first = np.argmax(per_obs <= (low + TOL_SWEEP * scale)[:, None], axis=1)
-    best = np.arange(len(mats)) * r_count + first
-    spread = per_obs.max(axis=1) - low
-    kets = [_bloch_ket(s[best]) if di == 2 else s[best] for s, di in zip(states, d)]
+    count = len(stack)
+    values, converged, spread = np.empty(count), np.ones(count, dtype=bool), np.zeros(count)
+    used = np.full(count, config.restarts)
+    kets = [np.empty((count, di), dtype=complex) for di in d]
+    exact = np.zeros(count, dtype=bool)
+    if len(d) == 2:
+        exact, pair = _shifted_pure_minima(stack, d)
+        chi = (pair[0][:, :, None] * pair[1][:, None, :]).reshape(len(pair[0]), dims.total)
+        values[exact] = (np.conj(chi)[:, None, :] @ stack[exact] @ chi[:, :, None]).real[:, 0, 0]
+        used[exact] = 0
+        for ket, f in zip(kets, pair):
+            ket[exact] = f
+    rest = ~exact
+    if rest.any():
+        values[rest], converged[rest], spread[rest], found = _descent_minima(stack[rest], d, config)
+        for ket, f in zip(kets, found):
+            ket[rest] = f
+    for ket in kets:  # checked once here, so each ProductStateParam need not be
+        if np.any(np.abs(_row_norms(ket) - 1.0) > 1e-9):
+            raise DimensionError("every party factor must be a unit vector")
     return [
         OptimizationResult(
-            value=float(values[b]),
-            argument=ProductStateParam(tuple(ket[k] for ket in kets)),
-            restarts_used=r_count,
-            converged=bool(converged[b]),
+            value=float(values[k]),
+            argument=ProductStateParam.of_unit_vectors(tuple(ket[k] for ket in kets)),
+            restarts_used=int(used[k]),
+            converged=bool(converged[k]),
             spread=float(spread[k]),
         )
-        for k, b in enumerate(best)
+        for k in range(count)
     ]
 
 
@@ -558,8 +638,11 @@ def default_witness_family(dims) -> list[Witness]:
 
     Contains (in order): the swap witness for equal local dimensions, the
     fixed 4/5-shifted two-qubit benchmark, the lambda_min-shifted witnesses
-    for each maximally entangled rank, and partial-transpose witnesses from
-    maximally entangled (and, for two qubits, singlet) states.
+    for each maximally entangled rank, and, for unequal local dimensions, the
+    partial-transpose witness of the maximally entangled state. No member is
+    a positive multiple of another, since such a pair fires together: for
+    d1 = d2 that partial transpose is ``swap / d``, and for two qubits the
+    singlet's is ``shifted_rank2`` itself, so neither is included.
     """
     dims = DimList.of(dims)
     dims.require_bipartite()
@@ -577,9 +660,7 @@ def default_witness_family(dims) -> list[Witness]:
         family.append(
             Witness.from_shift(1.0 / k, proj, dims, label=f"shifted_rank{k}")
         )
-    if dmin >= 2:
+    if d1 != d2:
         amps = schmidt_diagonal(np.full(dmin, 1.0 / np.sqrt(dmin)), dims)
         family.append(ppt_witness_from_pure(PureState(amps, dims)))
-    if (d1, d2) == (2, 2):
-        family.append(ppt_witness_from_pure(bell_states().psi_minus))
     return family

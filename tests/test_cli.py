@@ -1,16 +1,17 @@
 import json
 import subprocess
 import sys
-from unittest.mock import patch
+from unittest.mock import call, patch
 
 import numpy as np
 import pytest
 
 from entpow import power
 from entpow.channels import rank_boost_channel, swap_channel, unitary_channel
-from entpow.cli import main
+from entpow.cli import build_parser, main
 from entpow.serialize import channel_to_json, state_to_json
 from entpow.states import DensityMatrix, max_entangled
+from entpow.witnesses import OptimizerConfig
 
 CNOT = np.eye(4)[[0, 1, 3, 2]]
 
@@ -164,6 +165,27 @@ def test_schmidt_single_operator_classifies_once(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "kraus form: unknown" in out and "channel schmidt rank: 2" in out
     assert (structural.call_count, search.call_count) == (1, 1)
+
+
+def test_consecutive_mains_share_no_parsed_state(tmp_path, capsys):
+    # the parser is built once per process; each call must parse from scratch
+    spec = write_spec(tmp_path, "cx.json", channel_to_json(unitary_channel(CNOT, (2, 2))))
+    assert build_parser() is build_parser()
+    with patch("entpow.cli.OptimizerConfig", wraps=OptimizerConfig) as config:
+        assert main(["classify", spec]) == 0
+        first = capsys.readouterr().out
+        assert config.call_args == call(restarts=64, seed=0)
+        assert main(["schmidt", spec, "--cut", "0,2", "--seed", "5", "--restarts", "3"]) == 0
+        assert "choi cut (0,2)|(1,3)" in capsys.readouterr().out
+        assert config.call_args == call(restarts=3, seed=5)
+        assert main(["classify", spec]) == 0
+        assert capsys.readouterr().out == first
+        assert config.call_args == call(restarts=64, seed=0)
+        assert main(["schmidt", spec]) == 0
+        assert "choi cut" not in capsys.readouterr().out
+        assert config.call_args == call(restarts=64, seed=0)
+    args = vars(build_parser().parse_args(["classify", spec]))
+    assert "cut" not in args and (args["seed"], args["restarts"]) == (0, 64)
 
 
 def test_schmidt_rank_boost_channel(tmp_path, capsys):

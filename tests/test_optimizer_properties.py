@@ -37,6 +37,17 @@ def observable(seed, dims):
     return (m + dagger(m)) / 2
 
 
+def shifted_pure(seed, dims):
+    """``c I - |psi><psi|`` with a Gaussian psi and c from -2 to 2 times ||psi||^2,
+    and the exact product minimum ``c - s_1(psi)^2`` (Eckart-Young)."""
+    rng = np.random.default_rng(seed)
+    d = int(np.prod(dims))
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    c = rng.uniform(-2.0, 2.0) * np.vdot(psi, psi).real
+    top = np.linalg.svd(psi.reshape(dims[0], -1), compute_uv=False)[0]
+    return c * np.eye(d) - np.outer(psi, np.conj(psi)), c - top**2
+
+
 def local_unitary(seed, dims):
     rng = np.random.default_rng(seed)
     us = []
@@ -58,7 +69,7 @@ def same(a, b):
 @PROPS
 @given(DIMS, st.lists(SEEDS, min_size=1, max_size=4))
 def test_batch_matches_each_observable_alone(dims, seeds):
-    obs = [observable(s, dims) for s in seeds]
+    obs = [observable(s, dims) for s in seeds] + [shifted_pure(seeds[0], dims)[0]]
     batched = min_over_products_many(obs, dims, CFG)
     assert len(batched) == len(obs)
     for o, res in zip(obs, batched):
@@ -110,7 +121,9 @@ def starts_one_party_at_a_time(d, config):
 @given(st.sampled_from([(2, 2), (3, 3), (4, 4), (2, 2, 2)]), st.integers(0, 2**31), st.integers(1, 9))
 def test_start_vectors_match_one_draw_per_party(dims, seed, restarts):
     config = OptimizerConfig(restarts=restarts, seed=seed)
-    for a, b in zip(_starts(dims, config), starts_one_party_at_a_time(dims, config)):
+    starts = _starts(dims, config)
+    assert starts is _starts(dims, config) and not any(v.flags.writeable for v in starts)
+    for a, b in zip(starts, starts_one_party_at_a_time(dims, config)):
         assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-15
 
 
@@ -265,3 +278,23 @@ def test_non_hermitian_observable_in_a_stack_raises():
             min_over_products_many(stack, dims, CFG)
     with pytest.raises(DimensionError, match="does not match dims"):
         min_over_products_many(obs[:4] + [np.eye(3)], dims, CFG)
+
+
+BIPARTITE = st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)])
+
+
+@PROPS
+@given(BIPARTITE, SEEDS)
+def test_shifted_pure_minimum_is_exact(dims, seed):
+    obs, exact = shifted_pure(seed, dims)
+    size = np.linalg.norm(obs)
+    res = min_over_products(obs, dims, CFG)
+    chi = res.argument.assemble().amplitudes
+    assert res.restarts_used == 0 and res.converged and res.spread == 0.0
+    assert abs(res.value - exact) <= 1e-12 * size
+    assert abs(np.real(np.conj(chi) @ obs @ chi) - res.value) <= 1e-12 * size
+    assert res.value <= eigh_descent(obs, dims, CFG) + 1e-14 * size
+    for scale in (1e-11, 1e3):
+        scaled = min_over_products(scale * obs, dims, CFG)
+        assert scaled.restarts_used == 0
+        assert abs(scaled.value - scale * res.value) <= 1e-12 * scale * size

@@ -29,6 +29,7 @@ from entpow.witnesses import (
     max_over_products,
     measurement_scan_min,
     min_over_products,
+    min_over_products_many,
     mixing_shifted_dual,
     ppt_witness_from_pure,
     schmidt_class_max,
@@ -157,6 +158,19 @@ def test_tiny_observable_converges_to_the_scaled_minimum():
     tiny = min_over_products(1e-9 * obs, (3, 3), FAST)
     assert tiny.converged
     assert abs(tiny.value / 1e-9 - ref.value) < 1e-9 * abs(ref.value)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-300])
+def test_far_scaled_observables_keep_their_minima(scale):
+    # the shifted-pure test must not pass a general observable whose squares underflow
+    obs = _unit_norm_herm(5, 9)
+    psi = np.random.default_rng(5).normal(size=9)
+    pure = 0.4 * np.eye(9) - np.outer(psi, psi) / (psi @ psi)
+    refs = min_over_products_many([obs, pure], (3, 3), FAST)
+    for ref, res in zip(refs, min_over_products_many([scale * obs, scale * pure], (3, 3), FAST)):
+        assert res.restarts_used == ref.restarts_used
+        assert abs(res.value / scale - ref.value) < 1e-9 * abs(ref.value)
+    assert [r.restarts_used for r in refs] == [FAST.restarts, 0]
 
 
 def test_large_observable_tolerates_rounding_asymmetry():
@@ -394,6 +408,17 @@ def test_default_family_members_are_witnesses():
         assert family, f"empty family for {dims}"
         for w in family:
             assert is_witness(w, FAST).is_witness, w.label
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 4)])
+def test_default_family_has_no_repeated_member(dims):
+    # a member equal to a positive multiple of another fires exactly when it does
+    family = default_witness_family(dims)
+    for i, a in enumerate(family):
+        for b in family[i + 1:]:
+            t = np.vdot(b.operator, a.operator).real / np.vdot(b.operator, b.operator).real
+            gap = np.linalg.norm(a.operator - t * b.operator)
+            assert t <= 0 or gap > 1e-12 * np.linalg.norm(a.operator), (a.label, b.label)
 
 
 def test_default_family_contains_benchmark_for_qubits():
