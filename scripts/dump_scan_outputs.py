@@ -37,25 +37,26 @@ HEADER = ["p", "q", "min_value", "converged"]
 
 def dump(outdir: Path, seeds: list[int], step: float) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
-    minimize = scans.min_over_products_many
+    minimize = scans.product_minima
     for scenario in scans.SCENARIOS:
         for seed in seeds:
             found = []
 
             def recording(*args, **kwargs):  # run_scan's one optimizer call, kept per point
-                found[:] = minimize(*args, **kwargs)
-                return found
+                found.append(minimize(*args, **kwargs))
+                return found[-1]
 
-            scans.min_over_products_many = recording
+            scans.product_minima = recording
             try:
                 result = scans.run_scan(scenario, step, "optimizer", OptimizerConfig(seed=seed))
             finally:
-                scans.min_over_products_many = minimize
+                scans.product_minima = minimize
+            (minima,) = found
             with open(outdir / f"{scenario}-{seed}.csv", "w", newline="") as fh:
                 out = csv.writer(fh, lineterminator="\n")
                 out.writerow(HEADER)
-                for (p, q, value), res in zip(result.rows, found, strict=True):
-                    out.writerow([repr(p), repr(q), repr(value), res.converged])
+                for (p, q, value), flag in zip(result.rows, minima.converged.tolist(), strict=True):
+                    out.writerow([repr(p), repr(q), repr(value), flag])
     return 0
 
 

@@ -5,9 +5,10 @@ witness W, and reports min over product inputs of <chi| Lambda*(W) |chi> on a
 (p, q) grid. Negative values certify that some product input acquires
 entanglement. Two engines are available, both plain numpy over the whole grid:
 "closed_form" evaluates an exact expression for the minimum in one array call,
-"optimizer" runs the batched multi-start product-state descent on duals formed
-from three corner channels; agreement between them is one of the package's
-acceptance checks.
+"optimizer" minimizes the stack of duals formed from three corner channels in
+one `product_minima` call (exact for duals ``c I -+ |psi><psi|``, batched
+multi-start descent for the rest); agreement between them is one of the
+package's acceptance checks.
 
 Scenarios
 ---------
@@ -38,7 +39,7 @@ from .witnesses import (
     OptimizerConfig,
     Witness,
     measurement_scan_min,
-    min_over_products_many,
+    product_minima,
     swap_witness,
     unitary_mix_scan_min,
 )
@@ -157,9 +158,10 @@ def run_scan(
     Grid points are p = i * step, q = j * step clipped to [0, 1], restricted to
     the scenario's domain, emitted in row-major (p outer, q inner) order. The
     closed-form engine evaluates all points in one array call. The result is
-    deterministic: the optimizer engine minimizes every point's dual witness
-    (from `_duals`) in one `min_over_products_many` call with the same seeded
-    config, and each point's value is the one it gets when minimized alone.
+    deterministic: the optimizer engine minimizes the stack of every point's
+    dual witness (from `_duals`) in one `product_minima` call with the same
+    seeded config, and each point's value is the one it gets when minimized
+    alone.
     """
     scenario = get_scenario(scenario_name)
     step = _check_step(step)
@@ -173,9 +175,8 @@ def run_scan(
     if engine == "closed_form":
         values, converged = scenario.closed_form(p, q), True
     else:
-        results = min_over_products_many(_duals(scenario, p, q), scenario.dims, optimizer)
-        values = [r.value for r in results]
-        converged = all(r.converged for r in results)
+        found = product_minima(_duals(scenario, p, q), scenario.dims, optimizer)
+        values, converged = found.values, bool(found.converged.all())
 
     rows = tuple(zip(p.tolist(), q.tolist(), np.asarray(values, dtype=float).tolist()))
     return ScanResult(scenario.name, engine, step, rows, converged)

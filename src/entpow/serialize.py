@@ -25,7 +25,7 @@ from .witnesses import Witness
 
 def _pairs(arr: np.ndarray) -> list[list[float]]:
     flat = np.asarray(arr, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    return np.stack([flat.real, flat.imag], 1).tolist()
 
 
 def _from_pairs(pairs, shape, field: str) -> np.ndarray:

@@ -17,20 +17,30 @@ orthogonal Hermitian basis (Pauli for a qubit, ``E_jj``, ``E_jk + E_kj``,
 ``i(E_jk - E_kj)`` otherwise), so every observable becomes one real tensor
 ``T[a_1, ..., a_n]``, built once per call. A step contracts the other
 parties' coordinates with it in one einsum. A qubit party then moves in
-closed form on the Bloch sphere (`_bloch_step`); a larger one takes the
-lowest eigenvector of its effective matrix (`_eigh_step`). Qubit unit
-vectors are recovered only for each observable's best row. A row that
-converges frees its slot for the next waiting row (the refill), so no sweep
-waits on the slowest restart. No step mixes rows, so a value does not depend
-on the batch it ran in; tolerances are relative to the observable's size.
+closed form on the Bloch sphere (`_bloch_step`: the length of its Bloch
+vector is the root of a sum of squares, and a `hypot` chain only where that
+root leaves (1e-150, 1e150)); a larger one takes the lowest eigenvector of
+its effective matrix (`_eigh_step`). Qubit unit vectors are recovered only
+for each observable's best row. A row that converges frees its slot for the
+next waiting row (the refill), so no sweep waits on the slowest restart; a
+slot keeps its row's coordinate tensors until then. No step mixes rows, so a
+value does not depend on the batch it ran in; tolerances are relative to the
+observable's size. `product_minima` takes and returns arrays;
+`min_over_products_many` wraps its entries as `OptimizationResult` objects.
 
 Before any descent, each bipartite observable of the form
-``c I - |psi><psi|`` is solved exactly (`_shifted_pure_minima`): the product
-minimum is ``c - s_1(psi)^2``, attained at psi's top Schmidt pair
-(Eckart-Young). The form is read from the trace and the Frobenius norm, with
-no eigendecomposition, and is common: a shifted pure witness pulled back
-through a unitary or a mixing channel keeps it, and so does the two-qubit
-swap, ``I - 2 |psi^-><psi^-|``. Only the other observables are descended.
+``c I - |psi><psi|`` or ``c I + |psi><psi|`` is solved exactly
+(`_shifted_pure_minima`). For the minus sign the product minimum is
+``c - s_1(psi)^2``, attained at psi's top Schmidt pair (Eckart-Young); for the
+plus sign it is c, attained at a product vector orthogonal to psi. The form
+is read from the trace and the Frobenius norm, with no eigendecomposition,
+and is common: a shifted pure witness pulled back through a unitary or a
+mixing channel keeps it, and so do the two-qubit swap,
+``I - 2 |psi^-><psi^-|``, and the dual of any witness under a two-outcome
+measurement of a pure projector, ``b I + (a - b) |psi><psi|``. Only the other
+observables are descended: those of more than two parties, and spectra of
+another shape, such as a mixture of several projectors or the swap of two
+qutrits or larger.
 """
 
 from __future__ import annotations
@@ -174,13 +184,24 @@ def _bloch_step(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The value is ``(v_0 - |v'|) / 2`` at ``m = -v' / |v'|``, for ``v' = v[1:]``;
     at ``v' = 0`` every m attains it, and m = +z (the ket |0>) is taken.
+    ``|v'|`` is the root of the sum of squares, or a `hypot` chain for rows
+    where that root falls outside (1e-150, 1e150), where a square may under-
+    or overflow.
     """
-    norm = np.hypot(np.hypot(v[:, 1], v[:, 2]), v[:, 3])
+    x, y, z = v[:, 1], v[:, 2], v[:, 3]
+    with np.errstate(over="ignore", under="ignore"):
+        norm = np.sqrt(x * x + y * y + z * z)
+    odd = ~((norm > 1e-150) & (norm < 1e150))
+    if odd.any():
+        norm[odd] = np.hypot(np.hypot(x[odd], y[odd]), z[odd])
     flat = norm == 0.0
     q = np.empty_like(v)
     q[:, 0] = 0.5
-    q[:, 1:] = v[:, 1:] / (-2.0 * np.where(flat, 1.0, norm))[:, None]
-    q[flat, 1:] = (0.0, 0.0, 0.5)
+    scale = -2.0 * np.where(flat, 1.0, norm)
+    for a in (1, 2, 3):  # column by column: a broadcast divide of the (n, 3) block is slower
+        np.divide(v[:, a], scale, out=q[:, a])
+    if flat.any():
+        q[flat, 1:] = (0.0, 0.0, 0.5)
     return (v[:, 0] - norm) / 2.0, q
 
 
@@ -235,54 +256,76 @@ def _descend(tensors, dims, owner, tols, states):
     axis first are ``tensors[i][owner[k]]``, and has converged once a sweep
     moves its value by at most ``tols[k]``. At most `BLOCK_ROWS` rows are
     active: a row that converges or reaches `MAX_SWEEPS` sweeps frees its
-    slot at the end of the sweep, and the next waiting row takes it. Every
-    step acts on each row alone, so no result depends on the other rows.
+    slot at the end of the sweep, and the next waiting row takes it. Each
+    slot holds its row's states, coordinate tensors, last value and
+    tolerance, written when a row takes the slot. Every step acts on each
+    row alone, so no result depends on the other rows.
     """
     rows = len(owner)
     values, converged = np.full(rows, np.inf), np.zeros(rows, dtype=bool)
     nxt = min(BLOCK_ROWS, rows)
     live, sweeps = np.arange(nxt), np.zeros(nxt, dtype=int)
     cur = [s[live] for s in states]
+    gathered = [t[owner[live]] for t in tensors]
+    last, tol = np.full(nxt, np.inf), tols[live]
     while live.size:
-        own = owner[live]
-        for i, (t, di) in enumerate(zip(tensors, dims)):
+        for i, (t, di) in enumerate(zip(gathered, dims)):
             others = [c if dj == 2 else _ket_coordinates(c)
                       for j, (c, dj) in enumerate(zip(cur, dims)) if j != i]
             w = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(len(a), -1),
                        others[1:], others[0]) if others else np.ones((live.size, 1))
-            v = np.einsum("nm,nam->na", w, np.take(t, own, axis=0))
+            v = np.einsum("nm,nam->na", w, t)
             new, cur[i] = _bloch_step(v) if di == 2 else _eigh_step(v, di)
         sweeps += 1
-        done = np.abs(new - values[live]) <= tols[live]
-        values[live] = new
-        converged[live[done]] = True
+        done = np.abs(new - last) <= tol
+        last = new
         free = np.flatnonzero(done | (sweeps >= MAX_SWEEPS))
         if not free.size:
             continue
+        gone = live[free]
+        values[gone], converged[gone] = new[free], done[free]
         for s, c in zip(states, cur):
-            s[live[free]] = c[free]
+            s[gone] = c[free]
         fresh = np.arange(nxt, min(nxt + free.size, rows))
         nxt += fresh.size
         fill, free = free[:fresh.size], free[fresh.size:]
-        live[fill], sweeps[fill] = fresh, 0
+        live[fill], sweeps[fill], last[fill], tol[fill] = fresh, 0, np.inf, tols[fresh]
         for c, s in zip(cur, states):
             c[fill] = s[fresh]
+        own = owner[fresh]
+        for g, t in zip(gathered, tensors):
+            g[fill] = t[own]
         if free.size:  # nothing left waiting: drop the idle slots
-            live, sweeps = np.delete(live, free), np.delete(sweeps, free)
-            cur = [np.delete(c, free, axis=0) for c in cur]
+            keep = np.ones(live.size, dtype=bool)
+            keep[free] = False
+            live, sweeps, last, tol = live[keep], sweeps[keep], last[keep], tol[keep]
+            cur = [c[keep] for c in cur]
+            gathered = [g[keep] for g in gathered]
     return values, converged
 
 
+def _rank_one(m: np.ndarray, p: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Per matrix M of the stack, whether ``||M^2 - p M||_F <= t (p + t s) s``
+    for t = `TOL_SHIFTED_PURE` and s the observable's Frobenius norm."""
+    count, big = m.shape[:2]
+    residual = _row_norms((m @ m - p[:, None, None] * m).reshape(count, big * big))
+    return residual <= TOL_SHIFTED_PURE * (p + TOL_SHIFTED_PURE * scale) * scale
+
+
 def _shifted_pure_minima(stack: np.ndarray, dims: tuple[int, int]):
-    """The observables of the bipartite stack of the form ``c I - |psi><psi|``,
-    as a mask, and for those the product vectors u (x) v of psi's top Schmidt
-    pair, which attain the exact product minimum ``c - s_1(psi)^2``
-    (Eckart-Young).
+    """The observables of the bipartite stack of the form ``c I - |psi><psi|``
+    or ``c I + |psi><psi|``, as a mask, and for those a product vector
+    attaining the exact product minimum, as its two factors. With psi's
+    Schmidt pairs ``(u_j, v_j)``: for the minus sign, ``u_1 (x) v_1``, value
+    ``c - s_1(psi)^2`` (Eckart-Young); for the plus sign, ``u_1 (x) v_2``,
+    which is orthogonal to psi, value c.
 
     The form is read from moments, with no eigendecomposition. For D = d1 d2
-    it has ``p = ||psi||^2 = sqrt((||O||_F^2 - tr(O)^2 / D) / (1 - 1/D))`` and
-    ``c = (tr O + p) / D``, and ``M = c I - O`` is then ``|psi><psi|``, so
-    ``M^2 = p M``. With t = `TOL_SHIFTED_PURE`, O is taken when
+    it has ``p = ||psi||^2 = sqrt((||O||_F^2 - tr(O)^2 / D) / (1 - 1/D))``.
+    For the minus sign ``c = (tr O + p) / D`` and ``M = c I - O``; for the
+    plus sign, tried where the minus sign fails, ``c = (tr O - p) / D`` and
+    ``M = O - c I``. Either way M is then ``|psi><psi|``, so ``M^2 = p M``.
+    With t = `TOL_SHIFTED_PURE`, O is taken when
     ``||M^2 - p M||_F <= t (p + t ||O||_F) ||O||_F``. Every eigenvalue of M is
     then within ``2 t ||O||_F`` of 0 or of p, and since ``tr M = p``, only one
     is near p unless p itself is below ``2 D t ||O||_F`` (O is then that close
@@ -294,20 +337,23 @@ def _shifted_pure_minima(stack: np.ndarray, dims: tuple[int, int]):
     count, big = stack.shape[:2]
     peak = np.abs(stack).max(axis=(1, 2))
     o = stack / np.where(peak > 0.0, peak, 1.0)[:, None, None]
-    scale = _row_norms(o.reshape(count, -1))
+    scale = _row_norms(o.reshape(count, big * big))
     trace = np.trace(o, axis1=1, axis2=2).real
     p = np.sqrt(np.maximum(scale**2 - trace**2 / big, 0.0) / (1.0 - 1.0 / big))
     m = -o
     m[:, range(big), range(big)] += ((trace + p) / big)[:, None]
-    residual = _row_norms((m @ m - p[:, None, None] * m).reshape(count, -1))
-    exact = residual <= TOL_SHIFTED_PURE * (p + TOL_SHIFTED_PURE * scale) * scale
+    minus = _rank_one(m, p, scale)
+    other, plus = ~minus, np.zeros(count, dtype=bool)
+    m[other] = o[other] - ((trace - p) / big)[other, None, None] * np.eye(big)
+    plus[other] = _rank_one(m[other], p[other], scale[other])
+    exact = minus | plus
     m = m[exact]
     diag = np.diagonal(m, axis1=1, axis2=2).real
     col = np.argmax(diag, axis=1)
     root = np.sqrt(np.maximum(diag[range(len(m)), col], 0.0))
     psi = m[range(len(m)), :, col] / np.where(root > 0.0, root, 1.0)[:, None]
     u, _, vh = np.linalg.svd(psi.reshape(len(m), *dims))
-    return exact, (u[:, :, 0], vh[:, 0, :])
+    return exact, (u[:, :, 0], vh[range(len(m)), plus[exact].astype(int), :])
 
 
 def _descent_minima(stack: np.ndarray, d: tuple[int, ...], config: OptimizerConfig):
@@ -333,26 +379,32 @@ def _descent_minima(stack: np.ndarray, d: tuple[int, ...], config: OptimizerConf
     return values[best], converged[best], per_obs.max(axis=1) - low, kets
 
 
-def min_over_products_many(
-    observables, dims, config: OptimizerConfig | None = None
-) -> list[OptimizationResult]:
-    """`min_over_products` for each observable, in order, in one batch.
+class ProductMinima(NamedTuple):
+    """`product_minima` of a stack of n observables, one entry per observable."""
 
-    A bipartite observable ``c I - |psi><psi|`` is solved exactly
-    (`_shifted_pure_minima`): its value is ``<chi|O|chi>`` at the product
-    vector of psi's top Schmidt pair, with no restarts (`restarts_used` 0,
+    values: np.ndarray         # (n,) attained product minima
+    kets: tuple[np.ndarray, ...]  # per party, (n, d_i) unit vectors attaining them
+    restarts_used: np.ndarray  # (n,) 0 where solved exactly, else the config's restarts
+    converged: np.ndarray      # (n,) bool
+    spread: np.ndarray         # (n,) largest minus smallest restart value
+
+
+def product_minima(stack, dims, config: OptimizerConfig | None = None) -> ProductMinima:
+    """`min_over_products` of each observable of an ``(n, D, D)`` stack, as arrays.
+
+    A bipartite observable ``c I - |psi><psi|`` or ``c I + |psi><psi|`` is
+    solved exactly (`_shifted_pure_minima`): its value is ``<chi|O|chi>`` at
+    the product vector found there, with no restarts (`restarts_used` 0,
     converged, spread 0). Every (observable, restart) pair of the others is
-    one row, and one `_descend` runs them all. Each result is bitwise the one
-    `min_over_products` gives for that observable alone.
+    one row, and one `_descend` runs them all. The stack gets one shape check
+    and one Hermitian check (``max|O - O^dagger| <= 1e-8 max|O|`` per
+    observable). Each entry is bitwise the one the observable gets alone.
     """
     dims = DimList.of(dims)
     config = config or DEFAULT_CONFIG
-    mats = [as_matrix(obs) for obs in observables]
-    if not mats:
-        return []
-    for m in {m.shape: m for m in mats}.values():  # one check per distinct shape
-        dims.check_matrix(m)
-    stack = np.array(mats)
+    stack = np.asarray(stack, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1:] != (dims.total, dims.total):
+        raise DimensionError(f"observable stack shape {stack.shape} does not match dims {dims.dims}")
     adjoint = np.conj(stack.transpose(0, 2, 1))
     if np.any(np.abs(stack - adjoint).max(axis=(1, 2)) > 1e-8 * np.abs(stack).max(axis=(1, 2))):
         raise DimensionError("observable must be Hermitian (to 1e-8 of its largest entry)")
@@ -361,7 +413,7 @@ def min_over_products_many(
     count = len(stack)
     values, converged, spread = np.empty(count), np.ones(count, dtype=bool), np.zeros(count)
     used = np.full(count, config.restarts)
-    kets = [np.empty((count, di), dtype=complex) for di in d]
+    kets = tuple(np.empty((count, di), dtype=complex) for di in d)
     exact = np.zeros(count, dtype=bool)
     if len(d) == 2:
         exact, pair = _shifted_pure_minima(stack, d)
@@ -375,18 +427,31 @@ def min_over_products_many(
         values[rest], converged[rest], spread[rest], found = _descent_minima(stack[rest], d, config)
         for ket, f in zip(kets, found):
             ket[rest] = f
-    for ket in kets:  # checked once here, so each ProductStateParam need not be
+    for ket in kets:
         if np.any(np.abs(_row_norms(ket) - 1.0) > 1e-9):
             raise DimensionError("every party factor must be a unit vector")
+    return ProductMinima(values, kets, used, converged, spread)
+
+
+def min_over_products_many(
+    observables, dims, config: OptimizerConfig | None = None
+) -> list[OptimizationResult]:
+    """`min_over_products` for each observable, in order, in one batch: the
+    results of `product_minima` on their stack. Each result is bitwise the
+    one `min_over_products` gives for that observable alone."""
+    dims = DimList.of(dims)
+    mats = [as_matrix(obs) for obs in observables]
+    if not mats:
+        return []
+    for m in {m.shape: m for m in mats}.values():  # one check per distinct shape
+        dims.check_matrix(m)
+    found = product_minima(np.array(mats), dims, config)
+    # the kets were checked as a batch, so each ProductStateParam need not be
     return [
-        OptimizationResult(
-            value=float(values[k]),
-            argument=ProductStateParam.of_unit_vectors(tuple(ket[k] for ket in kets)),
-            restarts_used=int(used[k]),
-            converged=bool(converged[k]),
-            spread=float(spread[k]),
-        )
-        for k in range(count)
+        OptimizationResult(value, ProductStateParam.of_unit_vectors(factors), used, converged, spread)
+        for value, factors, used, converged, spread in zip(
+            found.values.tolist(), zip(*found.kets), found.restarts_used.tolist(),
+            found.converged.tolist(), found.spread.tolist())
     ]
 
 

@@ -21,6 +21,7 @@ from entpow.witnesses import (
     _starts,
     min_over_products,
     min_over_products_many,
+    product_minima,
 )
 
 CFG = OptimizerConfig(restarts=16, seed=11)
@@ -37,15 +38,16 @@ def observable(seed, dims):
     return (m + dagger(m)) / 2
 
 
-def shifted_pure(seed, dims):
-    """``c I - |psi><psi|`` with a Gaussian psi and c from -2 to 2 times ||psi||^2,
-    and the exact product minimum ``c - s_1(psi)^2`` (Eckart-Young)."""
+def shifted_pure(seed, dims, sign=-1.0):
+    """``c I + sign |psi><psi|`` with a Gaussian psi and c from -2 to 2 times
+    ||psi||^2, and the exact product minimum: ``c - s_1(psi)^2`` for sign -1
+    (Eckart-Young), c for sign +1 (some product vector is orthogonal to psi)."""
     rng = np.random.default_rng(seed)
     d = int(np.prod(dims))
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     c = rng.uniform(-2.0, 2.0) * np.vdot(psi, psi).real
     top = np.linalg.svd(psi.reshape(dims[0], -1), compute_uv=False)[0]
-    return c * np.eye(d) - np.outer(psi, np.conj(psi)), c - top**2
+    return c * np.eye(d) + sign * np.outer(psi, np.conj(psi)), c - top**2 if sign < 0 else c
 
 
 def local_unitary(seed, dims):
@@ -69,7 +71,8 @@ def same(a, b):
 @PROPS
 @given(DIMS, st.lists(SEEDS, min_size=1, max_size=4))
 def test_batch_matches_each_observable_alone(dims, seeds):
-    obs = [observable(s, dims) for s in seeds] + [shifted_pure(seeds[0], dims)[0]]
+    obs = [observable(s, dims) for s in seeds] + [shifted_pure(seeds[0], dims, sign)[0]
+                                                  for sign in (-1.0, 1.0)]
     batched = min_over_products_many(obs, dims, CFG)
     assert len(batched) == len(obs)
     for o, res in zip(obs, batched):
@@ -189,7 +192,7 @@ def test_eigh_step_matches_eigh(seed, scale, d):
     check_step(random_hermitian(seed, d, scale))
 
 
-@pytest.mark.parametrize("scale", [1e-200, 1e-11, 1.0, 1e3, 1e200])
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e-11, 1.0, 1e3, 1e160, 1e200])
 def test_qubit_eigenpairs_of_scalar_and_diagonal_matrices(scale):
     cases = np.array([
         [[0, 0], [0, 0]],           # zero
@@ -278,6 +281,8 @@ def test_non_hermitian_observable_in_a_stack_raises():
             min_over_products_many(stack, dims, CFG)
     with pytest.raises(DimensionError, match="does not match dims"):
         min_over_products_many(obs[:4] + [np.eye(3)], dims, CFG)
+    with pytest.raises(DimensionError, match="does not match dims"):
+        product_minima(np.array(obs)[:, :3, :3], dims, CFG)
 
 
 BIPARTITE = st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)])
@@ -286,15 +291,16 @@ BIPARTITE = st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)])
 @PROPS
 @given(BIPARTITE, SEEDS)
 def test_shifted_pure_minimum_is_exact(dims, seed):
-    obs, exact = shifted_pure(seed, dims)
-    size = np.linalg.norm(obs)
-    res = min_over_products(obs, dims, CFG)
-    chi = res.argument.assemble().amplitudes
-    assert res.restarts_used == 0 and res.converged and res.spread == 0.0
-    assert abs(res.value - exact) <= 1e-12 * size
-    assert abs(np.real(np.conj(chi) @ obs @ chi) - res.value) <= 1e-12 * size
-    assert res.value <= eigh_descent(obs, dims, CFG) + 1e-14 * size
-    for scale in (1e-11, 1e3):
-        scaled = min_over_products(scale * obs, dims, CFG)
-        assert scaled.restarts_used == 0
-        assert abs(scaled.value - scale * res.value) <= 1e-12 * scale * size
+    for sign in (-1.0, 1.0):
+        obs, exact = shifted_pure(seed, dims, sign)
+        size = np.linalg.norm(obs)
+        res = min_over_products(obs, dims, CFG)
+        chi = res.argument.assemble().amplitudes
+        assert res.restarts_used == 0 and res.converged and res.spread == 0.0
+        assert abs(res.value - exact) <= 1e-12 * size
+        assert abs(np.real(np.conj(chi) @ obs @ chi) - res.value) <= 1e-12 * size
+        assert res.value <= eigh_descent(obs, dims, CFG) + 1e-14 * size
+        for scale in (1e-11, 1e3):
+            scaled = min_over_products(scale * obs, dims, CFG)
+            assert scaled.restarts_used == 0
+            assert abs(scaled.value - scale * res.value) <= 1e-12 * scale * size

@@ -90,6 +90,17 @@ def test_optimizer_scan_values_do_not_depend_on_the_batch(monkeypatch):
     assert format_csv(again) == format_csv(scan)
 
 
+def test_measurement_duals_are_solved_exactly():
+    # each dual is b I + (a - b) P for the singlet projector P, so c I -+ |psi><psi|
+    cfg = OptimizerConfig(seed=7)
+    scenario = get_scenario("measurement")
+    scan = run_scan("measurement", step=0.05, engine="optimizer", optimizer=cfg)
+    p, q, values = np.array(scan.rows).T
+    results = witnesses.min_over_products_many(scans._duals(scenario, p, q), scenario.dims, cfg)
+    assert len(results) == 441 and all(r.restarts_used == 0 for r in results)
+    assert values.tobytes() == np.array([r.value for r in results]).tobytes()  # bitwise
+
+
 def test_csv_format_and_determinism(tmp_path):
     res = run_scan("measurement", step=0.25, engine="closed_form")
     text = format_csv(res)
