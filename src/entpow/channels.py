@@ -192,8 +192,9 @@ class MeasurementChannel(KrausChannel):
             raise DimensionError("effects do not sum to the identity (POVM completeness)")
         kraus = []
         for e, out in zip(effects, outs):
+            effect_pairs = _eig_pairs(e)
             for r_i, u in _eig_pairs(out.matrix):
-                for e_m, f in _eig_pairs(e):
+                for e_m, f in effect_pairs:
                     kraus.append(np.sqrt(r_i * e_m) * np.outer(u, np.conj(f)))
         super().__init__(kraus, dims, label=label)
         self.effects = tuple(effects)

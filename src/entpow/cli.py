@@ -4,7 +4,8 @@ Subcommands
 -----------
 ``entpow classify <spec.json>``
     Reads a channel spec, runs the three-way certificate (stochastically
-    non-entangling / entangling / inconclusive), prints certificate JSON.
+    non-entangling / entangling / inconclusive), prints the certificate as
+    one JSON line.
 ``entpow scan --scenario fig3|fig4 --step S --engine E --out FILE``
     Evaluates the named two-parameter scan and writes a deterministic CSV.
 ``entpow schmidt <spec.json> [--cut 0,2]``
@@ -73,7 +74,7 @@ def cmd_classify(args) -> int:
     spec = load_spec(args.spec)
     ch = channel_from_json(spec)
     cert = certify_kraus_channel(ch, OptimizerConfig(restarts=args.restarts, seed=args.seed))
-    print(json.dumps(certificate_to_json(cert, __version__), indent=2))
+    print(json.dumps(certificate_to_json(cert, __version__)))
     return 0
 
 

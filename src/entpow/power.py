@@ -363,6 +363,8 @@ def _product_decomposition(ch: KrausChannel, seed: int) -> tuple[np.ndarray, ...
     d1, d2 = ch.dims.dims
     n = d1 * d2
     flat = np.array(ch.kraus).reshape(len(ch.kraus), -1)
+    if numerical_rank(np.linalg.svd(flat, compute_uv=False)) > min(d1 * d1, d2 * d2):
+        return None  # decided without the singular vectors
     _, s, vh = np.linalg.svd(flat, full_matrices=False)
     r = numerical_rank(s)
     if r > min(d1 * d1, d2 * d2):

@@ -11,16 +11,17 @@ frozen, the objective is a Hermitian quadratic form in the free party, whose
 exact minimizer is an extremal eigenvector. Sweeps are monotone, so each
 restart converges; restarts guard against local minima.
 `min_over_products_many` minimizes a whole stack of observables at once:
-every (observable, restart) pair is one row. It works in real coordinates:
-each party's projector ``conj(u) u^T`` and each observable are expanded in an
-orthogonal Hermitian basis (Pauli for a qubit, ``E_jj``, ``E_jk + E_kj``,
-``i(E_jk - E_kj)`` otherwise), so every observable becomes one real tensor
-``T[a_1, ..., a_n]``, built once per call. A step contracts the other
-parties' coordinates with it in one einsum. A qubit party then moves in
-closed form on the Bloch sphere (`_bloch_step`: the length of its Bloch
-vector is the root of a sum of squares, and a `hypot` chain only where that
-root leaves (1e-150, 1e150)); a larger one takes the lowest eigenvector of
-its effective matrix (`_eigh_step`). Qubit unit vectors are recovered only
+every (observable, restart) pair is one row. Each party's projector
+``conj(u) u^T`` and each observable are expanded per party in a basis: Pauli
+for a qubit, with real coordinates, and otherwise the matrix units ``E_xy``,
+whose coordinates are the matrix entries themselves. So every observable
+becomes one tensor ``T[a_1, ..., a_n]``, real when every party is a qubit,
+built once per call. A step contracts the other parties' coordinates with it
+in one einsum. A qubit party then moves in closed form on the Bloch sphere
+(`_bloch_step`: the length of its Bloch vector is the root of a sum of
+squares, and a `hypot` chain only where that root leaves (1e-150, 1e150)); a
+larger one takes the lowest eigenvector of the effective matrix that its
+coordinates are, reshaped (`_eigh_step`). Qubit unit vectors are recovered only
 for each observable's best row. A row that converges frees its slot for the
 next waiting row (the refill), so no sweep waits on the slowest restart; a
 slot keeps its row's coordinate tensors until then. No step mixes rows, so a
@@ -46,7 +47,7 @@ qutrits or larger.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache, reduce
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -133,49 +134,40 @@ class OptimizationResult:
 
 
 # Most rows active at once. The active set's working set is its rows times
-# each party's gathered coordinate tensor, so this bounds memory on whole grids.
+# each party's gathered coordinate tensor, so this bounds memory on whole grids;
+# a tensor is complex, twice the bytes per row, when some party has d >= 3.
 BLOCK_ROWS = 2048
 
 
-@cache
-def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(d, 1)``: the pairs j < k in row-major order, once per d."""
-    return np.triu_indices(d, 1)
-
-
 def _basis_contract(t: np.ndarray, d: int) -> np.ndarray:
-    """``sum_{x,y} t[..., x, y] B_a[x, y]`` for each element B_a of the
-    orthogonal Hermitian basis of party dimension d, on a new last axis a.
-
-    The basis is Pauli (I, X, Y, Z) for a qubit; otherwise E_jj for each j,
-    then E_jk + E_kj, then i(E_jk - E_kj), for each j < k in row-major order.
-    """
+    """``sum_{x,y} t[..., x, y] B_a[x, y]`` for each element B_a of party
+    dimension d's basis, on a new last axis a: Pauli (I, X, Y, Z) for a qubit,
+    otherwise the matrix units E_xy in row-major order, so the entries
+    ``t[..., x, y]`` themselves, reshaped to d^2."""
     if d == 2:
         t00, t01, t10, t11 = t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1]
         return np.stack([t00 + t11, t01 + t10, 1j * (t10 - t01), t00 - t11], axis=-1)
-    j, k = _upper_pairs(d)
-    upper, lower = t[..., j, k], t[..., k, j]
-    diag = np.diagonal(t, axis1=-2, axis2=-1)
-    return np.concatenate([diag, upper + lower, 1j * (upper - lower)], axis=-1)
+    return t.reshape(*t.shape[:-2], d * d)
 
 
 def _observable_coordinates(stack: np.ndarray, d: tuple[int, ...]) -> np.ndarray:
     """``T[k, a_1, ..., a_n] = sum_{x,y} stack[k, x, y] prod_j B_{a_j}[x_j, y_j]``:
-    real, since each observable and each basis element is Hermitian."""
+    real when every party is a qubit, since each observable and each Pauli
+    matrix is Hermitian, and complex otherwise."""
     n = len(d)
     t = stack.reshape(len(stack), *d, *d)
     for i, di in enumerate(d):  # axes: k, x then y of parties i.., a of parties before i
         t = _basis_contract(np.moveaxis(t, (1, 1 + n - i), (-2, -1)), di)
-    return t.real
+    return t.real if set(d) == {2} else t
 
 
 def _ket_coordinates(u: np.ndarray) -> np.ndarray:
-    """Per row, the real coordinates q_a = Tr(B_a P) / Tr(B_a B_a) of the
-    projector ``P = conj(u) u^T`` of a unit vector u, so ``P = sum_a q_a B_a``."""
-    d = u.shape[1]
-    q = _basis_contract(u[:, :, None] * np.conj(u)[:, None, :], d).real
-    q[:, 0 if d == 2 else d:] /= 2.0  # Tr(B_a B_a) is 2, except 1 for E_jj
-    return q
+    """Per row, the coordinates q of the projector ``P = conj(u) u^T`` of a unit
+    vector u, so ``P = sum_a q_a B_a``: real Pauli coordinates
+    ``q_a = Tr(B_a P) / 2`` for a qubit, otherwise P's entries."""
+    if u.shape[1] != 2:
+        return (np.conj(u)[:, :, None] * u[:, None, :]).reshape(len(u), -1)
+    return _basis_contract(u[:, :, None] * np.conj(u)[:, None, :], 2).real / 2.0
 
 
 def _bloch_step(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,13 +210,9 @@ def _bloch_ket(q: np.ndarray) -> np.ndarray:
 
 def _eigh_step(v: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Least value of ``q . v`` over the projector coordinates q of a unit
-    vector of dimension d, and that vector: the lowest eigenpair of
-    ``sum_a v_a conj(B_a) / Tr(B_a B_a)``, read from its lower triangle."""
-    j, k = _upper_pairs(d)
-    eff = np.zeros((len(v), d, d), dtype=complex)
-    eff[:, range(d), range(d)] = v[:, :d]
-    eff[:, k, j] = (v[:, d:d + len(j)] + 1j * v[:, d + len(j):]) / 2.0
-    evals, evecs = np.linalg.eigh(eff, UPLO="L")
+    vector of dimension d, and that vector: the lowest eigenpair of the
+    effective matrix ``v.reshape(d, d)``, read from its lower triangle."""
+    evals, evecs = np.linalg.eigh(v.reshape(len(v), d, d))
     return evals[:, 0], evecs[:, :, 0]
 
 
@@ -275,7 +263,7 @@ def _descend(tensors, dims, owner, tols, states):
             w = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(len(a), -1),
                        others[1:], others[0]) if others else np.ones((live.size, 1))
             v = np.einsum("nm,nam->na", w, t)
-            new, cur[i] = _bloch_step(v) if di == 2 else _eigh_step(v, di)
+            new, cur[i] = _bloch_step(v.real) if di == 2 else _eigh_step(v, di)
         sweeps += 1
         done = np.abs(new - last) <= tol
         last = new
@@ -707,10 +695,16 @@ def default_witness_family(dims) -> list[Witness]:
     partial-transpose witness of the maximally entangled state. No member is
     a positive multiple of another, since such a pair fires together: for
     d1 = d2 that partial transpose is ``swap / d``, and for two qubits the
-    singlet's is ``shifted_rank2`` itself, so neither is included.
+    singlet's is ``shifted_rank2`` itself, so neither is included. The members
+    are built once per dims, with read-only operators; each call returns a new list.
     """
     dims = DimList.of(dims)
     dims.require_bipartite()
+    return list(_witness_family(dims))
+
+
+@lru_cache(maxsize=16)
+def _witness_family(dims: DimList) -> tuple[Witness, ...]:
     d1, d2 = dims.dims
     dmin = min(d1, d2)
     family: list[Witness] = []
@@ -728,4 +722,8 @@ def default_witness_family(dims) -> list[Witness]:
     if d1 != d2:
         amps = schmidt_diagonal(np.full(dmin, 1.0 / np.sqrt(dmin)), dims)
         family.append(ppt_witness_from_pure(PureState(amps, dims)))
-    return family
+    for w in family:
+        w.operator.flags.writeable = False
+        if w.shifted is not None:
+            w.shifted[1].flags.writeable = False
+    return tuple(family)

@@ -4,6 +4,7 @@ import pytest
 from entpow.channels import (
     KrausChannel,
     MeasurementChannel,
+    _eig_pairs,
     choi_apply,
     identity_channel,
     measurement_channel,
@@ -125,6 +126,28 @@ def test_measurement_channel_closed_forms():
         np.trace(o.matrix @ obs).real * e for e, o in zip(effects, outputs)
     )
     assert np.max(np.abs(ch.dual_apply(obs) - dual_expected)) < 1e-12
+
+
+def kraus_with_an_eigh_per_output_eigenvector(ch):
+    """The stored Kraus list, built by decomposing each effect again for every
+    eigenvector of its output."""
+    kraus = []
+    for e, out in zip(ch.effects, ch.outputs):
+        for r_i, u in _eig_pairs(out.matrix):
+            for e_m, f in _eig_pairs(e):
+                kraus.append(np.sqrt(r_i * e_m) * np.outer(u, np.conj(f)))
+    return kraus
+
+
+def test_measurement_kraus_list_decomposes_each_effect_once():
+    rng = np.random.default_rng(8)
+    proj = max_entangled(2, 2).projector()
+    outputs = [DensityMatrix(rand_density(rng, 4), (2, 2)), DensityMatrix(np.eye(4) / 4, (2, 2))]
+    for ch in (measurement_channel([proj, np.eye(4) - proj], outputs, (2, 2)),
+               rank_boost_channel(2, 3, np.sqrt([0.5, 0.3, 0.2]))):
+        reference = kraus_with_an_eigh_per_output_eigenvector(ch)
+        assert len(ch.kraus) == len(reference)
+        assert all(np.array_equal(a, b) for a, b in zip(ch.kraus, reference))
 
 
 def test_measurement_channel_requires_povm():

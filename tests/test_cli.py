@@ -6,10 +6,11 @@ from unittest.mock import call, patch
 import numpy as np
 import pytest
 
-from entpow import power
+from entpow import __version__, power
 from entpow.channels import rank_boost_channel, swap_channel, unitary_channel
 from entpow.cli import build_parser, main
-from entpow.serialize import channel_to_json, state_to_json
+from entpow.power import certify_kraus_channel
+from entpow.serialize import certificate_to_json, channel_from_json, channel_to_json, state_to_json
 from entpow.states import DensityMatrix, max_entangled
 from entpow.witnesses import OptimizerConfig
 
@@ -41,6 +42,28 @@ def test_classify_cnot_reports_violation(tmp_path, capsys):
     assert min(v["value"] for v in witness_hits) < -0.99  # swap witness on CNOT
     bench = [v for v in witness_hits if v["witness"].get("label") == "benchmark_4/5"]
     assert bench and abs(bench[0]["value"] - (-0.2)) < 1e-6
+
+
+def certificate_of(spec, restarts=64, seed=0):
+    """`certificate_to_json` of the certificate `classify SPEC` prints."""
+    with open(spec, encoding="utf-8") as fh:
+        ch = channel_from_json(json.load(fh))
+    cert = certify_kraus_channel(ch, OptimizerConfig(restarts=restarts, seed=seed))
+    return certificate_to_json(cert, __version__)
+
+
+SHIFT3 = np.roll(np.eye(3), 1, axis=0)
+CSHIFT3 = sum(np.kron(np.diag(np.eye(3)[j]), np.linalg.matrix_power(SHIFT3, j)) for j in range(3))
+
+
+@pytest.mark.parametrize("ch", [unitary_channel(CNOT, (2, 2), label="cx"),
+                                unitary_channel(CSHIFT3, (3, 3), label="cshift3")])
+def test_classify_prints_the_certificate_on_one_line(tmp_path, capsys, ch):
+    spec = write_spec(tmp_path, "ch.json", channel_to_json(ch))
+    assert main(["classify", spec, "--seed", "1", "--restarts", "32"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert json.loads(out) == certificate_of(spec, restarts=32, seed=1)
 
 
 def test_classify_bad_spec_exits_2(tmp_path, capsys):
@@ -210,4 +233,7 @@ def test_installed_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["verdict"] == "stochastically_nonentangling"
+    assert proc.stdout.count("\n") == 1 and proc.stdout.endswith("\n")
+    blob = json.loads(proc.stdout)
+    assert blob["verdict"] == "stochastically_nonentangling"
+    assert blob == certificate_of(spec)

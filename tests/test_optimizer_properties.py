@@ -130,26 +130,23 @@ def test_start_vectors_match_one_draw_per_party(dims, seed, restarts):
         assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-15
 
 
-def hermitian_basis(d):
-    """The optimizer's basis, built here from its definition: Pauli (I, X, Y, Z)
-    for a qubit, else E_jj, then E_jk + E_kj, then i(E_jk - E_kj), j < k."""
+def coordinate_basis(d):
+    """The optimizer's party basis, built here from its definition: Pauli
+    (I, X, Y, Z) for a qubit, else the matrix units E_xy in row-major order."""
     if d == 2:
         return np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-    unit = np.einsum("jx,ky->jkxy", np.eye(d), np.eye(d))  # unit[j, k] = E_jk
-    j, k = np.triu_indices(d, 1)
-    return np.concatenate([unit[range(d), range(d)], unit[j, k] + unit[k, j],
-                           1j * (unit[j, k] - unit[k, j])]).astype(complex)
+    return np.eye(d * d, dtype=complex).reshape(d * d, d, d)  # [x d + y] is E_xy
 
 
 def step(stack):
     """One party step on effective matrices M (lowest eigenpair of each):
     their coordinates ``v_a = sum M[x, y] B_a[x, y]``, then the optimizer's step."""
     d = stack.shape[-1]
-    v = np.einsum("nxy,axy->na", stack, hermitian_basis(d)).real
+    v = np.einsum("nxy,axy->na", stack, coordinate_basis(d))
     if d != 2:
         return _eigh_step(v, d)
-    vals, q = _bloch_step(v)
-    proj = np.einsum("na,axy->nxy", q, hermitian_basis(2))  # conj(u) u^T
+    vals, q = _bloch_step(v.real)
+    proj = np.einsum("na,axy->nxy", q, coordinate_basis(2))  # conj(u) u^T
     return vals, _bloch_ket(q), proj
 
 
@@ -208,7 +205,7 @@ def test_qubit_eigenpairs_of_scalar_and_diagonal_matrices(scale):
 
 
 @PROPS
-@given(DIMS, SEEDS, SEEDS)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 4), (4, 4), (2, 2, 2)]), SEEDS, SEEDS)
 def test_coordinates_reproduce_the_expectation(dims, seed, chi_seed):
     obs = observable(seed, dims)
     rng = np.random.default_rng(chi_seed)
@@ -219,6 +216,13 @@ def test_coordinates_reproduce_the_expectation(dims, seed, chi_seed):
     chi = reduce(np.kron, kets)
     exact = np.real(np.conj(chi) @ obs @ chi)
     assert abs(t - exact) <= 1e-12 * np.linalg.norm(obs)
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 2, 2), (3,), (2, 3), (3, 3), (4, 4), (2, 2, 3)])
+def test_observable_coordinates_are_real_only_for_qubits(dims):
+    coords = _observable_coordinates(observable(0, dims)[None], dims)
+    assert coords.shape == (1, *(d * d for d in dims))
+    assert np.iscomplexobj(coords) == any(d != 2 for d in dims)
 
 
 @PROPS

@@ -421,6 +421,22 @@ def test_default_family_has_no_repeated_member(dims):
             assert t <= 0 or gap > 1e-12 * np.linalg.norm(a.operator), (a.label, b.label)
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3)])
+def test_default_family_is_built_once_with_read_only_members(dims):
+    first, second = default_witness_family(dims), default_witness_family(list(dims))
+    assert first is not second and first == second
+    for a, b in zip(first, second):
+        assert a.label == b.label and np.array_equal(a.operator, b.operator)
+    for w in first:
+        with pytest.raises(ValueError, match="read-only"):
+            w.operator[0, 0] = 7.0
+        if w.shifted is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                w.shifted[1][0, 0] = 7.0
+    first.clear()
+    assert default_witness_family(dims) == second
+
+
 def test_default_family_contains_benchmark_for_qubits():
     labels = [w.label for w in default_witness_family((2, 2))]
     assert "swap" in labels
