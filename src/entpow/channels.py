@@ -232,8 +232,8 @@ class RandomUnitaryChannel(KrausChannel):
             raise DimensionError(
                 f"{len(unitaries)} unitaries but {probs.shape[0]} probabilities"
             )
-        if np.any(probs < -1e-12):
-            raise DimensionError(f"negative probability in {probs.tolist()}")
+        if not np.isfinite(probs).all() or np.any(probs < -1e-12):
+            raise DimensionError(f"negative or non-finite probability in {probs.tolist()}")
         if abs(probs.sum() - 1.0) > 1e-10:
             raise DimensionError(f"probabilities sum to {probs.sum()}, not 1")
         dims = DimList.of(dims)

@@ -37,7 +37,7 @@ from .serialize import (
     state_from_json,
 )
 from .states import DensityMatrix, PureState, is_ppt, pure_from_density, schmidt_rank
-from .witnesses import OptimizerConfig
+from .witnesses import DEFAULT_CONFIG, OptimizerConfig
 
 _KINK_NOTE = (
     "note: the zero contour follows q = 1/2 and 3p + 4q = 3, meeting at "
@@ -175,30 +175,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"entpow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    search = argparse.ArgumentParser(add_help=False)  # the OptimizerConfig of every subcommand
+    search.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
+    search.add_argument("--restarts", type=int, default=DEFAULT_CONFIG.restarts)
 
-    p_classify = sub.add_parser(
-        "classify", help="certify a channel spec as SNE / entangling / inconclusive"
-    )
+    p_classify = sub.add_parser("classify", parents=[search],
+                                help="certify a channel spec as SNE / entangling / inconclusive")
     p_classify.add_argument("spec", help="path to a channel spec JSON file")
-    p_classify.add_argument("--seed", type=int, default=0)
-    p_classify.add_argument("--restarts", type=int, default=64)
     p_classify.set_defaults(func=cmd_classify)
 
     scenarios = sorted(SCENARIO_ALIASES) + sorted(SCENARIO_ALIASES.values())
-    p_scan = sub.add_parser("scan", help="two-parameter witness-minimum scan to CSV")
+    p_scan = sub.add_parser("scan", parents=[search],
+                            help="two-parameter witness-minimum scan to CSV")
     p_scan.add_argument("--scenario", required=True, choices=scenarios)
     p_scan.add_argument("--step", type=float, default=0.01)
     p_scan.add_argument(
         "--engine", choices=("closed_form", "optimizer"), default="closed_form"
     )
     p_scan.add_argument("--out", required=True, help="output CSV path")
-    p_scan.add_argument("--seed", type=int, default=0)
-    p_scan.add_argument("--restarts", type=int, default=64)
     p_scan.set_defaults(func=cmd_scan)
 
-    p_schmidt = sub.add_parser(
-        "schmidt", help="Schmidt rank / channel Schmidt measures for a spec"
-    )
+    p_schmidt = sub.add_parser("schmidt", parents=[search],
+                               help="Schmidt rank / channel Schmidt measures for a spec")
     p_schmidt.add_argument("spec", help="path to a state or channel spec JSON file")
     p_schmidt.add_argument(
         "--cut",
@@ -206,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated 0-based party indices of one block "
         "(for channels: indices into reference+output parties of the Choi state)",
     )
-    p_schmidt.add_argument("--seed", type=int, default=0)
-    p_schmidt.add_argument("--restarts", type=int, default=64)
     p_schmidt.set_defaults(func=cmd_schmidt)
     return parser
 

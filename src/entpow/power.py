@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import KrausChannel, MeasurementChannel
+from .channels import KrausChannel
 from .errors import DimensionError, NotAWitnessError
 from .states import ProductStateParam, PureState, schmidt_rank
 from .tensor import RANK_RTOL, DimList, as_matrix, numerical_rank, swap_matrix
@@ -43,7 +43,7 @@ from .witnesses import (
     Witness,
     default_witness_family,
     is_witness,
-    min_over_products_many,
+    product_minima,
 )
 
 FORM_TENSOR = "tensor_product"
@@ -358,7 +358,7 @@ def _product_decomposition(ch: KrausChannel, seed: int) -> tuple[np.ndarray, ...
     alone would pass an entangling admixture of weight 1e-12). So the search
     can miss a decomposition but never invent one. Out of reach: lists mixing
     the two forms, rank-1 product forms, lists of more than r operators; for
-    ``r > min(d1^2, d2^2)`` this returns None at once.
+    ``r > min(d1^2, d2^2)`` this returns None before the singular vectors.
     """
     d1, d2 = ch.dims.dims
     n = d1 * d2
@@ -367,8 +367,6 @@ def _product_decomposition(ch: KrausChannel, seed: int) -> tuple[np.ndarray, ...
         return None  # decided without the singular vectors
     _, s, vh = np.linalg.svd(flat, full_matrices=False)
     r = numerical_rank(s)
-    if r > min(d1 * d1, d2 * d2):
-        return None
     s, vh = s[:r], vh[:r]
     basis = (s[:, None] * vh).reshape(r, n, n)
     rng = np.random.default_rng((seed, 23))
@@ -441,35 +439,16 @@ def _witness_violations(
     ch: KrausChannel, witnesses: list[Witness], config: OptimizerConfig | None
 ) -> list[Violation]:
     """The violations of `witnesses` by the full channel, minimized in one batch."""
-    duals = [ch.dual_apply(w.operator) for w in witnesses]
+    found = product_minima(np.array([ch.dual_apply(w.operator) for w in witnesses]),
+                           ch.dims, config)
     return [
-        Violation(kind="witness", witness=w, input=res.argument, value=res.value)
-        for w, res in zip(witnesses, min_over_products_many(duals, ch.dims, config))
-        if res.value <= -TOL_WITNESS
+        Violation("witness", w, ProductStateParam.of_unit_vectors(factors), value)
+        for w, value, factors in zip(witnesses, found.values.tolist(), zip(*found.kets))
+        if value <= -TOL_WITNESS
     ]
 
 
-def _entangling_evidence(
-    ch: KrausChannel, structures, config: OptimizerConfig, witnesses: list[Witness] | None
-) -> list[Violation]:
-    """Replayable evidence that `ch` entangles: the violations of `witnesses`
-    (the default family when None), then a stochastic violation for each
-    stored operator whose structure in `structures` carries an entangled image."""
-    family = default_witness_family(ch.dims) if witnesses is None else witnesses
-    violations = _witness_violations(ch, family, config)
-    for i, s in enumerate(structures):
-        if s.witness_violation is not None:
-            v = _stochastic_violation(i, ch.dims, s.witness_violation)
-            if v is not None:
-                violations.append(v)
-    return violations
-
-
-def certify_kraus_channel(
-    ch: KrausChannel,
-    config: OptimizerConfig | None = None,
-    witnesses: list[Witness] | None = None,
-) -> Certificate:
+def certify_kraus_channel(ch: KrausChannel, config: OptimizerConfig | None = None) -> Certificate:
     """Three-way certificate: SNE / entangling / inconclusive.
 
     SNE requires every Kraus operator of the stored list, or of the list
@@ -480,8 +459,8 @@ def certify_kraus_channel(
     product input whose conditional output reaches the operator's
     `channel_schmidt_rank`. Probe evidence speaks only about the stored
     decomposition, so the stored list's `unknown` operators are probed only
-    after the decomposition search fails, both before the witnesses, which
-    no SNE channel violates.
+    after the decomposition search fails, both before the witnesses of
+    `default_witness_family`, which no SNE channel violates.
     """
     config = config or DEFAULT_CONFIG
     ch.dims.require_bipartite()
@@ -503,7 +482,12 @@ def certify_kraus_channel(
             note="a product-preserving remixing of the Kraus list reproduces the Choi matrix",
         )
     structures = tuple(_probe_unknown(structures, stored, ch.dims, config))
-    violations = _entangling_evidence(ch, structures, config, witnesses)
+    violations = _witness_violations(ch, default_witness_family(ch.dims), config)
+    for i, s in enumerate(structures):
+        if s.witness_violation is not None:
+            v = _stochastic_violation(i, ch.dims, s.witness_violation)
+            if v is not None:
+                violations.append(v)
     if violations:
         note = "" if violations[0].kind == "witness" else (
             "evidence is stochastic: a stored Kraus operator entangles a "
@@ -522,15 +506,8 @@ def certify_kraus_channel(
 
 
 def _replacement_target(ch: KrausChannel):
-    """The fixed output of a constant channel rho -> Tr(E rho) |phi><phi|, if any."""
-    if isinstance(ch, MeasurementChannel) and len(ch.effects) == 1:
-        out = ch.outputs[0]
-        if abs(out.purity() - out.trace**2) < 1e-9:
-            from .states import pure_from_density
-
-            return pure_from_density(out)
-        return None
-    # structural fallback: every operator rank one with a common column space
+    """The fixed output of a constant channel rho -> Tr(E rho) |phi><phi|, if any:
+    every Kraus operator has rank one, and all share one column, phi."""
     ref = None
     for m in ch.kraus:
         u, s, _ = np.linalg.svd(m)

@@ -35,6 +35,8 @@ def _from_pairs(pairs, shape, field: str) -> np.ndarray:
         raise SpecError(field, "entries must be [re, im] pairs") from None
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise SpecError(field, f"entries must be [re, im] pairs, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise SpecError(field, "entries must be finite")
     expected = int(np.prod(shape))
     if arr.shape[0] != expected:
         raise SpecError(field, f"expected {expected} entries, got {arr.shape[0]}")
@@ -47,12 +49,23 @@ def _get(obj: dict, key: str, field: str) -> Any:
     return obj[key]
 
 
+def _integer(value, field: str) -> int:
+    """A JSON number of integer value: 2 or 2.0, not "2" or 2.7."""
+    if isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise SpecError(field, f"expected an integer, got {value!r}")
+
+
 def _dims_of(obj: dict, field: str) -> DimList:
+    label = f"{field}.dims" if field else "dims"
     raw = _get(obj, "dims", field)
+    if not isinstance(raw, list):
+        raise SpecError(label, f"expected a list of integers, got {raw!r}")
+    dims = tuple(_integer(d, label) for d in raw)
     try:
-        return DimList.of(tuple(int(d) for d in raw))
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{field}.dims" if field else "dims", str(exc)) from None
+        return DimList.of(dims)
+    except ValueError as exc:
+        raise SpecError(label, str(exc)) from None
 
 
 def _square(obj, dims: DimList, key: str, field: str) -> np.ndarray:
@@ -100,7 +113,7 @@ def state_from_json(obj: dict, field: str = "state") -> PureState | DensityMatri
             return DensityMatrix(_square(obj, dims, "entries", field), dims)
     except SpecError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SpecError(field, str(exc)) from None
     raise SpecError(f"{field}.kind", f"unknown state kind {kind!r}")
 
@@ -194,8 +207,8 @@ def channel_from_json(obj: dict, field: str = "channel") -> ch_mod.KrausChannel:
             ]
             return ch_mod.random_unitary_channel(unitaries, probs, dims)
         if kind == "example1":
-            k = int(_get(obj, "k", field))
-            d = int(_get(obj, "d", field))
+            k = _integer(_get(obj, "k", field), f"{field}.k")
+            d = _integer(_get(obj, "d", field), f"{field}.d")
             coeffs = _get(obj, "coefficients", field)
             return ch_mod.rank_boost_channel(k, d, coeffs)
         if kind == "mixing":
@@ -206,7 +219,7 @@ def channel_from_json(obj: dict, field: str = "channel") -> ch_mod.KrausChannel:
             return ch_mod.mixing_channel(p, sigma)
     except SpecError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SpecError(field, str(exc)) from None
     raise SpecError(f"{field}.kind", f"unknown channel kind {kind!r}")
 
@@ -262,7 +275,7 @@ def witness_from_json(obj: dict, field: str = "witness") -> Witness:
             return ppt_witness_from_pure(PureState(amps, dims))
     except SpecError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SpecError(field, str(exc)) from None
     raise SpecError(f"{field}.kind", f"unknown witness kind {kind!r}")
 

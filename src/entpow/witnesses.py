@@ -1,6 +1,6 @@
 """Entanglement witnesses and optimization over the product-state manifold.
 
-The central primitive is `min_over_products`: minimize ``<chi|O|chi>`` over
+The central primitive is `product_minima`: minimize ``<chi|O|chi>`` over
 normalized product vectors ``|chi> = |chi_1> (x) ... (x) |chi_n>``. Because
 separable states are convex mixtures of such vectors, the minimum over
 product states equals the minimum over all separable states, which is what
@@ -10,8 +10,9 @@ The optimizer is multi-start coordinate descent: with all parties but one
 frozen, the objective is a Hermitian quadratic form in the free party, whose
 exact minimizer is an extremal eigenvector. Sweeps are monotone, so each
 restart converges; restarts guard against local minima.
-`min_over_products_many` minimizes a whole stack of observables at once:
-every (observable, restart) pair is one row. Each party's projector
+`product_minima` minimizes a whole stack of observables at once, and
+`min_over_products` is its one-row view: every (observable, restart) pair
+is one row. Each party's projector
 ``conj(u) u^T`` and each observable are expanded per party in a basis: Pauli
 for a qubit, with real coordinates, and otherwise the matrix units ``E_xy``,
 whose coordinates are the matrix entries themselves. So every observable
@@ -26,8 +27,7 @@ for each observable's best row. A row that converges frees its slot for the
 next waiting row (the refill), so no sweep waits on the slowest restart; a
 slot keeps its row's coordinate tensors until then. No step mixes rows, so a
 value does not depend on the batch it ran in; tolerances are relative to the
-observable's size. `product_minima` takes and returns arrays;
-`min_over_products_many` wraps its entries as `OptimizationResult` objects.
+observable's size.
 
 Before any descent, each bipartite observable of the form
 ``c I - |psi><psi|`` or ``c I + |psi><psi|`` is solved exactly
@@ -421,40 +421,21 @@ def product_minima(stack, dims, config: OptimizerConfig | None = None) -> Produc
     return ProductMinima(values, kets, used, converged, spread)
 
 
-def min_over_products_many(
-    observables, dims, config: OptimizerConfig | None = None
-) -> list[OptimizationResult]:
-    """`min_over_products` for each observable, in order, in one batch: the
-    results of `product_minima` on their stack. Each result is bitwise the
-    one `min_over_products` gives for that observable alone."""
-    dims = DimList.of(dims)
-    mats = [as_matrix(obs) for obs in observables]
-    if not mats:
-        return []
-    for m in {m.shape: m for m in mats}.values():  # one check per distinct shape
-        dims.check_matrix(m)
-    found = product_minima(np.array(mats), dims, config)
-    # the kets were checked as a batch, so each ProductStateParam need not be
-    return [
-        OptimizationResult(value, ProductStateParam.of_unit_vectors(factors), used, converged, spread)
-        for value, factors, used, converged, spread in zip(
-            found.values.tolist(), zip(*found.kets), found.restarts_used.tolist(),
-            found.converged.tolist(), found.spread.tolist())
-    ]
-
-
 def min_over_products(obs, dims, config: OptimizerConfig | None = None) -> OptimizationResult:
     """Approximate min of <chi|obs|chi> over normalized product vectors.
 
-    Deterministic for a fixed config; the reported value is attained by
-    `argument`, hence an upper bound on the true minimum.
+    The one-row view of `product_minima`, deterministic for a fixed config;
+    the value is attained by `argument`, hence an upper bound on the true minimum.
     """
-    return min_over_products_many([obs], dims, config)[0]
+    found = product_minima(as_matrix(obs)[None], dims, config)
+    argument = ProductStateParam.of_unit_vectors(tuple(k[0] for k in found.kets))
+    return OptimizationResult(found.values[0].item(), argument, found.restarts_used[0].item(),
+                              found.converged[0].item(), found.spread[0].item())
 
 
 def max_over_products(obs, dims, config: OptimizerConfig | None = None) -> OptimizationResult:
     """Approximate max of <chi|obs|chi> over normalized product vectors."""
-    res = min_over_products_many([-as_matrix(obs)], dims, config)[0]
+    res = min_over_products(-as_matrix(obs), dims, config)
     return replace(res, value=-res.value)
 
 

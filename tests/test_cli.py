@@ -7,12 +7,19 @@ import numpy as np
 import pytest
 
 from entpow import __version__, power
-from entpow.channels import rank_boost_channel, swap_channel, unitary_channel
+from entpow.channels import (
+    identity_channel,
+    random_unitary_channel,
+    rank_boost_channel,
+    replacement_channel,
+    swap_channel,
+    unitary_channel,
+)
 from entpow.cli import build_parser, main
 from entpow.power import certify_kraus_channel
 from entpow.serialize import certificate_to_json, channel_from_json, channel_to_json, state_to_json
 from entpow.states import DensityMatrix, max_entangled
-from entpow.witnesses import OptimizerConfig
+from entpow.witnesses import DEFAULT_CONFIG, OptimizerConfig
 
 CNOT = np.eye(4)[[0, 1, 3, 2]]
 
@@ -76,6 +83,53 @@ def test_classify_bad_spec_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "spec error" in err
     assert "kraus[0]" in err
+
+
+def edited(ch, **fields):
+    """`channel_to_json(ch)` with `fields` replaced."""
+    return {**channel_to_json(ch), **fields}
+
+
+def with_entry(ch, value):
+    """`channel_to_json(ch)` with the first entry of its first Kraus operator set to `value`."""
+    spec = channel_to_json(ch)
+    spec["kraus"][0][0] = value
+    return spec
+
+
+IDENTITY = identity_channel((2, 2))
+CX_MIX = random_unitary_channel([np.eye(4), CNOT], [0.5, 0.5], (2, 2))
+MALFORMED = {
+    "effects_not_a_list": ("channel", edited(replacement_channel(max_entangled(2, 2)), effects=5)),
+    "probabilities_dict": ("channel", edited(CX_MIX, probabilities={"a": 1})),
+    "probabilities_nan": ("channel", edited(CX_MIX, probabilities=[float("nan"), 1.0])),
+    "k_list": ("channel.k", edited(rank_boost_channel(2, 2, [0.8, 0.6]), k=[2])),
+    "entry_nan": ("channel.kraus[0]", with_entry(IDENTITY, [float("nan"), 0.0])),
+    "entry_inf": ("channel.kraus[0]", with_entry(IDENTITY, [float("inf"), 0.0])),
+    "dims_string": ("channel.dims", edited(IDENTITY, dims="22")),
+    "dims_strings": ("channel.dims", edited(IDENTITY, dims=["2", "2"])),
+    "dims_fraction": ("channel.dims", edited(IDENTITY, dims=[2.7, 2])),
+    "dims_inf": ("channel.dims", edited(IDENTITY, dims=[float("inf"), 2])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_spec_exits_2_naming_its_field(tmp_path, capsys, case):
+    field, spec = MALFORMED[case]
+    assert main(["classify", write_spec(tmp_path, "bad.json", spec)]) == 2
+    assert f"spec error [{field}]:" in capsys.readouterr().err
+
+
+def test_integral_float_dims_still_parse(tmp_path, capsys):
+    assert main(["classify", write_spec(tmp_path, "id.json", edited(IDENTITY, dims=[2.0, 2]))]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "stochastically_nonentangling"
+
+
+@pytest.mark.parametrize("argv", [["classify", "ch.json"], ["schmidt", "ch.json"],
+                                  ["scan", "--scenario", "fig3", "--out", "out.csv"]])
+def test_search_flags_default_to_the_default_config(argv):
+    args = build_parser().parse_args(argv)
+    assert OptimizerConfig(restarts=args.restarts, seed=args.seed) == DEFAULT_CONFIG
 
 
 def test_classify_missing_file_exits_2(tmp_path, capsys):

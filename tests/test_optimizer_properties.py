@@ -20,7 +20,6 @@ from entpow.witnesses import (
     _observable_coordinates,
     _starts,
     min_over_products,
-    min_over_products_many,
     product_minima,
 )
 
@@ -59,13 +58,21 @@ def local_unitary(seed, dims):
     return kron_all(us)
 
 
+def row(found, i):
+    """Entry i of a `product_minima` result: value, kets, restarts, converged, spread."""
+    return (found.values[i], [k[i] for k in found.kets], found.restarts_used[i],
+            found.converged[i], found.spread[i])
+
+
 def same(a, b):
-    return (
-        a.value == b.value
-        and a.converged == b.converged
-        and a.spread == b.spread
-        and all(np.array_equal(x, y) for x, y in zip(a.argument.factors, b.argument.factors))
-    )
+    """Bitwise equal `row` entries."""
+    return a[0] == b[0] and all(np.array_equal(x, y) for x, y in zip(a[1], b[1])) and a[2:] == b[2:]
+
+
+def alone(obs, dims, config=CFG):
+    """`min_over_products` of one observable, as a `row` entry."""
+    res = min_over_products(obs, dims, config)
+    return res.value, res.argument.factors, res.restarts_used, res.converged, res.spread
 
 
 @PROPS
@@ -73,19 +80,20 @@ def same(a, b):
 def test_batch_matches_each_observable_alone(dims, seeds):
     obs = [observable(s, dims) for s in seeds] + [shifted_pure(seeds[0], dims, sign)[0]
                                                   for sign in (-1.0, 1.0)]
-    batched = min_over_products_many(obs, dims, CFG)
-    assert len(batched) == len(obs)
-    for o, res in zip(obs, batched):
-        assert same(res, min_over_products(o, dims, CFG))
+    batched = product_minima(np.array(obs), dims, CFG)
+    assert len(batched.values) == len(obs)
+    for i, o in enumerate(obs):
+        assert same(row(batched, i), alone(o, dims))
 
 
 @PROPS
 @given(DIMS, st.lists(SEEDS, min_size=2, max_size=4))
 def test_reversed_input_reverses_results(dims, seeds):
-    obs = [observable(s, dims) for s in seeds]
-    forward = min_over_products_many(obs, dims, CFG)
-    backward = min_over_products_many(obs[::-1], dims, CFG)
-    assert all(same(a, b) for a, b in zip(forward, backward[::-1]))
+    obs = np.array([observable(s, dims) for s in seeds])
+    forward = product_minima(obs, dims, CFG)
+    backward = product_minima(obs[::-1], dims, CFG)
+    n = len(obs)
+    assert all(same(row(forward, i), row(backward, n - 1 - i)) for i in range(n))
 
 
 @PROPS
@@ -104,8 +112,8 @@ def test_local_unitary_conjugation_keeps_the_minimum(dims, seed, u_seed):
     u = local_unitary(u_seed, dims)
     rotated = u @ obs @ dagger(u)
     rotated = (rotated + dagger(rotated)) / 2
-    a, b = min_over_products_many([obs, rotated], dims, CFG)
-    assert abs(a.value - b.value) < 1e-8
+    a, b = product_minima(np.array([obs, rotated]), dims, CFG).values
+    assert abs(a - b) < 1e-8
 
 
 def starts_one_party_at_a_time(d, config):
@@ -235,13 +243,13 @@ def test_observable_coordinates_are_real_only_for_qubits(dims):
 def test_refilled_rows_match_each_observable_alone(dims, seeds, block, max_sweeps):
     obs = [observable(s, dims) for s in seeds]
     with patch.object(witnesses, "MAX_SWEEPS", max_sweeps):
-        alone = [min_over_products(o, dims, CFG) for o in obs]
+        each = [alone(o, dims) for o in obs]
         with patch.object(witnesses, "BLOCK_ROWS", block):
-            refilled = min_over_products_many(obs, dims, CFG)
-    for a, b in zip(alone, refilled):
-        assert same(a, b) and a.restarts_used == b.restarts_used == CFG.restarts
+            refilled = product_minima(np.array(obs), dims, CFG)
+    for i, a in enumerate(each):
+        assert same(a, row(refilled, i)) and a[2] == CFG.restarts
     if max_sweeps == 1:
-        assert not any(r.converged for r in refilled)
+        assert not refilled.converged.any()
 
 
 def eigh_descent(obs, dims, config):
@@ -280,13 +288,13 @@ def test_non_hermitian_observable_in_a_stack_raises():
     skew = np.zeros((4, 4), dtype=complex)
     skew[0, 1] = 1e-3
     for scale in (1.0, 1e-9):
-        stack = obs[:4] + [scale * (obs[4] + skew)]
+        stack = np.array(obs[:4] + [scale * (obs[4] + skew)])
         with pytest.raises(DimensionError, match="must be Hermitian"):
-            min_over_products_many(stack, dims, CFG)
-    with pytest.raises(DimensionError, match="does not match dims"):
-        min_over_products_many(obs[:4] + [np.eye(3)], dims, CFG)
+            product_minima(stack, dims, CFG)
     with pytest.raises(DimensionError, match="does not match dims"):
         product_minima(np.array(obs)[:, :3, :3], dims, CFG)
+    with pytest.raises(DimensionError, match="does not match dims"):
+        min_over_products(np.eye(3), dims, CFG)
 
 
 BIPARTITE = st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)])

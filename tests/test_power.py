@@ -162,6 +162,19 @@ def test_bounds_replacement_exact():
         assert "replacement" in b.method
 
 
+def test_replacement_is_read_from_a_pure_output_only():
+    # the fixed output comes from the Kraus list: a second eigenvalue of 1e-11
+    # makes it mixed, and its dominant eigenvector Phi_3 no longer stands in for it
+    phi = max_entangled(3, 3)
+    pure = channel_schmidt_number_bounds(replacement_channel(phi))
+    assert (pure.lower, pure.upper) == (3, 3) and "replacement" in pure.method
+    e01 = np.eye(9)[1]
+    rho = (1 - 1e-11) * phi.projector() + 1e-11 * np.outer(e01, e01)
+    mixed = channel_schmidt_number_bounds(replacement_channel(DensityMatrix(rho, (3, 3))))
+    assert "replacement" not in mixed.method
+    assert mixed.lower <= 3 <= mixed.upper
+
+
 def test_bounds_entangling_unitary():
     b = channel_schmidt_number_bounds(unitary_channel(CNOT, (2, 2)))
     assert b.lower == 2

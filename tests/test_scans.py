@@ -81,11 +81,11 @@ def test_optimizer_scan_values_do_not_depend_on_the_batch(monkeypatch):
     scan = run_scan("measurement", step=0.25, engine="optimizer", optimizer=cfg)
     p, q, _ = np.array(scan.rows).T
     duals = scans._duals(scenario, p, q)
-    batched = witnesses.min_over_products_many(duals, scenario.dims, cfg)
-    for (_, _, v), dual, res in zip(scan.rows, duals, batched):
+    batched = witnesses.product_minima(duals, scenario.dims, cfg)
+    for (_, _, v), dual, value, conv in zip(scan.rows, duals, batched.values, batched.converged):
         alone = witnesses.min_over_products(dual, scenario.dims, cfg)
-        assert (v, res.value, res.converged) == (alone.value, alone.value, alone.converged)
-    assert scan.all_converged == all(r.converged for r in batched)
+        assert (v, value, conv) == (alone.value, alone.value, alone.converged)
+    assert scan.all_converged == batched.converged.all()
     again = run_scan("measurement", step=0.25, engine="optimizer", optimizer=cfg)
     assert format_csv(again) == format_csv(scan)
 
@@ -96,9 +96,9 @@ def test_measurement_duals_are_solved_exactly():
     scenario = get_scenario("measurement")
     scan = run_scan("measurement", step=0.05, engine="optimizer", optimizer=cfg)
     p, q, values = np.array(scan.rows).T
-    results = witnesses.min_over_products_many(scans._duals(scenario, p, q), scenario.dims, cfg)
-    assert len(results) == 441 and all(r.restarts_used == 0 for r in results)
-    assert values.tobytes() == np.array([r.value for r in results]).tobytes()  # bitwise
+    results = witnesses.product_minima(scans._duals(scenario, p, q), scenario.dims, cfg)
+    assert len(results.values) == 441 and not results.restarts_used.any()
+    assert values.tobytes() == results.values.tobytes()  # bitwise
 
 
 def test_csv_format_and_determinism(tmp_path):
