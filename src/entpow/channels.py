@@ -228,6 +228,10 @@ class RandomUnitaryChannel(KrausChannel):
     def __init__(self, unitaries, probabilities, dims, label: str = "random_unitary"):
         unitaries = [as_matrix(u) for u in unitaries]
         probs = np.asarray(probabilities, dtype=float)
+        if probs.ndim != 1:
+            raise DimensionError(
+                f"probabilities must be a list of numbers, got shape {probs.shape}"
+            )
         if len(unitaries) != probs.shape[0]:
             raise DimensionError(
                 f"{len(unitaries)} unitaries but {probs.shape[0]} probabilities"
@@ -310,8 +314,8 @@ class RankBoostChannel(MeasurementChannel):
             raise DimensionError(
                 f"need exactly d={d} Schmidt coefficients, got shape {coeffs.shape}"
             )
-        if np.any(coeffs <= 0):
-            raise DimensionError("all Schmidt coefficients must be positive")
+        if not (np.isfinite(coeffs).all() and np.all(coeffs > 0)):
+            raise DimensionError("all Schmidt coefficients must be finite and positive")
         if np.any(np.diff(coeffs) > 1e-12):
             raise DimensionError("Schmidt coefficients must be non-increasing")
         if abs(float(np.sum(coeffs**2)) - 1.0) > 1e-9:

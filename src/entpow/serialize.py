@@ -56,6 +56,13 @@ def _integer(value, field: str) -> int:
     raise SpecError(field, f"expected an integer, got {value!r}")
 
 
+def _number(value, field: str) -> float:
+    """A JSON number: 0.3 or 1, not "0.3"."""
+    if isinstance(value, (int, float)):
+        return float(value)
+    raise SpecError(field, f"expected a number, got {value!r}")
+
+
 def _dims_of(obj: dict, field: str) -> DimList:
     label = f"{field}.dims" if field else "dims"
     raw = _get(obj, "dims", field)
@@ -212,7 +219,7 @@ def channel_from_json(obj: dict, field: str = "channel") -> ch_mod.KrausChannel:
             coeffs = _get(obj, "coefficients", field)
             return ch_mod.rank_boost_channel(k, d, coeffs)
         if kind == "mixing":
-            p = float(_get(obj, "p", field))
+            p = _number(_get(obj, "p", field), f"{field}.p")
             sigma = state_from_json(_get(obj, "sigma", field), f"{field}.sigma")
             if isinstance(sigma, PureState):
                 sigma = sigma.density()
@@ -254,7 +261,7 @@ def witness_from_json(obj: dict, field: str = "witness") -> Witness:
             return Witness(op, dims, label=str(obj.get("label", "")))
         if kind == "shifted":
             dims = _dims_of(obj, field)
-            lam = float(_get(obj, "lambda", field))
+            lam = _number(_get(obj, "lambda", field), f"{field}.lambda")
             test = _square(obj, dims, "test_op", field)
             return Witness.from_shift(lam, test, dims, label=str(obj.get("label", "")))
         if kind == "swap":

@@ -34,14 +34,14 @@ Before any descent, each bipartite observable of the form
 (`_shifted_pure_minima`). For the minus sign the product minimum is
 ``c - s_1(psi)^2``, attained at psi's top Schmidt pair (Eckart-Young); for the
 plus sign it is c, attained at a product vector orthogonal to psi. The form
-is read from the trace and the Frobenius norm, with no eigendecomposition,
-and is common: a shifted pure witness pulled back through a unitary or a
-mixing channel keeps it, and so do the two-qubit swap,
-``I - 2 |psi^-><psi^-|``, and the dual of any witness under a two-outcome
-measurement of a pure projector, ``b I + (a - b) |psi><psi|``. Only the other
-observables are descended: those of more than two parties, and spectra of
-another shape, such as a mixture of several projectors or the swap of two
-qutrits or larger.
+is read from the spectrum, one batched `eigh` per stack: all eigenvalues but
+the lowest (or but the highest) are equal, to `TOL_SHIFTED_PURE`. It is
+common: a shifted pure witness pulled back through a unitary or a mixing
+channel keeps it, and so do the two-qubit swap, ``I - 2 |psi^-><psi^-|``, and
+the dual of any witness under a two-outcome measurement of a pure projector,
+``b I + (a - b) |psi><psi|``. Only the other observables are descended:
+those of more than two parties, and spectra of another shape, such as a
+mixture of several projectors or the swap of two qutrits or larger.
 """
 
 from __future__ import annotations
@@ -58,14 +58,14 @@ from .errors import (
     IncomparableWitnessError,
     NotAWitnessError,
 )
-from .states import ProductStateParam, PureState, bell_states, schmidt_diagonal, schmidt_rank
+from .states import ProductStateParam, PureState, schmidt_diagonal, schmidt_rank
 from .tensor import DimList, as_matrix, dagger, is_hermitian, partial_transpose
 
 TOL_WITNESS = 1e-8  # minima above -TOL_WITNESS still count as a witness
 TOL_ZERO = 1e-6     # minima below +TOL_ZERO count as touching zero (optimality)
 TOL_SWEEP = 1e-12   # a restart converges once a sweep moves it by this, relative to ||O||_F
 MAX_SWEEPS = 500    # sweeps after which a restart stops unconverged
-TOL_SHIFTED_PURE = 1e-12  # eigenvalue error of the shifted-pure form, relative to ||O||_F
+TOL_SHIFTED_PURE = 1e-12  # eigenvalue spread of the shifted-pure form, relative to max|eigenvalue|
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,17 @@ class Witness:
         op = as_matrix(self.operator)
         dims = DimList.of(self.dims)
         dims.check_matrix(op)
-        if not is_hermitian(op, 1e-12):
-            raise DimensionError("witness operator must be Hermitian (to 1e-12)")
+        tol = 1e-12 * np.abs(op).max()
+        if not is_hermitian(op, tol):
+            raise DimensionError("witness operator must be Hermitian (to 1e-12 of its largest"
+                                 " entry)")
         if self.shifted is not None:
             lam, test = self.shifted
             test = as_matrix(test)
-            if np.max(np.abs(op - (lam * np.eye(dims.total) - test))) > 1e-12:
+            if np.max(np.abs(op - (lam * np.eye(dims.total) - test))) > tol:
                 raise DimensionError("shifted form does not match operator")
-            if np.linalg.eigvalsh(test)[0] < -1e-10:
+            spectrum = np.linalg.eigvalsh(test)
+            if spectrum[0] < -1e-10 * np.abs(spectrum).max():
                 raise DimensionError("shifted test operator must be PSD")
             object.__setattr__(self, "shifted", (float(lam), test))
         object.__setattr__(self, "operator", op)
@@ -292,14 +295,6 @@ def _descend(tensors, dims, owner, tols, states):
     return values, converged
 
 
-def _rank_one(m: np.ndarray, p: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Per matrix M of the stack, whether ``||M^2 - p M||_F <= t (p + t s) s``
-    for t = `TOL_SHIFTED_PURE` and s the observable's Frobenius norm."""
-    count, big = m.shape[:2]
-    residual = _row_norms((m @ m - p[:, None, None] * m).reshape(count, big * big))
-    return residual <= TOL_SHIFTED_PURE * (p + TOL_SHIFTED_PURE * scale) * scale
-
-
 def _shifted_pure_minima(stack: np.ndarray, dims: tuple[int, int]):
     """The observables of the bipartite stack of the form ``c I - |psi><psi|``
     or ``c I + |psi><psi|``, as a mask, and for those a product vector
@@ -308,40 +303,19 @@ def _shifted_pure_minima(stack: np.ndarray, dims: tuple[int, int]):
     ``c - s_1(psi)^2`` (Eckart-Young); for the plus sign, ``u_1 (x) v_2``,
     which is orthogonal to psi, value c.
 
-    The form is read from moments, with no eigendecomposition. For D = d1 d2
-    it has ``p = ||psi||^2 = sqrt((||O||_F^2 - tr(O)^2 / D) / (1 - 1/D))``.
-    For the minus sign ``c = (tr O + p) / D`` and ``M = c I - O``; for the
-    plus sign, tried where the minus sign fails, ``c = (tr O - p) / D`` and
-    ``M = O - c I``. Either way M is then ``|psi><psi|``, so ``M^2 = p M``.
-    With t = `TOL_SHIFTED_PURE`, O is taken when
-    ``||M^2 - p M||_F <= t (p + t ||O||_F) ||O||_F``. Every eigenvalue of M is
-    then within ``2 t ||O||_F`` of 0 or of p, and since ``tr M = p``, only one
-    is near p unless p itself is below ``2 D t ||O||_F`` (O is then that close
-    to c I), so the value is within a few ``D t ||O||_F`` of the minimum, and
-    attained. psi is M's column of largest diagonal entry over that entry's
-    root. Each O is first divided by its largest entry, so no square under-
-    or overflows at any scale.
+    The form is read from the ascending eigenvalues w, with t = `TOL_SHIFTED_PURE`:
+    the minus sign holds when ``w[-1] - w[1] <= t max|w|`` (psi the eigenvector
+    of w[0]), else the plus sign when ``w[-2] - w[0] <= t max|w|`` (of w[-1]).
     """
-    count, big = stack.shape[:2]
-    peak = np.abs(stack).max(axis=(1, 2))
-    o = stack / np.where(peak > 0.0, peak, 1.0)[:, None, None]
-    scale = _row_norms(o.reshape(count, big * big))
-    trace = np.trace(o, axis1=1, axis2=2).real
-    p = np.sqrt(np.maximum(scale**2 - trace**2 / big, 0.0) / (1.0 - 1.0 / big))
-    m = -o
-    m[:, range(big), range(big)] += ((trace + p) / big)[:, None]
-    minus = _rank_one(m, p, scale)
-    other, plus = ~minus, np.zeros(count, dtype=bool)
-    m[other] = o[other] - ((trace - p) / big)[other, None, None] * np.eye(big)
-    plus[other] = _rank_one(m[other], p[other], scale[other])
+    w, vecs = np.linalg.eigh(stack)
+    tol = TOL_SHIFTED_PURE * np.abs(w).max(axis=1)
+    minus = w[:, -1] - w[:, 1] <= tol
+    plus = ~minus & (w[:, -2] - w[:, 0] <= tol)
     exact = minus | plus
-    m = m[exact]
-    diag = np.diagonal(m, axis1=1, axis2=2).real
-    col = np.argmax(diag, axis=1)
-    root = np.sqrt(np.maximum(diag[range(len(m)), col], 0.0))
-    psi = m[range(len(m)), :, col] / np.where(root > 0.0, root, 1.0)[:, None]
-    u, _, vh = np.linalg.svd(psi.reshape(len(m), *dims))
-    return exact, (u[:, :, 0], vh[range(len(m)), plus[exact].astype(int), :])
+    count = int(exact.sum())
+    psi = vecs[exact][range(count), :, np.where(plus[exact], -1, 0)]
+    u, _, vh = np.linalg.svd(psi.reshape(count, *dims))
+    return exact, (u[:, :, 0], vh[range(count), plus[exact].astype(int), :])
 
 
 def _descent_minima(stack: np.ndarray, d: tuple[int, ...], config: OptimizerConfig):
@@ -384,15 +358,18 @@ def product_minima(stack, dims, config: OptimizerConfig | None = None) -> Produc
     solved exactly (`_shifted_pure_minima`): its value is ``<chi|O|chi>`` at
     the product vector found there, with no restarts (`restarts_used` 0,
     converged, spread 0). Every (observable, restart) pair of the others is
-    one row, and one `_descend` runs them all. The stack gets one shape check
-    and one Hermitian check (``max|O - O^dagger| <= 1e-8 max|O|`` per
-    observable). Each entry is bitwise the one the observable gets alone.
+    one row, and one `_descend` runs them all. The stack gets a shape check, a
+    check that every entry is finite and a Hermitian check
+    (``max|O - O^dagger| <= 1e-8 max|O|`` per observable). Each entry is
+    bitwise the one the observable gets alone.
     """
     dims = DimList.of(dims)
     config = config or DEFAULT_CONFIG
     stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3 or stack.shape[1:] != (dims.total, dims.total):
         raise DimensionError(f"observable stack shape {stack.shape} does not match dims {dims.dims}")
+    if not np.isfinite(stack).all():
+        raise DimensionError("observable entries must be finite")
     adjoint = np.conj(stack.transpose(0, 2, 1))
     if np.any(np.abs(stack - adjoint).max(axis=(1, 2)) > 1e-8 * np.abs(stack).max(axis=(1, 2))):
         raise DimensionError("observable must be Hermitian (to 1e-8 of its largest entry)")
@@ -671,13 +648,16 @@ def default_witness_family(dims) -> list[Witness]:
     """Reference witnesses used by channel certification.
 
     Contains (in order): the swap witness for equal local dimensions, the
-    fixed 4/5-shifted two-qubit benchmark, the lambda_min-shifted witnesses
-    for each maximally entangled rank, and, for unequal local dimensions, the
-    partial-transpose witness of the maximally entangled state. No member is
-    a positive multiple of another, since such a pair fires together: for
-    d1 = d2 that partial transpose is ``swap / d``, and for two qubits the
-    singlet's is ``shifted_rank2`` itself, so neither is included. The members
-    are built once per dims, with read-only operators; each call returns a new list.
+    lambda_min-shifted witnesses for each maximally entangled rank, and, for
+    unequal local dimensions, the partial-transpose witness of the maximally
+    entangled state. No member is a positive multiple of another, since such
+    a pair fires together: for d1 = d2 that partial transpose is ``swap / d``,
+    and for two qubits the singlet's is ``shifted_rank2`` itself, so neither
+    is included. No member is dominated by another either: the 4/5-shifted
+    two-qubit ``0.8 I - Phi+`` is ``shifted_rank2`` plus ``0.3 I``, whose dual
+    ``0.3 sum K^dagger K`` is PSD, so wherever it fires ``shifted_rank2`` fires
+    lower. The members are built once per dims, with read-only operators; each
+    call returns a new list.
     """
     dims = DimList.of(dims)
     dims.require_bipartite()
@@ -691,9 +671,6 @@ def _witness_family(dims: DimList) -> tuple[Witness, ...]:
     family: list[Witness] = []
     if d1 == d2:
         family.append(swap_witness(d1))
-    if (d1, d2) == (2, 2):
-        phi = bell_states().phi_plus.projector()
-        family.append(Witness.from_shift(0.8, phi, dims, label="benchmark_4/5"))
     for k in range(2, dmin + 1):
         amps = schmidt_diagonal(np.full(k, 1.0 / np.sqrt(k)), dims)
         proj = np.outer(amps, np.conj(amps))

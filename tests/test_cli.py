@@ -9,6 +9,7 @@ import pytest
 from entpow import __version__, power
 from entpow.channels import (
     identity_channel,
+    mixing_channel,
     random_unitary_channel,
     rank_boost_channel,
     replacement_channel,
@@ -47,8 +48,8 @@ def test_classify_cnot_reports_violation(tmp_path, capsys):
     assert blob["verdict"] == "entangling"
     witness_hits = [v for v in blob["violations"] if v["kind"] == "witness"]
     assert min(v["value"] for v in witness_hits) < -0.99  # swap witness on CNOT
-    bench = [v for v in witness_hits if v["witness"].get("label") == "benchmark_4/5"]
-    assert bench and abs(bench[0]["value"] - (-0.2)) < 1e-6
+    rank2 = [v for v in witness_hits if v["witness"].get("label") == "shifted_rank2"]
+    assert rank2 and abs(rank2[0]["value"] - (-0.5)) < 1e-6
 
 
 def certificate_of(spec, restarts=64, seed=0):
@@ -110,6 +111,13 @@ MALFORMED = {
     "dims_strings": ("channel.dims", edited(IDENTITY, dims=["2", "2"])),
     "dims_fraction": ("channel.dims", edited(IDENTITY, dims=[2.7, 2])),
     "dims_inf": ("channel.dims", edited(IDENTITY, dims=[float("inf"), 2])),
+    "probabilities_scalar": ("channel", edited(random_unitary_channel([CNOT], [1.0], (2, 2)),
+                                               probabilities=1.0)),
+    "probabilities_nested": ("channel", edited(random_unitary_channel([CNOT], [1.0], (2, 2)),
+                                               probabilities=[[1.0]])),
+    "coefficient_nan": ("channel", edited(rank_boost_channel(2, 2, [0.8, 0.6]),
+                                          coefficients=[0.8, float("nan")])),
+    "p_string": ("channel.p", edited(mixing_channel(0.3, max_entangled(2, 2).density()), p="0.3")),
 }
 
 
@@ -118,6 +126,13 @@ def test_malformed_spec_exits_2_naming_its_field(tmp_path, capsys, case):
     field, spec = MALFORMED[case]
     assert main(["classify", write_spec(tmp_path, "bad.json", spec)]) == 2
     assert f"spec error [{field}]:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, words", [("probabilities_nested", "must be a list of numbers"),
+                                         ("coefficient_nan", "must be finite")])
+def test_malformed_spec_error_says_what_is_wrong(tmp_path, capsys, case, words):
+    assert main(["classify", write_spec(tmp_path, "bad.json", MALFORMED[case][1])]) == 2
+    assert words in capsys.readouterr().err
 
 
 def test_integral_float_dims_still_parse(tmp_path, capsys):

@@ -316,3 +316,35 @@ def test_shifted_pure_minimum_is_exact(dims, seed):
             scaled = min_over_products(scale * obs, dims, CFG)
             assert scaled.restarts_used == 0
             assert abs(scaled.value - scale * res.value) <= 1e-12 * scale * size
+
+
+SCALES = np.array([1e-300, 1e-11, 1e3, 1e200])
+
+
+@PROPS
+@given(BIPARTITE, SEEDS)
+def test_perturbed_shifted_pure_observables_are_descended(dims, seed):
+    # a Hermitian perturbation of relative size 1e-9 leaves the exact path at every scale
+    noise = observable(seed + 1, dims)
+    for sign in (-1.0, 1.0):
+        obs, _ = shifted_pure(seed, dims, sign)
+        obs = obs + 1e-9 * np.linalg.norm(obs) / np.linalg.norm(noise) * noise
+        found = product_minima(SCALES[:, None, None] * obs, dims, CFG)
+        assert np.all(found.restarts_used == CFG.restarts)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4)])
+@pytest.mark.parametrize("c", [0.7, -0.7, 0.0])
+def test_scalar_observables_are_solved_exactly(dims, c):
+    d = int(np.prod(dims))
+    found = product_minima(SCALES[:, None, None] * (c * np.eye(d)), dims, CFG)
+    assert np.all(found.restarts_used == 0)
+    assert np.all(np.abs(found.values - c * SCALES) <= 1e-15 * np.abs(c * SCALES))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entry_in_a_stack_raises(bad):
+    stack = np.array([observable(s, (2, 2)) for s in range(3)])
+    stack[1, 0, 0] = bad
+    with pytest.raises(DimensionError, match="finite"):
+        product_minima(stack, (2, 2), CFG)

@@ -417,10 +417,10 @@ def test_certify_cnot_entangling_with_replayable_evidence():
     kinds = {v.kind for v in cert.violations}
     assert "witness" in kinds
     labels = {v.witness.label for v in cert.violations}
-    assert "benchmark_4/5" in labels
+    assert "shifted_rank2" in labels
     for v in cert.violations:
-        if v.witness.label == "benchmark_4/5":
-            assert abs(v.value + 0.2) < 1e-6
+        if v.witness.label == "shifted_rank2":
+            assert abs(v.value + 0.5) < 1e-6
     replayed = replay_violations(cert, ch)
     for v, r in zip(cert.violations, replayed):
         assert abs(v.value - r) < 1e-9

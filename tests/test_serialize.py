@@ -175,6 +175,11 @@ def test_spec_error_paths():
     # dims that are not positive integers
     with pytest.raises(SpecError):
         state_from_json({"kind": "pure", "dims": [2, -2], "amplitudes": [[1, 0]]})
+    # a number given as a string
+    shifted = witness_to_json(Witness.from_shift(0.8, max_entangled(2, 2).projector(), (2, 2)))
+    with pytest.raises(SpecError) as exc:
+        witness_from_json({**shifted, "lambda": "0.8"})
+    assert exc.value.field == "witness.lambda"
 
 
 def test_load_spec_errors(tmp_path):

@@ -151,6 +151,34 @@ def _unit_norm_herm(seed, d):
     return obs / np.linalg.norm(obs)
 
 
+def _local_unitary(seed):
+    rng = np.random.default_rng(seed)
+    us = []
+    for _ in range(2):
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        us.append(q * (np.diag(r) / np.abs(np.diag(r))))
+    return kron(*us)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e3, 1e4, 1e5, 1e6])
+def test_witness_checks_are_relative_to_the_operator(scale):
+    # rounding in a rotation leaves an asymmetry and a shifted-form mismatch
+    # proportional to the scale (1.5e-11 at 1e5 for the swap)
+    u = _local_unitary(3)
+    Witness(dagger(u) @ (scale * swap_matrix(2)) @ u, (2, 2))
+    phi = bell_states().phi_plus.projector()
+    test = dagger(u) @ (scale * phi) @ u
+    op = dagger(u) @ (scale * (0.5 * np.eye(4) - phi)) @ u
+    Witness(op, (2, 2), shifted=(0.5 * scale, test))
+
+
+def test_tiny_operator_with_a_relative_skew_part_is_refused():
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 1], skew[1, 0] = 1e-6, -1e-6
+    with pytest.raises(DimensionError, match="Hermitian"):
+        Witness(1e-9 * (swap_matrix(2) + skew), (2, 2))
+
+
 def test_tiny_observable_converges_to_the_scaled_minimum():
     # convergence is judged relative to ||obs||, so a tiny observable is not cut short
     obs = _unit_norm_herm(5, 9)
@@ -162,7 +190,7 @@ def test_tiny_observable_converges_to_the_scaled_minimum():
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-300])
 def test_far_scaled_observables_keep_their_minima(scale):
-    # the shifted-pure test must not pass a general observable whose squares underflow
+    # the shifted-pure test must not pass a general observable at a far scale
     obs = _unit_norm_herm(5, 9)
     psi = np.random.default_rng(5).normal(size=9)
     pure = 0.4 * np.eye(9) - np.outer(psi, psi) / (psi @ psi)
@@ -437,8 +465,5 @@ def test_default_family_is_built_once_with_read_only_members(dims):
     assert default_witness_family(dims) == second
 
 
-def test_default_family_contains_benchmark_for_qubits():
-    labels = [w.label for w in default_witness_family((2, 2))]
-    assert "swap" in labels
-    assert "benchmark_4/5" in labels
-    assert "shifted_rank2" in labels
+def test_default_family_for_qubits_is_swap_and_shifted_rank2():
+    assert [w.label for w in default_witness_family((2, 2))] == ["swap", "shifted_rank2"]
