@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import KrausChannel
-from .errors import DimensionError, NotAWitnessError
+from .errors import DimensionError
 from .states import ProductStateParam, PureState, schmidt_rank
 from .tensor import RANK_RTOL, DimList, as_matrix, numerical_rank, swap_matrix
 from .witnesses import (
@@ -42,7 +42,6 @@ from .witnesses import (
     OptimizerConfig,
     Witness,
     default_witness_family,
-    is_witness,
     product_minima,
 )
 
@@ -298,21 +297,6 @@ class Certificate:
     note: str = ""
 
 
-def replay_violations(cert: Certificate, ch: KrausChannel) -> list[float]:
-    """Recompute each stored violation value from its stored witness and input."""
-    out = []
-    for v in cert.violations:
-        chi = v.input.assemble().amplitudes
-        if v.kind == "witness":
-            dual = ch.dual_apply(v.witness.operator)
-            out.append(float(np.real(np.conj(chi) @ dual @ chi)))
-        else:
-            img = ch.kraus[v.kraus_index] @ chi
-            img = img / np.linalg.norm(img)
-            out.append(float(np.real(np.conj(img) @ v.witness.operator @ img)))
-    return out
-
-
 def _simple_tensor_basis(ops: np.ndarray, dims: DimList, rng) -> np.ndarray | None:
     """r unit-norm simple tensors ``A_j (x) B_j`` spanning the r independent
     `ops`, by Jennrich's simultaneous diagonalization; None on failure.
@@ -408,30 +392,6 @@ def _stochastic_violation(
     )
     return Violation(
         kind="stochastic", witness=w, input=probe.input, value=value, kraus_index=index
-    )
-
-
-def detect_entangling(
-    ch: KrausChannel, w: Witness, config: OptimizerConfig | None = None
-) -> Certificate:
-    """Witness test for entanglement generation by the full channel.
-
-    Minimizes the pulled-back witness over product inputs. A value at or
-    below -1e-8 certifies an entangling channel (with the violating input
-    stored); otherwise the result is inconclusive — one witness proving
-    nothing is expected, not exceptional.
-    """
-    check = is_witness(w, config)
-    if not check.is_witness:
-        raise NotAWitnessError(
-            f"operator is not a witness (separable minimum {check.result.value})"
-        )
-    violations = _witness_violations(ch, [w], config)
-    if violations:
-        return Certificate("entangling", violations=tuple(violations))
-    return Certificate(
-        "inconclusive",
-        note="no violation for this witness; this proves nothing about the channel",
     )
 
 

@@ -4,8 +4,7 @@ Conventions: complex entries are [re, im] pairs; matrices are flat row-major
 lists under "entries"; every object carries its "dims". Discriminators:
 states use kind "pure" | "mixed"; channels use kind "kraus" | "measurement" |
 "random_unitary" | "example1" | "mixing"; witnesses use kind "matrix" |
-"shifted" | "swap" | "ppt_pure". Floats serialize at full precision, so a
-round trip is exact.
+"shifted". Floats serialize at full precision, so a round trip is exact.
 """
 
 from __future__ import annotations
@@ -80,17 +79,7 @@ def _square(obj, dims: DimList, key: str, field: str) -> np.ndarray:
     return _from_pairs(_get(obj, key, field), (dims.total, dims.total), label)
 
 
-# -- matrices and states ----------------------------------------------
-
-
-def matrix_to_json(m: np.ndarray, dims) -> dict:
-    dims = DimList.of(dims)
-    return {"dims": list(dims.dims), "entries": _pairs(m)}
-
-
-def matrix_from_json(obj: dict, field: str = "matrix"):
-    dims = _dims_of(obj, field)
-    return _square(obj, dims, "entries", field), dims
+# -- states ------------------------------------------------------------
 
 
 def state_to_json(state: PureState | DensityMatrix) -> dict:
@@ -187,22 +176,8 @@ def channel_from_json(obj: dict, field: str = "channel") -> ch_mod.KrausChannel:
                 _from_pairs(e, (dims.total, dims.total), f"{field}.effects[{i}]")
                 for i, e in enumerate(raw_e)
             ]
-            outputs = []
-            for i, o in enumerate(raw_o):
-                if isinstance(o, dict):
-                    state = state_from_json(o, f"{field}.outputs[{i}]")
-                    if isinstance(state, PureState):
-                        state = state.density()
-                    outputs.append(state)
-                else:
-                    outputs.append(
-                        DensityMatrix(
-                            _from_pairs(
-                                o, (dims.total, dims.total), f"{field}.outputs[{i}]"
-                            ),
-                            dims,
-                        )
-                    )
+            outputs = [state_from_json(o, f"{field}.outputs[{i}]") for i, o in enumerate(raw_o)]
+            outputs = [o.density() if isinstance(o, PureState) else o for o in outputs]
             return ch_mod.measurement_channel(effects, outputs, dims)
         if kind == "random_unitary":
             dims = _dims_of(obj, field)
@@ -264,22 +239,6 @@ def witness_from_json(obj: dict, field: str = "witness") -> Witness:
             lam = _number(_get(obj, "lambda", field), f"{field}.lambda")
             test = _square(obj, dims, "test_op", field)
             return Witness.from_shift(lam, test, dims, label=str(obj.get("label", "")))
-        if kind == "swap":
-            dims = _dims_of(obj, field)
-            dims.require_bipartite()
-            if dims[0] != dims[1]:
-                raise SpecError(f"{field}.dims", "swap witness needs equal local dims")
-            from .witnesses import swap_witness
-
-            return swap_witness(dims[0])
-        if kind == "ppt_pure":
-            dims = _dims_of(obj, field)
-            amps = _from_pairs(
-                _get(obj, "amplitudes", field), (dims.total,), f"{field}.amplitudes"
-            )
-            from .witnesses import ppt_witness_from_pure
-
-            return ppt_witness_from_pure(PureState(amps, dims))
     except SpecError:
         raise
     except (TypeError, ValueError) as exc:

@@ -176,15 +176,6 @@ def operator_schmidt(m, dims) -> OperatorSchmidt:
     return OperatorSchmidt(s, left, right)
 
 
-def schmidt_reconstruct(dec: OperatorSchmidt) -> np.ndarray:
-    out = np.zeros(
-        (dec.left.shape[1] * dec.right.shape[1],) * 2, dtype=complex
-    )
-    for s, a, b in zip(dec.values, dec.left, dec.right):
-        out += s * np.kron(a, b)
-    return out
-
-
 def numerical_rank(singular_values: np.ndarray) -> int | np.ndarray:
     """Count of singular values above the package-wide rank threshold.
 

@@ -220,8 +220,17 @@ def _eigh_step(v: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, by the dot products `np.linalg.norm` takes of one vector."""
-    return np.sqrt(sum(x[:, None, :] @ x[:, :, None] for x in (v.real, v.imag)))[:, 0, 0]
+    """Euclidean norm of each row, by the dot products `np.linalg.norm` takes of one
+    vector; a nonzero row whose norm leaves (1e-150, 1e150), where a square may
+    under- or overflow, is divided by its largest |entry| first."""
+    with np.errstate(over="ignore", under="ignore"):
+        norm = np.sqrt(sum(x[:, None, :] @ x[:, :, None] for x in (v.real, v.imag)))[:, 0, 0]
+    odd = ~((norm > 1e-150) & (norm < 1e150))
+    if odd.any():
+        odd[odd] = v[odd].any(axis=1)
+        big = np.abs(v[odd]).max(axis=1)
+        norm[odd] = big * _row_norms(v[odd] / big[:, None])
+    return norm
 
 
 @lru_cache(maxsize=64)

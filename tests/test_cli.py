@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 from unittest.mock import call, patch
 
 import numpy as np
@@ -100,8 +101,12 @@ def with_entry(ch, value):
 
 IDENTITY = identity_channel((2, 2))
 CX_MIX = random_unitary_channel([np.eye(4), CNOT], [0.5, 0.5], (2, 2))
+REPLACE = replacement_channel(max_entangled(2, 2))
 MALFORMED = {
-    "effects_not_a_list": ("channel", edited(replacement_channel(max_entangled(2, 2)), effects=5)),
+    "effects_not_a_list": ("channel", edited(REPLACE, effects=5)),
+    # an output given as bare [re, im] pairs instead of a state spec
+    "outputs_raw_pairs": ("channel.outputs[0].kind",
+                          edited(REPLACE, outputs=[channel_to_json(REPLACE)["outputs"][0]["entries"]])),
     "probabilities_dict": ("channel", edited(CX_MIX, probabilities={"a": 1})),
     "probabilities_nan": ("channel", edited(CX_MIX, probabilities=[float("nan"), 1.0])),
     "k_list": ("channel.k", edited(rank_boost_channel(2, 2, [0.8, 0.6]), k=[2])),
@@ -133,6 +138,14 @@ def test_malformed_spec_exits_2_naming_its_field(tmp_path, capsys, case):
 def test_malformed_spec_error_says_what_is_wrong(tmp_path, capsys, case, words):
     assert main(["classify", write_spec(tmp_path, "bad.json", MALFORMED[case][1])]) == 2
     assert words in capsys.readouterr().err
+
+
+def test_readme_example1_spec_classifies(tmp_path, capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    spec = json.loads(next(s for s in lines if s.startswith('{"kind": "example1"')))
+    assert main(["classify", write_spec(tmp_path, "example1.json", spec)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "entangling"
 
 
 def test_integral_float_dims_still_parse(tmp_path, capsys):

@@ -321,6 +321,7 @@ def test_shifted_pure_minimum_is_exact(dims, seed):
 SCALES = np.array([1e-300, 1e-11, 1e3, 1e200])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @PROPS
 @given(BIPARTITE, SEEDS)
 def test_perturbed_shifted_pure_observables_are_descended(dims, seed):
@@ -331,6 +332,20 @@ def test_perturbed_shifted_pure_observables_are_descended(dims, seed):
         obs = obs + 1e-9 * np.linalg.norm(obs) / np.linalg.norm(noise) * noise
         found = product_minima(SCALES[:, None, None] * obs, dims, CFG)
         assert np.all(found.restarts_used == CFG.restarts)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2)])
+def test_descended_minimum_is_scale_free(dims):
+    # the descent's stopping tolerance is relative to the observable's norm, read
+    # without a square under- or overflowing at any scale
+    obs = observable(5, dims)
+    obs = obs / np.linalg.norm(obs)
+    scales = np.array([1e-300, 1.0, 1e200])
+    found = product_minima(scales[:, None, None] * obs, dims, CFG)
+    assert np.all(found.restarts_used == CFG.restarts)
+    assert np.all(np.abs(found.values / scales - found.values[1]) <= 1e-12)
+    assert np.all(found.converged == found.converged[1])
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4)])
