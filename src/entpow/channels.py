@@ -121,10 +121,6 @@ class ChoiMatrix:
         self.n_parties = n_parties
 
     @property
-    def ref_parties(self) -> tuple[int, ...]:
-        return tuple(range(self.n_parties))
-
-    @property
     def sys_parties(self) -> tuple[int, ...]:
         return tuple(range(self.n_parties, 2 * self.n_parties))
 
@@ -296,6 +292,24 @@ def mixing_channel(p: float, sigma: DensityMatrix) -> MixingChannel:
     return MixingChannel(p, sigma)
 
 
+def _rank_boost_coefficients(k, d, schmidt_coeffs) -> np.ndarray:
+    """The rank-boost parameters' Schmidt coefficients as floats, once checked:
+    integers ``2 <= k <= d``, and d finite, positive, non-increasing
+    coefficients whose squares sum to 1."""
+    if not all(isinstance(n, (int, np.integer)) for n in (k, d)) or not 2 <= k <= d:
+        raise DimensionError(f"need integers 2 <= k <= d, got k={k!r}, d={d!r}")
+    coeffs = np.asarray(schmidt_coeffs, dtype=float)
+    if coeffs.shape != (d,):
+        raise DimensionError(f"need exactly d={d} Schmidt coefficients, got shape {coeffs.shape}")
+    if not (np.isfinite(coeffs).all() and np.all(coeffs > 0)):
+        raise DimensionError("all Schmidt coefficients must be finite and positive")
+    if np.any(np.diff(coeffs) > 1e-12):
+        raise DimensionError("Schmidt coefficients must be non-increasing")
+    if abs(float(np.sum(coeffs**2)) - 1.0) > 1e-9:
+        raise DimensionError("squared Schmidt coefficients must sum to 1")
+    return coeffs
+
+
 class RankBoostChannel(MeasurementChannel):
     """Two-outcome measurement channel that boosts Schmidt rank.
 
@@ -307,19 +321,7 @@ class RankBoostChannel(MeasurementChannel):
     """
 
     def __init__(self, k: int, d: int, schmidt_coeffs):
-        coeffs = np.asarray(schmidt_coeffs, dtype=float)
-        if not 2 <= k <= d:
-            raise DimensionError(f"need 2 <= k <= d, got k={k}, d={d}")
-        if coeffs.shape != (d,):
-            raise DimensionError(
-                f"need exactly d={d} Schmidt coefficients, got shape {coeffs.shape}"
-            )
-        if not (np.isfinite(coeffs).all() and np.all(coeffs > 0)):
-            raise DimensionError("all Schmidt coefficients must be finite and positive")
-        if np.any(np.diff(coeffs) > 1e-12):
-            raise DimensionError("Schmidt coefficients must be non-increasing")
-        if abs(float(np.sum(coeffs**2)) - 1.0) > 1e-9:
-            raise DimensionError("squared Schmidt coefficients must sum to 1")
+        coeffs = _rank_boost_coefficients(k, d, schmidt_coeffs)
         dims = DimList((d, d))
         phi = max_entangled(k, d)
         psi = schmidt_diagonal(coeffs, dims)

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import KrausChannel
+from .channels import KrausChannel, _rank_boost_coefficients
 from .errors import DimensionError
 from .states import ProductStateParam, PureState, schmidt_rank
 from .tensor import RANK_RTOL, DimList, as_matrix, numerical_rank, swap_matrix
@@ -57,10 +57,9 @@ SNE = "stochastically_nonentangling"
 # bounds read them.
 PROBES = 200
 
-# Block sizes of the image-rank kernel: IMAGE_BLOCK_OPS operators at a time,
-# whose images of every probe are decomposed PROBE_CHUNK probes at a time until
-# the operator reaches full rank. Blocks bound peak memory on long Kraus lists.
-IMAGE_BLOCK_OPS = 64
+# Probes per step of the image-rank search. A step holds the operators still
+# below full rank and their PROBE_CHUNK images each, so memory is bounded by a
+# small multiple of the caller's stack, whatever PROBES is.
 PROBE_CHUNK = 8
 
 
@@ -129,40 +128,40 @@ def _image_rank_search(ops, dims: DimList, config: OptimizerConfig) -> list[Prob
     Image rank at least R means a non-zero R x R minor of the bilinear map
     ``(a, b) -> M (a (x) b)``, a polynomial that vanishes only on a null set,
     so one Gaussian probe reaches the largest rank with probability 1.
-    Operators run in blocks of `IMAGE_BLOCK_OPS`; each block redraws the
-    probes. An operator leaves the probing once it reaches ``min(d1, d2)``,
-    so each result is the one the operator gets alone.
+    The probes run `PROBE_CHUNK` at a time through the operators still below
+    ``min(d1, d2)``, and each operator keeps only the image of the probe that
+    set its rank: memory stays a small multiple of the stack (see
+    `PROBE_CHUNK`). No step mixes operators, so each result is the one the
+    operator gets alone.
     """
     d1, d2 = dims.dims
-    dmin = min(d1, d2)
     stack = np.asarray(ops)
+    if not len(stack):
+        return []
+    rng = np.random.default_rng((config.seed, 17))
+    a = _unit_rows(rng, PROBES, d1)
+    b = _unit_rows(rng, PROBES, d2)
+    chi = np.einsum("pi,pj->pij", a, b).reshape(PROBES, -1)
+    scale = _scales(stack)
+    rank = np.zeros(len(stack), dtype=int)
+    best = np.zeros(len(stack), dtype=int)
+    kept = np.zeros(stack.shape[:2], dtype=complex)  # image of each operator's best probe
+    todo = np.arange(len(stack))
+    for p in range(0, PROBES, PROBE_CHUNK):
+        img = chi[p:p + PROBE_CHUNK] @ stack[todo].transpose(0, 2, 1)  # img[k, q] = M_k chi_q
+        r = numerical_rank(_image_svals(img, scale[todo], dims))
+        top = np.argmax(r, axis=1)
+        got = r[np.arange(len(todo)), top]
+        up = got > rank[todo]
+        rank[todo[up]], best[todo[up]], kept[todo[up]] = got[up], p + top[up], img[up, top[up]]
+        todo = todo[rank[todo] < min(d1, d2)]
+        if not todo.size:
+            break
     found: list[ProbeViolation | None] = [None] * len(stack)
-    for lo in range(0, len(stack), IMAGE_BLOCK_OPS):
-        block = stack[lo:lo + IMAGE_BLOCK_OPS]
-        rng = np.random.default_rng((config.seed, 17))
-        a = _unit_rows(rng, PROBES, d1)
-        b = _unit_rows(rng, PROBES, d2)
-        scale = _scales(block)
-        # img[k, p] = M_k (a[p] (x) b[p]): every probe through every operator
-        img = np.einsum("pi,pj->pij", a, b).reshape(len(a), -1) @ block.transpose(0, 2, 1)
-        rank = np.zeros(len(block), dtype=int)
-        best = np.zeros(len(block), dtype=int)
-        todo = np.arange(len(block))
-        for p in range(0, PROBES, PROBE_CHUNK):
-            s = _image_svals(img[todo, p:p + PROBE_CHUNK], scale[todo], dims)
-            r = numerical_rank(s)
-            top = np.argmax(r, axis=1)
-            got = r[np.arange(len(todo)), top]
-            up = got > rank[todo]
-            rank[todo[up]], best[todo[up]] = got[up], p + top[up]
-            todo = todo[rank[todo] < dmin]
-            if not todo.size:
-                break
-        for k in np.flatnonzero(rank >= 2):
-            p = best[k]
-            image = PureState(img[k, p] / np.linalg.norm(img[k, p]), dims)
-            factors = (a[p].copy(), b[p].copy())  # a view would keep every probe alive
-            found[lo + k] = ProbeViolation(ProductStateParam(factors), image, int(rank[k]))
+    for k in np.flatnonzero(rank >= 2):
+        factors = (a[best[k]].copy(), b[best[k]].copy())  # a view would keep every probe alive
+        image = PureState(kept[k] / np.linalg.norm(kept[k]), dims)
+        found[k] = ProbeViolation(ProductStateParam(factors), image, int(rank[k]))
     return found
 
 
@@ -402,7 +401,7 @@ def _witness_violations(
     found = product_minima(np.array([ch.dual_apply(w.operator) for w in witnesses]),
                            ch.dims, config)
     return [
-        Violation("witness", w, ProductStateParam.of_unit_vectors(factors), value)
+        Violation("witness", w, ProductStateParam(factors), value)
         for w, value, factors in zip(witnesses, found.values.tolist(), zip(*found.kets))
         if value <= -TOL_WITNESS
     ]
@@ -536,15 +535,10 @@ def nonentangling_threshold(k: int, d: int, schmidt_coeffs) -> ThresholdReport:
 
     The channel is provably non-entangling when the product of the two
     largest Schmidt coefficients of its pure output stays within
-    ``(k - 1)/d^2``. Above the bound nothing is claimed ("unknown").
+    ``(k - 1)/d^2``. Above the bound nothing is claimed ("unknown"). The
+    parameters must be valid for `rank_boost_channel`, else `DimensionError`.
     """
-    coeffs = np.asarray(schmidt_coeffs, dtype=float)
-    if not 2 <= k <= d:
-        raise DimensionError(f"need 2 <= k <= d, got k={k}, d={d}")
-    if coeffs.shape != (d,) or np.any(coeffs <= 0) or np.any(np.diff(coeffs) > 1e-12):
-        raise DimensionError("coefficients must be positive, non-increasing, length d")
-    if abs(float(np.sum(coeffs**2)) - 1.0) > 1e-9:
-        raise DimensionError("squared coefficients must sum to 1")
+    coeffs = _rank_boost_coefficients(k, d, schmidt_coeffs)
     product = float(coeffs[0] * coeffs[1])
     bound = (k - 1) / d**2
     verdict = "nonentangling_certified" if product <= bound + 1e-12 else "unknown"

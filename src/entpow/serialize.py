@@ -79,6 +79,20 @@ def _square(obj, dims: DimList, key: str, field: str) -> np.ndarray:
     return _from_pairs(_get(obj, key, field), (dims.total, dims.total), label)
 
 
+def _list_of(obj: dict, key: str, field: str) -> list:
+    raw = _get(obj, key, field)
+    if not isinstance(raw, list) or not raw:
+        raise SpecError(f"{field}.{key}", "need a non-empty list")
+    return raw
+
+
+def _squares(obj: dict, dims: DimList, key: str, field: str) -> list[np.ndarray]:
+    """The non-empty list `key` of D x D matrices, each given as [re, im] pairs."""
+    shape = (dims.total, dims.total)
+    return [_from_pairs(m, shape, f"{field}.{key}[{i}]")
+            for i, m in enumerate(_list_of(obj, key, field))]
+
+
 # -- states ------------------------------------------------------------
 
 
@@ -160,33 +174,19 @@ def channel_from_json(obj: dict, field: str = "channel") -> ch_mod.KrausChannel:
     try:
         if kind == "kraus":
             dims = _dims_of(obj, field)
-            raw = _get(obj, "kraus", field)
-            if not isinstance(raw, list) or not raw:
-                raise SpecError(f"{field}.kraus", "need a non-empty list of operators")
-            ops = [
-                _from_pairs(op, (dims.total, dims.total), f"{field}.kraus[{i}]")
-                for i, op in enumerate(raw)
-            ]
+            ops = _squares(obj, dims, "kraus", field)
             return ch_mod.KrausChannel(ops, dims, label=str(obj.get("label", "")))
         if kind == "measurement":
             dims = _dims_of(obj, field)
-            raw_e = _get(obj, "effects", field)
-            raw_o = _get(obj, "outputs", field)
-            effects = [
-                _from_pairs(e, (dims.total, dims.total), f"{field}.effects[{i}]")
-                for i, e in enumerate(raw_e)
-            ]
+            effects = _squares(obj, dims, "effects", field)
+            raw_o = _list_of(obj, "outputs", field)
             outputs = [state_from_json(o, f"{field}.outputs[{i}]") for i, o in enumerate(raw_o)]
             outputs = [o.density() if isinstance(o, PureState) else o for o in outputs]
             return ch_mod.measurement_channel(effects, outputs, dims)
         if kind == "random_unitary":
             dims = _dims_of(obj, field)
-            raw_u = _get(obj, "unitaries", field)
+            unitaries = _squares(obj, dims, "unitaries", field)
             probs = _get(obj, "probabilities", field)
-            unitaries = [
-                _from_pairs(u, (dims.total, dims.total), f"{field}.unitaries[{i}]")
-                for i, u in enumerate(raw_u)
-            ]
             return ch_mod.random_unitary_channel(unitaries, probs, dims)
         if kind == "example1":
             k = _integer(_get(obj, "k", field), f"{field}.k")

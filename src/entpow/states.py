@@ -46,10 +46,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def projector(self) -> np.ndarray:
         return np.outer(self.amplitudes, np.conj(self.amplitudes))
 
@@ -90,9 +86,6 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
 
-    def expectation(self, op: np.ndarray) -> float:
-        return float(np.real(np.trace(as_matrix(op) @ self.matrix)))
-
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
@@ -111,14 +104,6 @@ class ProductStateParam:
                 raise DimensionError("every party factor must be a unit vector")
             fs.append(f)
         object.__setattr__(self, "factors", tuple(fs))
-
-    @classmethod
-    def of_unit_vectors(cls, factors: tuple[np.ndarray, ...]) -> "ProductStateParam":
-        """Wrap complex 1-D unit vectors the caller has already checked,
-        without checking each again (the optimizer checks a whole batch at once)."""
-        param = object.__new__(cls)
-        object.__setattr__(param, "factors", factors)
-        return param
 
     @property
     def dims(self) -> DimList:

@@ -414,7 +414,7 @@ def min_over_products(obs, dims, config: OptimizerConfig | None = None) -> Optim
     the value is attained by `argument`, hence an upper bound on the true minimum.
     """
     found = product_minima(as_matrix(obs)[None], dims, config)
-    argument = ProductStateParam.of_unit_vectors(tuple(k[0] for k in found.kets))
+    argument = ProductStateParam(tuple(k[0] for k in found.kets))
     return OptimizationResult(found.values[0].item(), argument, found.restarts_used[0].item(),
                               found.converged[0].item(), found.spread[0].item())
 

@@ -96,7 +96,6 @@ def test_choi_is_a_state_and_reconstructs():
 
 def test_choi_party_bookkeeping():
     choi = swap_channel(2).choi()
-    assert choi.ref_parties == (0, 1)
     assert choi.sys_parties == (2, 3)
     assert choi.state.dims.dims == (2, 2, 2, 2)
 

@@ -103,7 +103,10 @@ IDENTITY = identity_channel((2, 2))
 CX_MIX = random_unitary_channel([np.eye(4), CNOT], [0.5, 0.5], (2, 2))
 REPLACE = replacement_channel(max_entangled(2, 2))
 MALFORMED = {
-    "effects_not_a_list": ("channel", edited(REPLACE, effects=5)),
+    "effects_not_a_list": ("channel.effects", edited(REPLACE, effects=5)),
+    "effects_dict": ("channel.effects", edited(REPLACE, effects={"a": 1})),
+    "outputs_not_a_list": ("channel.outputs", edited(REPLACE, outputs=3)),
+    "unitaries_not_a_list": ("channel.unitaries", edited(CX_MIX, unitaries=7)),
     # an output given as bare [re, im] pairs instead of a state spec
     "outputs_raw_pairs": ("channel.outputs[0].kind",
                           edited(REPLACE, outputs=[channel_to_json(REPLACE)["outputs"][0]["entries"]])),

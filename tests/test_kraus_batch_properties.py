@@ -1,7 +1,7 @@
 """Property tests of the batched Kraus-structure kernel in `entpow.power`.
 
 Each batched call must give, for every operator of a stack, what that operator
-gets alone, whatever the block sizes; the stacked classification and image
+gets alone, whatever the probe chunk size; the stacked classification and image
 ranks must also agree with the one-operator-at-a-time code they replaced,
 kept here as the reference. The image-rank search reports a hit only for
 ranks of at least 2, so its rank is compared with ``max(1, reference)``.
@@ -31,7 +31,7 @@ KINDS = st.sampled_from(
     ["tensor", "swap", "rank1_product", "rank1_entangled", "schmidt2", "generic", "zero"]
 )
 OPS = st.lists(st.tuples(KINDS, SEEDS), min_size=1, max_size=7)
-BLOCK = st.integers(1, 3)
+CHUNK = st.integers(1, 3)
 SCALES = st.sampled_from([1e-9, 1.0, 1e3])
 
 # Few probes, so that several probe chunks run: `power.PROBES` is patched to
@@ -179,12 +179,11 @@ def replays(m, hit, dims):
 
 
 @PROPS
-@given(DIMS, OPS, BLOCK, BLOCK, SCALES)
-def test_image_ranks_match_each_operator_alone(dims, ops, block, chunk, scale):
+@given(DIMS, OPS, CHUNK, SCALES)
+def test_image_ranks_match_each_operator_alone(dims, ops, chunk, scale):
     stack = scale * stack_of(ops, dims)
     dl = DimList.of(dims)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(power, "IMAGE_BLOCK_OPS", block)
         mp.setattr(power, "PROBE_CHUNK", chunk)
         mp.setattr(power, "PROBES", SMALL_PROBES)
         batched = _image_rank_search(stack, dl, SMALL)
@@ -197,12 +196,33 @@ def test_image_ranks_match_each_operator_alone(dims, ops, block, chunk, scale):
 
 
 @PROPS
-@given(DIMS, OPS, BLOCK)
-def test_schmidt_ranks_match_channel_schmidt_rank(dims, ops, block):
+@given(DIMS, OPS)
+def test_schmidt_ranks_match_channel_schmidt_rank(dims, ops):
     stack = stack_of(ops, dims)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(power, "PROBES", SMALL_PROBES)
         alone = [channel_schmidt_rank(m, dims, SMALL) for m in stack]
-        mp.setattr(power, "IMAGE_BLOCK_OPS", block)
         structures = classify_kraus_many(stack, dims, SMALL)
     assert [s.image_rank for s in structures] == alone
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+def test_long_stack_classifies_each_operator_as_alone(dims):
+    # 70 operators cycling through every kind: each form and each image rank
+    kinds = sorted(KNOWN_RANK) + ["generic"]
+    stack = stack_of([(kinds[i % len(kinds)], i) for i in range(70)], dims)
+    many = classify_kraus_many(stack, dims)
+    alone = [classify_kraus_many(m[None], dims)[0] for m in stack]
+    assert {st.form for st in many} == {
+        "tensor_product", "permutation_local", "rank1_product", "unknown"}
+    for x, y in zip(many, alone, strict=True):
+        assert same_structure(x, y) and same_hit(x.witness_violation, y.witness_violation)
+
+
+def test_product_preserving_stack_has_no_hit():
+    # the search then runs over no operator at all
+    ops = [("tensor", 1), ("swap", 2), ("rank1_product", 3), ("zero", 4)]
+    structures = classify_kraus_many(stack_of(ops, (2, 2)), (2, 2))
+    assert [st.form for st in structures] == [
+        "tensor_product", "permutation_local", "rank1_product", "tensor_product"]
+    assert all(st.witness_violation is None for st in structures)

