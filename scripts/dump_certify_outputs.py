@@ -2,11 +2,12 @@
 
     python3 scripts/dump_certify_outputs.py OUTDIR [--seeds 1 2 3]
 
-For each seed (1 to 10 by default: 220 files) and each of the benchmark's
-eleven `certify-mix` channels (`bench/workloads.py`), runs ``classify SPEC``
-and ``schmidt SPEC`` through ``entpow.cli.main`` with the `src` tree beside
-this script, and writes stdout to ``OUTDIR/<seed>-<channel>-<command>.txt``.
-Run it from two checkouts and
+For each seed (1 to 10 by default: 330 files) and each of the benchmark's
+eleven `certify-mix` channels (`bench/workloads.py`), runs ``classify SPEC``,
+``schmidt SPEC`` and ``schmidt SPEC --cut 0,2`` (which reads the Choi matrix)
+through ``entpow.cli.main`` with the `src` tree beside this script, and writes
+stdout to ``OUTDIR/<seed>-<channel>-<command>.txt``, the last command named
+``schmidt-cut``. Run it from two checkouts and
 compare with ``diff -r``: a change that keeps the search bitwise gives no
 difference. `compare_certify_outputs.py` compares what must stay equal when
 only stochastic evidence may change. BLAS is held to one thread, as in the
@@ -45,12 +46,13 @@ def main() -> int:
             for ch in workloads.certify_channels(seed):
                 spec = Path(tmp) / f"{ch.name}.json"
                 spec.write_text(json.dumps(ch.spec))
-                for command in ("classify", "schmidt"):
+                for command, *flags in (["classify"], ["schmidt"], ["schmidt", "--cut", "0,2"]):
                     out = io.StringIO()
                     with contextlib.redirect_stdout(out):
-                        code = entpow.cli.main([command, str(spec)])
+                        code = entpow.cli.main([command, str(spec), *flags])
                     text = out.getvalue() + f"exit {code}\n"
-                    (args.outdir / f"{seed}-{ch.name}-{command}.txt").write_text(text)
+                    name = command + ("-cut" if flags else "")
+                    (args.outdir / f"{seed}-{ch.name}-{name}.txt").write_text(text)
     return 0
 
 

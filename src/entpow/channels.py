@@ -29,28 +29,37 @@ TP_ATOL = 1e-10
 _EIG_CUTOFF = 1e-14
 
 
+def _kraus_stack(kraus, dims: DimList) -> np.ndarray:
+    """The operators as a new complex (K, D, D) array; `DimensionError` names
+    every shape other than (D, D)."""
+    bad = {np.shape(m) for m in kraus} - {(dims.total, dims.total)}
+    if bad:
+        raise DimensionError(f"Kraus operator shapes {sorted(bad)} do not match dims {dims.dims}")
+    return np.array(kraus, dtype=complex).reshape(-1, dims.total, dims.total)
+
+
 class KrausChannel:
     """A completely positive map given by an explicit Kraus operator list.
 
     Parameters
     ----------
     kraus : sequence of square complex matrices, all of shape (D, D) where
-        D is the product of `dims`.
+        D is the product of `dims`; stored as the read-only (K, D, D) array
+        `kraus`.
     dims : per-party dimensions of the (shared) input/output space.
     label : optional display name.
     """
 
     def __init__(self, kraus, dims, label: str = ""):
         dims = DimList.of(dims)
-        ops = tuple(as_matrix(m) for m in kraus)
-        if not ops:
+        ops = _kraus_stack(kraus, dims)
+        if not len(ops):
             raise DimensionError("a channel needs at least one Kraus operator")
-        for m in ops:
-            dims.check_matrix(m)
+        ops.flags.writeable = False
         self.kraus = ops
         self.dims = dims
         self.label = label
-        acc = sum(dagger(m) @ m for m in ops)
+        acc = (dagger(ops) @ ops).sum(axis=0)
         self._tp_residual = float(np.max(np.abs(acc - np.eye(dims.total))))
 
     @property
@@ -67,10 +76,7 @@ class KrausChannel:
         """Schroedinger action on a raw matrix (no state validation)."""
         rho = as_matrix(rho)
         self.dims.check_matrix(rho)
-        out = np.zeros_like(rho)
-        for m in self.kraus:
-            out += m @ rho @ dagger(m)
-        return out
+        return (self.kraus @ rho @ dagger(self.kraus)).sum(axis=0)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """Apply the channel to a state.
@@ -90,18 +96,13 @@ class KrausChannel:
         """Heisenberg action on an observable: sum_j M_j^dag obs M_j."""
         obs = as_matrix(obs)
         self.dims.check_matrix(obs)
-        out = np.zeros_like(obs)
-        for m in self.kraus:
-            out += dagger(m) @ obs @ m
-        return out
+        return (dagger(self.kraus) @ obs @ self.kraus).sum(axis=0)
 
     def choi(self) -> "ChoiMatrix":
         """Choi state of the channel (references first, trace-1 convention)."""
         d = self.dims.total
-        j = np.zeros((d * d, d * d), dtype=complex)
-        for m in self.kraus:
-            v = m.T.reshape(-1) / np.sqrt(d)  # (I (x) M)|Omega>
-            j += np.outer(v, np.conj(v))
+        v = self.kraus.transpose(0, 2, 1).reshape(-1, d * d) / np.sqrt(d)  # (I (x) M)|Omega>
+        j = (v[:, :, None] * np.conj(v)[:, None, :]).sum(axis=0)
         # trace = Tr(sum M^dag M)/d, which is 1 exactly when trace-preserving
         state = DensityMatrix(
             j,
@@ -144,10 +145,18 @@ def choi_apply(choi: ChoiMatrix, rho: np.ndarray) -> np.ndarray:
     return d * partial_trace(big, choi.state.dims, keep=choi.sys_parties)
 
 
-def _eig_pairs(mat: np.ndarray, cutoff: float = _EIG_CUTOFF):
-    """Eigenvalue/eigenvector pairs of a Hermitian matrix above a cutoff."""
-    evals, evecs = np.linalg.eigh(mat)
-    return [(float(w), evecs[:, i]) for i, w in enumerate(evals) if w > cutoff]
+def _eig_pairs(evals: np.ndarray, evecs: np.ndarray):
+    """The eigenvalues above `_EIG_CUTOFF` of an `np.linalg.eigh` result, and
+    their eigenvectors as rows."""
+    keep = evals > _EIG_CUTOFF
+    return evals[keep], evecs[:, keep].T
+
+
+def _outer_stack(coeffs: np.ndarray, u: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The (R * F, D, D) stack ``coeffs[i, m] * |u_i><f_m|`` for rows u (R, D)
+    and f (F, D), i-major."""
+    ops = coeffs[:, :, None, None] * (u[:, None, :, None] * np.conj(f)[None, :, None, :])
+    return ops.reshape(-1, u.shape[1], u.shape[1])
 
 
 class MeasurementChannel(KrausChannel):
@@ -166,33 +175,25 @@ class MeasurementChannel(KrausChannel):
         if dims is None:
             raise DimensionError("measurement_channel requires explicit dims")
         dims = DimList.of(dims)
-        outs = []
-        for o in outputs:
-            if isinstance(o, DensityMatrix):
-                outs.append(o)
-            else:
-                outs.append(DensityMatrix(as_matrix(o), dims))
+        outs = [o if isinstance(o, DensityMatrix) else DensityMatrix(as_matrix(o), dims)
+                for o in outputs]
         if len(effects) != len(outs):
-            raise DimensionError(
-                f"{len(effects)} effects but {len(outs)} outputs"
-            )
-        total = np.zeros((dims.total, dims.total), dtype=complex)
-        for j, e in enumerate(effects):
+            raise DimensionError(f"{len(effects)} effects but {len(outs)} outputs")
+        kraus = []
+        for j, (e, out) in enumerate(zip(effects, outs)):
             dims.check_matrix(e)
+            dims.check_matrix(out.matrix)
             if np.max(np.abs(e - dagger(e))) > 1e-10:
                 raise DimensionError(f"effect {j} is not Hermitian")
-            if np.linalg.eigvalsh(e)[0] < -1e-10:
+            evals, evecs = np.linalg.eigh(e)
+            if evals[0] < -1e-10:
                 raise DimensionError(f"effect {j} is not positive semidefinite")
-            total += e
-        if np.max(np.abs(total - np.eye(dims.total))) > TP_ATOL:
+            e_m, f = _eig_pairs(evals, evecs)
+            r_i, u = _eig_pairs(*np.linalg.eigh(out.matrix))
+            kraus.append(_outer_stack(np.sqrt(r_i[:, None] * e_m), u, f))
+        if np.max(np.abs(sum(effects) - np.eye(dims.total))) > TP_ATOL:
             raise DimensionError("effects do not sum to the identity (POVM completeness)")
-        kraus = []
-        for e, out in zip(effects, outs):
-            effect_pairs = _eig_pairs(e)
-            for r_i, u in _eig_pairs(out.matrix):
-                for e_m, f in effect_pairs:
-                    kraus.append(np.sqrt(r_i * e_m) * np.outer(u, np.conj(f)))
-        super().__init__(kraus, dims, label=label)
+        super().__init__(np.concatenate(kraus), dims, label=label)
         self.effects = tuple(effects)
         self.outputs = tuple(outs)
 
@@ -261,17 +262,12 @@ class MixingChannel(KrausChannel):
         if not 0.0 <= p <= 1.0:
             raise DimensionError(f"mixing probability {p} outside [0, 1]")
         dims = sigma.dims
-        kraus = []
-        if p > _EIG_CUTOFF:
-            kraus.append(np.sqrt(p) * np.eye(dims.total, dtype=complex))
+        eye = np.eye(dims.total, dtype=complex)
+        kraus = [np.sqrt(p) * eye[None]] if p > _EIG_CUTOFF else []
         if 1.0 - p > _EIG_CUTOFF:
-            basis = np.eye(dims.total, dtype=complex)
-            for r_i, u in _eig_pairs(sigma.matrix):
-                for m in range(dims.total):
-                    kraus.append(
-                        np.sqrt((1.0 - p) * r_i) * np.outer(u, np.conj(basis[:, m]))
-                    )
-        super().__init__(kraus, dims, label=label)
+            r_i, u = _eig_pairs(*np.linalg.eigh(sigma.matrix))
+            kraus.append(_outer_stack(np.sqrt((1.0 - p) * r_i)[:, None], u, eye))
+        super().__init__(np.concatenate(kraus), dims, label=label)
         self.p = float(p)
         self.sigma = sigma
 

@@ -32,10 +32,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import KrausChannel, _rank_boost_coefficients
+from .channels import KrausChannel, _kraus_stack, _rank_boost_coefficients
 from .errors import DimensionError
-from .states import ProductStateParam, PureState, schmidt_rank
-from .tensor import RANK_RTOL, DimList, as_matrix, numerical_rank, swap_matrix
+from .states import ProductStateParam, PureState, schmidt_decompose, schmidt_rank
+from .tensor import RANK_RTOL, DimList, numerical_rank, swap_matrix
 from .witnesses import (
     DEFAULT_CONFIG,
     TOL_WITNESS,
@@ -184,12 +184,7 @@ def classify_kraus_many(ops, dims, config: OptimizerConfig | None = None) -> lis
     config = config or DEFAULT_CONFIG
     dims = DimList.of(dims)
     dims.require_bipartite()
-    mats = [as_matrix(m) for m in ops]
-    for m in mats:
-        dims.check_matrix(m)
-    if not mats:
-        return []
-    stack = np.array(mats)
+    stack = _kraus_stack(ops, dims)
     return _probe_unknown(_structures(stack, dims), stack, dims, config)
 
 
@@ -267,7 +262,7 @@ class ChannelSchmidtBounds:
     lower: int
     upper: int
     method: str
-    certificate: tuple[np.ndarray, ...] | None = None  # Kraus list achieving upper
+    certificate: np.ndarray | None = None  # (K, D, D) Kraus stack achieving upper
 
     def __post_init__(self):
         if not 1 <= self.lower <= self.upper:
@@ -292,13 +287,14 @@ class Certificate:
     verdict: str  # "stochastically_nonentangling" | "entangling" | "inconclusive"
     violations: tuple[Violation, ...] = ()
     structures: tuple[KrausStructure, ...] | None = None
-    kraus: tuple[np.ndarray, ...] | None = None  # what `structures` classify: ch.kraus or found
+    kraus: np.ndarray | None = None  # the (K, D, D) stack `structures` classify: ch.kraus or found
     note: str = ""
 
 
-def _simple_tensor_basis(ops: np.ndarray, dims: DimList, rng) -> np.ndarray | None:
-    """r unit-norm simple tensors ``A_j (x) B_j`` spanning the r independent
-    `ops`, by Jennrich's simultaneous diagonalization; None on failure.
+def _simple_tensor_basis(ops: np.ndarray, dims: DimList, rng):
+    """The factors A (r, d1, d1) and B (r, d2, d2) of r unit-norm simple
+    tensors ``A_j (x) B_j`` spanning the r independent `ops`, by Jennrich's
+    simultaneous diagonalization; None on failure.
     Reshuffled, `ops` are the slices of an (r, d1^2, d2^2) tensor. In its
     column and row spaces, the eigenvectors of ``M_x M_y^-1`` for two random
     slice contractions are the vectorized ``A_j`` (which must be independent,
@@ -322,13 +318,13 @@ def _simple_tensor_basis(ops: np.ndarray, dims: DimList, rng) -> np.ndarray | No
         return None
     a = u @ w  # column j: vec(A_j)
     b = np.linalg.svd(rows.transpose(1, 0, 2), full_matrices=False)[2][:, 0]
-    simple = (a / np.linalg.norm(a, axis=0)).T[:, :, None] * b[:, None, :]
-    return simple.reshape(r, d1, d1, d2, d2).transpose(0, 1, 3, 2, 4).reshape(ops.shape)
+    return (a / np.linalg.norm(a, axis=0)).T.reshape(r, d1, d1), b.reshape(r, d2, d2)
 
 
-def _product_decomposition(ch: KrausChannel, seed: int) -> tuple[np.ndarray, ...] | None:
-    """A Kraus list of `ch` made only of ``A (x) B``, or only of ``(A (x) B) V``
-    for the party swap V; None when the search finds none.
+def _product_decomposition(ch: KrausChannel, seed: int):
+    """A Kraus stack of `ch` made only of ``A (x) B``, or only of ``(A (x) B) V``
+    for the party swap V, with the `KrausStructure` of each operator; None
+    when the search finds none.
 
     ``s[:r, None] * vh[:r]`` from the SVD of the flattened Kraus stack is a
     minimal Kraus list, r the Choi rank. A product list of r operators is a
@@ -345,7 +341,7 @@ def _product_decomposition(ch: KrausChannel, seed: int) -> tuple[np.ndarray, ...
     """
     d1, d2 = ch.dims.dims
     n = d1 * d2
-    flat = np.array(ch.kraus).reshape(len(ch.kraus), -1)
+    flat = ch.kraus.reshape(len(ch.kraus), -1)
     if numerical_rank(np.linalg.svd(flat, compute_uv=False)) > min(d1 * d1, d2 * d2):
         return None  # decided without the singular vectors
     _, s, vh = np.linalg.svd(flat, full_matrices=False)
@@ -353,20 +349,28 @@ def _product_decomposition(ch: KrausChannel, seed: int) -> tuple[np.ndarray, ...
     s, vh = s[:r], vh[:r]
     basis = (s[:, None] * vh).reshape(r, n, n)
     rng = np.random.default_rng((seed, 23))
-    for perm in [np.eye(n)] + ([swap_matrix(d1)] if d1 == d2 else []):  # V^-1 = V
+    branches = [(np.eye(n), FORM_TENSOR, None)]
+    if d1 == d2:
+        branches.append((swap_matrix(d1), FORM_PERMUTATION, (1, 0)))  # V^-1 = V
+    for perm, form, permutation in branches:
         target = basis @ perm
-        simple = _simple_tensor_basis(target, ch.dims, rng)
-        if simple is None:
+        factors = _simple_tensor_basis(target, ch.dims, rng)
+        if factors is None:
             continue
+        a, b = factors
+        simple = (a.reshape(r, -1, 1) * b.reshape(r, 1, -1)).reshape(r, d1, d1, d2, d2)
+        simple = simple.transpose(0, 1, 3, 2, 4).reshape(r, n, n)
         mix = np.linalg.lstsq(simple.reshape(r, -1).T, target.reshape(r, -1).T, rcond=None)[0]
-        ops = np.linalg.norm(mix, axis=1)[:, None, None] * simple @ perm
+        weights = np.linalg.norm(mix, axis=1)
+        ops = weights[:, None, None] * simple @ perm
         got = ops.reshape(r, -1)
         coords = got @ np.conj(vh.T)
         off_span = np.linalg.norm(got - coords @ vh, axis=1) / np.linalg.norm(got, axis=1)
         whitened = coords / s  # unitary exactly when the two lists share a Choi matrix
         gap = np.linalg.norm(whitened @ np.conj(whitened.T) - np.eye(r))
         if gap <= RANK_RTOL and np.all(off_span <= RANK_RTOL):
-            return tuple(ops)
+            return ops, tuple(KrausStructure(form, factors=(w * x, y), permutation=permutation)
+                              for w, x, y in zip(weights, a, b))
     return None
 
 
@@ -379,8 +383,6 @@ def _stochastic_violation(
     exactly the largest squared Schmidt coefficient of the image; its value
     on the image, c0^2 - 1, is negative for any genuinely entangled image.
     """
-    from .states import schmidt_decompose
-
     dec = schmidt_decompose(probe.image)
     c0sq = float(dec.coefficients[0] ** 2)
     value = c0sq - 1.0
@@ -423,8 +425,7 @@ def certify_kraus_channel(ch: KrausChannel, config: OptimizerConfig | None = Non
     """
     config = config or DEFAULT_CONFIG
     ch.dims.require_bipartite()
-    stored = np.array(ch.kraus)
-    structures = tuple(_structures(stored, ch.dims))
+    structures = tuple(_structures(ch.kraus, ch.dims))
     if all(s.is_product_preserving for s in structures):
         return Certificate(
             SNE,
@@ -434,13 +435,14 @@ def certify_kraus_channel(ch: KrausChannel, config: OptimizerConfig | None = Non
         )
     found = _product_decomposition(ch, config.seed)
     if found is not None:
+        ops, found_structures = found
         return Certificate(
             SNE,
-            structures=tuple(_structures(np.array(found), ch.dims)),
-            kraus=found,
+            structures=found_structures,
+            kraus=ops,
             note="a product-preserving remixing of the Kraus list reproduces the Choi matrix",
         )
-    structures = tuple(_probe_unknown(structures, stored, ch.dims, config))
+    structures = tuple(_probe_unknown(structures, ch.kraus, ch.dims, config))
     violations = _witness_violations(ch, default_witness_family(ch.dims), config)
     for i, s in enumerate(structures):
         if s.witness_violation is not None:
@@ -467,17 +469,12 @@ def certify_kraus_channel(ch: KrausChannel, config: OptimizerConfig | None = Non
 def _replacement_target(ch: KrausChannel):
     """The fixed output of a constant channel rho -> Tr(E rho) |phi><phi|, if any:
     every Kraus operator has rank one, and all share one column, phi."""
-    ref = None
-    for m in ch.kraus:
-        u, s, _ = np.linalg.svd(m)
-        if numerical_rank(s) != 1:
-            return None
-        col = u[:, 0]
-        if ref is None:
-            ref = col
-        elif abs(abs(np.vdot(ref, col)) - 1.0) > 1e-9:
-            return None
-    return PureState(ref, ch.dims) if ref is not None else None
+    u, s, _ = np.linalg.svd(ch.kraus)
+    cols = u[:, :, 0]
+    overlaps = np.abs(cols @ np.conj(cols[0]))
+    if np.any(numerical_rank(s) != 1) or np.any(np.abs(overlaps - 1.0) > 1e-9):
+        return None
+    return PureState(cols[0], ch.dims)
 
 
 def channel_schmidt_number_bounds(
@@ -501,7 +498,7 @@ def channel_schmidt_number_bounds(
             lower=r,
             upper=r,
             method="replacement channel: exact rank of the fixed output",
-            certificate=tuple(ch.kraus),
+            certificate=ch.kraus,
         )
     cert = certify_kraus_channel(ch, config)
     if cert.verdict == SNE:

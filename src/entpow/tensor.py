@@ -84,7 +84,8 @@ def as_vector(v) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m.T)
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conj(np.swapaxes(m, -1, -2))
 
 
 def is_hermitian(m: np.ndarray, atol: float = HERM_ATOL) -> bool:

@@ -4,7 +4,6 @@ import pytest
 from entpow.channels import (
     KrausChannel,
     MeasurementChannel,
-    _eig_pairs,
     choi_apply,
     identity_channel,
     measurement_channel,
@@ -38,6 +37,15 @@ def test_kraus_channel_validation():
         KrausChannel([], (2, 2))
     with pytest.raises(DimensionError):
         KrausChannel([np.eye(3)], (2, 2))
+    with pytest.raises(DimensionError, match=r"\(3, 3\)"):
+        KrausChannel([np.eye(4), np.eye(3)], (2, 2))
+    ops = [np.eye(4)]
+    ch = KrausChannel(ops, (2, 2))
+    assert ch.kraus.shape == (1, 4, 4)
+    with pytest.raises(ValueError):
+        ch.kraus[0, 0, 0] = 2.0
+    ops[0][0, 0] = 2.0  # the channel keeps its own copy
+    assert ch.kraus[0, 0, 0] == 1.0
 
 
 def test_trace_preservation_detection():
@@ -48,6 +56,7 @@ def test_trace_preservation_detection():
 
 
 def test_apply_and_dual_match_definitions():
+    # the batched maps equal the per-operator sums bit for bit
     rng = np.random.default_rng(0)
     for _ in range(10):
         ops = rand_channel(rng, 6, 3)
@@ -55,10 +64,11 @@ def test_apply_and_dual_match_definitions():
         rho = rand_density(rng, 6)
         obs = rng.normal(size=(6, 6))
         obs = obs + obs.T
-        out = sum(m @ rho @ dagger(m) for m in ops)
-        assert np.max(np.abs(ch.apply_matrix(rho) - out)) < 1e-12
-        dual = sum(dagger(m) @ obs @ m for m in ops)
-        assert np.max(np.abs(ch.dual_apply(obs) - dual)) < 1e-12
+        assert np.array_equal(ch.apply_matrix(rho), sum(m @ rho @ dagger(m) for m in ops))
+        assert np.array_equal(ch.dual_apply(obs), sum(dagger(m) @ obs @ m for m in ops))
+        vecs = [m.T.reshape(-1) / np.sqrt(6) for m in ops]
+        j = sum(np.outer(v, np.conj(v)) for v in vecs)
+        assert np.array_equal(ch.choi().state.matrix, (j + dagger(j)) / 2.0)
 
 
 def test_duality_pairing():
@@ -130,10 +140,14 @@ def test_measurement_channel_closed_forms():
 def kraus_with_an_eigh_per_output_eigenvector(ch):
     """The stored Kraus list, built by decomposing each effect again for every
     eigenvector of its output."""
+    def pairs(mat):
+        evals, evecs = np.linalg.eigh(mat)
+        return [(float(w), evecs[:, i]) for i, w in enumerate(evals) if w > 1e-14]
+
     kraus = []
     for e, out in zip(ch.effects, ch.outputs):
-        for r_i, u in _eig_pairs(out.matrix):
-            for e_m, f in _eig_pairs(e):
+        for r_i, u in pairs(out.matrix):
+            for e_m, f in pairs(e):
                 kraus.append(np.sqrt(r_i * e_m) * np.outer(u, np.conj(f)))
     return kraus
 

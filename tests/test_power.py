@@ -294,15 +294,27 @@ def test_one_search_backs_evidence_and_schmidt_ranks(build):
         assert channel_schmidt_rank(ch.kraus[v.kraus_index], ch.dims, config) == hit.image_rank
 
 
+def hidden_product_pair():
+    rng = np.random.default_rng(5)
+    ab = kron(rand_op(rng, 2), rand_op(rng, 2))
+    cd = kron(rand_op(rng, 2), rand_op(rng, 2))
+    return KrausChannel([(ab + cd) / np.sqrt(2), (ab - cd) / np.sqrt(2)], (2, 2))
+
+
 def test_bounds_classify_and_search_once():
+    # a found decomposition comes with its structures: no second classification
     names = ("_structures", "_image_rank_search", "_product_decomposition")
-    with ExitStack() as stack:
-        spies = [
-            stack.enter_context(patch.object(power, n, wraps=getattr(power, n))) for n in names
-        ]
-        b = channel_schmidt_number_bounds(rank_boost_23())
-    assert (b.lower, b.upper) == (2, 3)
-    assert [spy.call_count for spy in spies] == [1, 1, 1]
+    for build, bounds, counts in [(rank_boost_23, (2, 3), [1, 1, 1]),
+                                  (hidden_product_pair, (1, 1), [1, 0, 1])]:
+        ch = build()
+        with ExitStack() as stack:
+            spies = [
+                stack.enter_context(patch.object(power, n, wraps=getattr(power, n)))
+                for n in names
+            ]
+            b = channel_schmidt_number_bounds(ch)
+        assert (b.lower, b.upper) == bounds
+        assert [spy.call_count for spy in spies] == counts
 
 
 
@@ -366,6 +378,9 @@ def test_hidden_local_unitary_mixtures_are_sne(seed, dims, terms, swap):
     assert (cert.verdict, cert.note) == (SNE, DECOMPOSITION_NOTE)
     form = "permutation_local" if swap else "tensor_product"
     assert [s.form for s in cert.structures] == [form] * terms
+    v = swap_matrix(dims[0]) if swap else np.eye(dims[0] * dims[1])
+    for s, op in zip(cert.structures, cert.kraus):  # the factors rebuild each operator
+        assert np.allclose(kron(*s.factors) @ v, op, atol=1e-12)
     b = channel_schmidt_number_bounds(ch)
     assert (b.lower, b.upper, b.method) == (1, 1, DECOMPOSITION)
     assert reproduces_choi(b.certificate, ch)
@@ -422,11 +437,7 @@ def test_certify_cnot_entangling_with_replayable_evidence():
 
 
 def test_certify_hidden_product_decomposition_is_sne():
-    rng = np.random.default_rng(5)
-    ab = kron(rand_op(rng, 2), rand_op(rng, 2))
-    cd = kron(rand_op(rng, 2), rand_op(rng, 2))
-    ch = KrausChannel([(ab + cd) / np.sqrt(2), (ab - cd) / np.sqrt(2)], (2, 2))
-    cert = certify_kraus_channel(ch)
+    cert = certify_kraus_channel(hidden_product_pair())
     assert cert.verdict == "stochastically_nonentangling"
     assert cert.note == DECOMPOSITION_NOTE
 
