@@ -2,8 +2,8 @@
 
     python3 scripts/compare_certify_outputs.py DIR_A DIR_B
 
-Both directories must hold the same files. The ``schmidt`` and
-``schmidt-cut`` outputs must be byte-equal. For each ``classify`` output the
+Both directories must hold the same files. The ``schmidt``, ``schmidt-cut``
+and ``demo-<stem>`` outputs must be byte-equal. For each ``classify`` output the
 two sides must agree on the
 verdict, the note, the witness violations (kind "witness") and the list of
 ``(kind, kraus_index)`` over the other violations; stochastic violations may
@@ -31,7 +31,7 @@ sys.path[:0] = [str(ROOT / "bench")]
 import verify  # noqa: E402
 import workloads  # noqa: E402
 
-NAME = re.compile(r"(\d+)-(.+)-(classify|schmidt|schmidt-cut)\.txt")
+NAME = re.compile(r"(?:(\d+)-(.+)-(classify|schmidt|schmidt-cut)|demo-.+)\.txt")
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +124,7 @@ def main() -> int:
         text_a, text_b = (args.a / f).read_text(), (args.b / f).read_text()
         if m.group(3) != "classify":
             if text_a != text_b:
-                problems.append(f"{f}: {m.group(3)} output differs")
+                problems.append(f"{f}: {m.group(3) or 'demo'} output differs")
             continue
         try:
             found = classify_differences(int(m.group(1)), m.group(2), text_a, text_b)

@@ -7,10 +7,11 @@ eleven `certify-mix` channels (`bench/workloads.py`), runs ``classify SPEC``,
 ``schmidt SPEC`` and ``schmidt SPEC --cut 0,2`` (which reads the Choi matrix)
 through ``entpow.cli.main`` with the `src` tree beside this script, and writes
 stdout to ``OUTDIR/<seed>-<channel>-<command>.txt``, the last command named
-``schmidt-cut``. Run it from two checkouts and
-compare with ``diff -r``: a change that keeps the search bitwise gives no
-difference. `compare_certify_outputs.py` compares what must stay equal when
-only stochastic evidence may change. BLAS is held to one thread, as in the
+``schmidt-cut``. It then runs each script in ``demos/`` and writes its stdout
+to ``OUTDIR/demo-<stem>.txt``. Run it from two checkouts and compare with
+``diff -r``: a change that keeps the search bitwise gives no difference.
+`compare_certify_outputs.py` compares what must stay equal when only
+stochastic evidence may change. BLAS is held to one thread, as in the
 benchmark.
 """
 
@@ -21,6 +22,7 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -53,6 +55,11 @@ def main() -> int:
                     text = out.getvalue() + f"exit {code}\n"
                     name = command + ("-cut" if flags else "")
                     (args.outdir / f"{seed}-{ch.name}-{name}.txt").write_text(text)
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(demo), run_name="__main__")
+        (args.outdir / f"demo-{demo.stem}.txt").write_text(out.getvalue())
     return 0
 
 

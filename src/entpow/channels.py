@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .states import DensityMatrix, PureState, max_entangled, pure_from_density, schmidt_diagonal
-from .tensor import DimList, as_matrix, dagger, kron, swap_matrix
+from .states import DensityMatrix, PureState, max_entangled, schmidt_diagonal
+from .tensor import DimList, as_matrix, dagger, kron, partial_trace, swap_matrix
 
 TP_ATOL = 1e-10
 _EIG_CUTOFF = 1e-14
@@ -98,51 +98,34 @@ class KrausChannel:
         self.dims.check_matrix(obs)
         return (dagger(self.kraus) @ obs @ self.kraus).sum(axis=0)
 
-    def choi(self) -> "ChoiMatrix":
-        """Choi state of the channel (references first, trace-1 convention)."""
+    def choi(self) -> DensityMatrix:
+        """Choi state of the channel on (R1..Rn, S1..Sn), trace-1 convention;
+        sub-normalized unless the channel is trace-preserving."""
         d = self.dims.total
         v = self.kraus.transpose(0, 2, 1).reshape(-1, d * d) / np.sqrt(d)  # (I (x) M)|Omega>
-        j = (v[:, :, None] * np.conj(v)[:, None, :]).sum(axis=0)
+        j = np.zeros((d * d, d * d), dtype=complex)
+        for row in v:  # one outer product at a time: memory stays at one Choi matrix
+            j += np.outer(row, np.conj(row))
         # trace = Tr(sum M^dag M)/d, which is 1 exactly when trace-preserving
-        state = DensityMatrix(
-            j,
-            DimList(self.dims.dims + self.dims.dims),
-            subnormalized=not self.is_trace_preserving,
+        return DensityMatrix(
+            j, DimList(self.dims.dims + self.dims.dims), subnormalized=not self.is_trace_preserving
         )
-        return ChoiMatrix(state, n_parties=self.dims.n)
 
 
-class ChoiMatrix:
-    """Choi state with its reference/system party bookkeeping."""
-
-    def __init__(self, state: DensityMatrix, n_parties: int):
-        if state.dims.n != 2 * n_parties:
-            raise DimensionError("Choi state must have one reference per system party")
-        self.state = state
-        self.n_parties = n_parties
-
-    @property
-    def sys_parties(self) -> tuple[int, ...]:
-        return tuple(range(self.n_parties, 2 * self.n_parties))
-
-    def pure_state(self) -> PureState:
-        """The Choi vector, when the Choi matrix is rank one."""
-        return pure_from_density(self.state)
-
-
-def choi_apply(choi: ChoiMatrix, rho: np.ndarray) -> np.ndarray:
-    """Reconstruct the channel action from the Choi state.
+def choi_apply(choi: DensityMatrix, rho: np.ndarray) -> np.ndarray:
+    """Reconstruct the channel action from the Choi state on (R1..Rn, S1..Sn).
 
     Standard contraction: ``D * Tr_R[(rho^T (x) I) J]``.
     """
-    from .tensor import partial_trace
-
+    n = choi.dims.n // 2
+    if choi.dims.dims[:n] != choi.dims.dims[n:]:
+        raise DimensionError(f"Choi dims {choi.dims.dims} need one reference per system party")
     rho = as_matrix(rho)
-    d = int(round(np.sqrt(choi.state.dims.total)))
+    d = DimList(choi.dims.dims[n:]).total
     if rho.shape != (d, d):
         raise DimensionError(f"input shape {rho.shape} does not match Choi system dim {d}")
-    big = kron(rho.T, np.eye(d)) @ choi.state.matrix
-    return d * partial_trace(big, choi.state.dims, keep=choi.sys_parties)
+    big = kron(rho.T, np.eye(d)) @ choi.matrix
+    return d * partial_trace(big, choi.dims, keep=tuple(range(n, 2 * n)))
 
 
 def _eig_pairs(evals: np.ndarray, evecs: np.ndarray):
@@ -168,12 +151,10 @@ class MeasurementChannel(KrausChannel):
     form directly for numerical stability.
     """
 
-    def __init__(self, effects, outputs, dims=None, label: str = "measurement"):
+    def __init__(self, effects, outputs, dims, label: str = "measurement"):
         effects = [as_matrix(e) for e in effects]
         if not effects:
             raise DimensionError("need at least one effect")
-        if dims is None:
-            raise DimensionError("measurement_channel requires explicit dims")
         dims = DimList.of(dims)
         outs = [o if isinstance(o, DensityMatrix) else DensityMatrix(as_matrix(o), dims)
                 for o in outputs]
@@ -258,7 +239,7 @@ def random_unitary_channel(unitaries, probabilities, dims) -> RandomUnitaryChann
 class MixingChannel(KrausChannel):
     """``rho -> p rho + (1-p) Tr(rho) sigma`` for a fixed state sigma."""
 
-    def __init__(self, p: float, sigma: DensityMatrix, label: str = "mixing"):
+    def __init__(self, p: float, sigma: DensityMatrix):
         if not 0.0 <= p <= 1.0:
             raise DimensionError(f"mixing probability {p} outside [0, 1]")
         dims = sigma.dims
@@ -267,7 +248,7 @@ class MixingChannel(KrausChannel):
         if 1.0 - p > _EIG_CUTOFF:
             r_i, u = _eig_pairs(*np.linalg.eigh(sigma.matrix))
             kraus.append(_outer_stack(np.sqrt((1.0 - p) * r_i)[:, None], u, eye))
-        super().__init__(np.concatenate(kraus), dims, label=label)
+        super().__init__(np.concatenate(kraus), dims, label="mixing")
         self.p = float(p)
         self.sigma = sigma
 

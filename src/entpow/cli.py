@@ -140,10 +140,10 @@ def _schmidt_channel_report(ch: KrausChannel, args) -> int:
         )
     if args.cut is not None:
         choi = ch.choi()
-        n2 = choi.state.dims.n
+        n2 = choi.dims.n
         cut = _parse_cut(args.cut, n2)
         try:
-            psi = choi.pure_state()
+            psi = pure_from_density(choi)
         except EntpowError:
             print(
                 f"choi cut {_fmt_cut(cut, n2)}: choi matrix is mixed; "

@@ -285,9 +285,9 @@ class Violation:
 @dataclass(frozen=True)
 class Certificate:
     verdict: str  # "stochastically_nonentangling" | "entangling" | "inconclusive"
+    structures: tuple[KrausStructure, ...]
+    kraus: np.ndarray  # the (K, D, D) stack `structures` classify: ch.kraus or found
     violations: tuple[Violation, ...] = ()
-    structures: tuple[KrausStructure, ...] | None = None
-    kraus: np.ndarray | None = None  # the (K, D, D) stack `structures` classify: ch.kraus or found
     note: str = ""
 
 
@@ -468,13 +468,14 @@ def certify_kraus_channel(ch: KrausChannel, config: OptimizerConfig | None = Non
 
 def _replacement_target(ch: KrausChannel):
     """The fixed output of a constant channel rho -> Tr(E rho) |phi><phi|, if any:
-    every Kraus operator has rank one, and all share one column, phi."""
-    u, s, _ = np.linalg.svd(ch.kraus)
-    cols = u[:, :, 0]
-    overlaps = np.abs(cols @ np.conj(cols[0]))
-    if np.any(numerical_rank(s) != 1) or np.any(np.abs(overlaps - 1.0) > 1e-9):
+    the Kraus operators laid side by side, ``[M_1 ... M_K]``, have rank one,
+    so every output is a multiple of |phi><phi| for their top left singular
+    vector phi."""
+    d = ch.dims.total
+    u, s, _ = np.linalg.svd(ch.kraus.transpose(1, 0, 2).reshape(d, -1), full_matrices=False)
+    if numerical_rank(s) != 1:
         return None
-    return PureState(cols[0], ch.dims)
+    return PureState(u[:, 0], ch.dims)
 
 
 def channel_schmidt_number_bounds(

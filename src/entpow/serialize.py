@@ -49,15 +49,17 @@ def _get(obj: dict, key: str, field: str) -> Any:
 
 
 def _integer(value, field: str) -> int:
-    """A JSON number of integer value: 2 or 2.0, not "2" or 2.7."""
-    if isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer()):
+    """A JSON number of integer value: 2 or 2.0, not "2", 2.7 or true."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise SpecError(field, f"expected an integer, got {value!r}")
 
 
 def _number(value, field: str) -> float:
-    """A JSON number: 0.3 or 1, not "0.3"."""
-    if isinstance(value, (int, float)):
+    """A JSON number: 0.3 or 1, not "0.3" or true."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     raise SpecError(field, f"expected a number, got {value!r}")
 
@@ -169,7 +171,8 @@ def channel_to_json(ch: ch_mod.KrausChannel) -> dict:
     }
 
 
-def channel_from_json(obj: dict, field: str = "channel") -> ch_mod.KrausChannel:
+def channel_from_json(obj: dict) -> ch_mod.KrausChannel:
+    field = "channel"
     kind = _get(obj, "kind", field)
     try:
         if kind == "kraus":
@@ -265,15 +268,13 @@ def certificate_to_json(cert: Certificate, version: str) -> dict:
                 "input": product_state_to_json(v.input),
             }
         )
-    out = {
+    return {
         "verdict": cert.verdict,
         "note": cert.note,
         "violations": violations,
         "version": version,
+        "kraus_forms": [s.form for s in cert.structures],
     }
-    if cert.structures is not None:
-        out["kraus_forms"] = [s.form for s in cert.structures]
-    return out
 
 
 def load_spec(path: str) -> dict:

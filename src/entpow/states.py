@@ -23,15 +23,10 @@ PSD_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class PureState:
-    """A state vector with its party structure.
-
-    Unnormalized vectors are permitted only as flagged intermediates
-    (e.g. unrenormalized outputs of a selected measurement branch).
-    """
+    """A unit state vector with its party structure."""
 
     amplitudes: np.ndarray
     dims: DimList
-    normalized: bool = True
 
     def __post_init__(self):
         amps = as_vector(self.amplitudes)
@@ -41,8 +36,8 @@ class PureState:
                 f"amplitude length {amps.shape[0]} does not match dims {dims.dims}"
             )
         nrm = float(np.linalg.norm(amps))
-        if self.normalized and abs(nrm - 1.0) > 1e-9:
-            raise DimensionError(f"state norm {nrm} is not 1 (flag normalized=False to allow)")
+        if abs(nrm - 1.0) > 1e-9:
+            raise DimensionError(f"state norm {nrm} is not 1")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
 
@@ -50,7 +45,7 @@ class PureState:
         return np.outer(self.amplitudes, np.conj(self.amplitudes))
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.projector(), self.dims, subnormalized=not self.normalized)
+        return DensityMatrix(self.projector(), self.dims)
 
     def overlap(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -231,16 +226,17 @@ def random_separable(dims, terms: int, seed: int) -> DensityMatrix:
     return DensityMatrix(out, dims)
 
 
-def is_ppt(rho: DensityMatrix, atol: float = PSD_ATOL) -> bool:
+def is_ppt(rho: DensityMatrix) -> bool:
     """Positivity of the partial transpose (necessary for separability)."""
     rho.dims.require_bipartite()
     gamma = partial_transpose(rho.matrix, rho.dims, 1)
-    return bool(np.linalg.eigvalsh(gamma)[0] >= -atol)
+    return bool(np.linalg.eigvalsh(gamma)[0] >= -PSD_ATOL)
 
 
-def pure_from_density(rho: DensityMatrix, atol: float = 1e-8) -> PureState:
-    """Extract the state vector of a rank-1 density matrix (purity must be ~1)."""
-    if abs(rho.purity() - rho.trace**2) > atol:
+def pure_from_density(rho: DensityMatrix) -> PureState:
+    """Extract the state vector of a rank-1 density matrix: its purity must
+    be its squared trace to 1e-8."""
+    if abs(rho.purity() - rho.trace**2) > 1e-8:
         raise DimensionError(f"density matrix is not pure (purity {rho.purity()})")
     evals, evecs = np.linalg.eigh(rho.matrix)
     vec = evecs[:, -1] * np.sqrt(max(evals[-1], 0.0))

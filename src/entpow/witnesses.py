@@ -59,7 +59,7 @@ from .errors import (
     NotAWitnessError,
 )
 from .states import ProductStateParam, PureState, schmidt_diagonal, schmidt_rank
-from .tensor import DimList, as_matrix, dagger, is_hermitian, partial_transpose
+from .tensor import DimList, as_matrix, dagger, is_hermitian, partial_transpose, swap_matrix
 
 TOL_WITNESS = 1e-8  # minima above -TOL_WITNESS still count as a witness
 TOL_ZERO = 1e-6     # minima below +TOL_ZERO count as touching zero (optimality)
@@ -648,8 +648,6 @@ def mixing_shifted_dual(p: float, sigma, w: Witness) -> MixShiftResult:
 
 def swap_witness(d: int) -> Witness:
     """The swap operator as a witness (zero on products, -1 on the singlet)."""
-    from .tensor import swap_matrix
-
     return Witness(swap_matrix(d), DimList((d, d)), label="swap")
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from entpow.channels import (
 )
 from entpow.errors import DimensionError
 from entpow.states import DensityMatrix, max_entangled, random_separable
-from entpow.tensor import dagger, kron
+from entpow.tensor import dagger, kron, partial_trace
 
 
 def rand_channel(rng, d, n_ops):
@@ -68,7 +70,7 @@ def test_apply_and_dual_match_definitions():
         assert np.array_equal(ch.dual_apply(obs), sum(dagger(m) @ obs @ m for m in ops))
         vecs = [m.T.reshape(-1) / np.sqrt(6) for m in ops]
         j = sum(np.outer(v, np.conj(v)) for v in vecs)
-        assert np.array_equal(ch.choi().state.matrix, (j + dagger(j)) / 2.0)
+        assert np.array_equal(ch.choi().matrix, (j + dagger(j)) / 2.0)
 
 
 def test_duality_pairing():
@@ -96,8 +98,8 @@ def test_choi_is_a_state_and_reconstructs():
     for _ in range(10):
         ch = KrausChannel(rand_channel(rng, 4, 3), (2, 2))
         choi = ch.choi()
-        assert abs(choi.state.trace - 1) < 1e-10
-        assert np.linalg.eigvalsh(choi.state.matrix)[0] > -1e-12
+        assert abs(choi.trace - 1) < 1e-10
+        assert np.linalg.eigvalsh(choi.matrix)[0] > -1e-12
         rho = rand_density(rng, 4)
         direct = ch.apply_matrix(rho)
         via_choi = choi_apply(choi, rho)
@@ -105,9 +107,35 @@ def test_choi_is_a_state_and_reconstructs():
 
 
 def test_choi_party_bookkeeping():
-    choi = swap_channel(2).choi()
-    assert choi.sys_parties == (2, 3)
-    assert choi.state.dims.dims == (2, 2, 2, 2)
+    # (R1, R2, S1, S2) on dims (2, 3): the references are maximally mixed, the
+    # systems hold the image of I/6, and choi_apply reads that split from dims
+    rng = np.random.default_rng(5)
+    ch = KrausChannel(rand_channel(rng, 6, 2), (2, 3))
+    choi = ch.choi()
+    assert choi.dims.dims == (2, 3, 2, 3)
+    assert np.allclose(partial_trace(choi.matrix, choi.dims, keep=(0, 1)), np.eye(6) / 6,
+                       atol=1e-12)
+    assert np.allclose(partial_trace(choi.matrix, choi.dims, keep=(2, 3)),
+                       ch.apply_matrix(np.eye(6) / 6), atol=1e-12)
+    rho = rand_density(rng, 6)
+    assert np.allclose(choi_apply(choi, rho), ch.apply_matrix(rho), atol=1e-12)
+    with pytest.raises(DimensionError):
+        choi_apply(choi, np.eye(4) / 4)
+    with pytest.raises(DimensionError, match="one reference per system party"):
+        choi_apply(DensityMatrix(np.eye(12) / 12, (2, 3, 2)), np.eye(6) / 6)
+
+
+def test_choi_memory_stays_at_one_choi_matrix():
+    # 257 Kraus operators; summing their outer products all at once took 259 MB
+    ch = mixing_channel(0.3, DensityMatrix(np.eye(16) / 16, (4, 4)))
+    tracemalloc.start()
+    try:
+        choi = ch.choi()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert choi.dims.dims == (4, 4, 4, 4)
+    assert peak <= 16 * choi.matrix.nbytes  # 16 complex Choi-sized arrays: 16 * 16 * D^4 bytes
 
 
 def test_measurement_channel_closed_forms():

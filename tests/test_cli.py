@@ -7,7 +7,7 @@ from unittest.mock import call, patch
 import numpy as np
 import pytest
 
-from entpow import __version__, power
+from entpow import __version__, power, witnesses
 from entpow.channels import (
     identity_channel,
     mixing_channel,
@@ -126,6 +126,9 @@ MALFORMED = {
     "coefficient_nan": ("channel", edited(rank_boost_channel(2, 2, [0.8, 0.6]),
                                           coefficients=[0.8, float("nan")])),
     "p_string": ("channel.p", edited(mixing_channel(0.3, max_entangled(2, 2).density()), p="0.3")),
+    # JSON true is not the number 1
+    "p_bool": ("channel.p", edited(mixing_channel(0.3, max_entangled(2, 2).density()), p=True)),
+    "dims_bool": ("channel.dims", edited(IDENTITY, dims=[True, 2])),
 }
 
 
@@ -137,7 +140,8 @@ def test_malformed_spec_exits_2_naming_its_field(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("case, words", [("probabilities_nested", "must be a list of numbers"),
-                                         ("coefficient_nan", "must be finite")])
+                                         ("coefficient_nan", "must be finite"),
+                                         ("dims_bool", "expected an integer, got True")])
 def test_malformed_spec_error_says_what_is_wrong(tmp_path, capsys, case, words):
     assert main(["classify", write_spec(tmp_path, "bad.json", MALFORMED[case][1])]) == 2
     assert words in capsys.readouterr().err
@@ -219,6 +223,16 @@ def test_scan_optimizer_engine(tmp_path):
     assert abs(row[("0", "0")] - 0.3) < 1e-6
 
 
+def test_scan_optimizer_exits_3_when_a_point_does_not_converge(tmp_path, capsys):
+    out = tmp_path / "opt.csv"
+    argv = ["scan", "--scenario", "unitary_mix", "--step", "0.25", "--engine", "optimizer",
+            "--out", str(out)]
+    with patch.object(witnesses, "MAX_SWEEPS", 1):
+        assert main(argv) == 3
+    assert "failed to converge" in capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 16  # the CSV is still written
+
+
 def test_scan_rejects_bad_step(tmp_path, capsys):
     out = tmp_path / "x.csv"
     rc = main(["scan", "--scenario", "fig3", "--step", "0.4", "--out", str(out)])
@@ -263,6 +277,15 @@ def test_schmidt_channel_report_and_cut(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "choi cut (0,2)|(1,3): schmidt rank 4" in captured.out
     assert "rank d^2" in captured.err  # swap-cut advisory
+
+
+def test_schmidt_cut_of_a_mixed_choi_matrix(tmp_path, capsys):
+    mix = mixing_channel(0.3, max_entangled(2, 2).density())
+    spec = write_spec(tmp_path, "mix.json", channel_to_json(mix))
+    assert main(["schmidt", spec, "--cut", "0,2"]) == 0
+    out = capsys.readouterr().out
+    assert "choi cut (0,2)|(1,3): choi matrix is mixed" in out
+    assert "brute-force SVD" not in out
 
 
 def test_schmidt_single_operator_classifies_once(tmp_path, capsys):

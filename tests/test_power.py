@@ -173,6 +173,13 @@ def test_replacement_is_read_from_a_pure_output_only():
     assert mixed.lower <= 3 <= mixed.upper
 
 
+def test_replacement_target_ignores_a_zero_kraus_operator():
+    ch = replacement_channel(max_entangled(3, 3))
+    padded = KrausChannel([*ch.kraus, np.zeros((9, 9))], (3, 3))
+    b = channel_schmidt_number_bounds(padded)
+    assert (b.lower, b.upper) == (3, 3) and "replacement" in b.method
+
+
 def test_bounds_entangling_unitary():
     b = channel_schmidt_number_bounds(unitary_channel(CNOT, (2, 2)))
     assert b.lower == 2
@@ -440,6 +447,22 @@ def test_certify_hidden_product_decomposition_is_sne():
     cert = certify_kraus_channel(hidden_product_pair())
     assert cert.verdict == "stochastically_nonentangling"
     assert cert.note == DECOMPOSITION_NOTE
+
+
+def test_certify_inconclusive_without_structure_or_violation():
+    # (|0> (x) I) N1 and (|1> (x) I) N2 send every input to a product state, yet
+    # neither takes a recognized form: no structure, no entangled image and no
+    # witness violation leave the verdict open
+    rng = np.random.default_rng(11)
+    u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    ops = [np.kron(np.eye(2)[:, [a]], np.eye(2)) @ u[2 * a:2 * a + 2] for a in (0, 1)]
+    ch = KrausChannel(ops, (2, 2))
+    assert ch.is_trace_preserving
+    cert = certify_kraus_channel(ch)
+    assert cert.verdict == "inconclusive" and cert.violations == ()
+    assert [s.form for s in cert.structures] == ["unknown", "unknown"]
+    b = channel_schmidt_number_bounds(ch)
+    assert (b.lower, b.upper) == (1, 1)
 
 
 def test_certify_rank_boost_never_sne():

@@ -165,6 +165,9 @@ def test_spec_error_paths():
     with pytest.raises(SpecError) as exc:
         witness_from_json({**shifted, "lambda": "0.8"})
     assert exc.value.field == "witness.lambda"
+    with pytest.raises(SpecError) as exc:
+        witness_from_json({**shifted, "lambda": True})  # JSON true is not the number 1
+    assert exc.value.field == "witness.lambda"
 
 
 def test_load_spec_errors(tmp_path):

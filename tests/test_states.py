@@ -23,8 +23,6 @@ def test_pure_state_normalization_gate():
     PureState(np.array([1.0, 0.0]), (2,))
     with pytest.raises(DimensionError):
         PureState(np.array([1.0, 1.0]), (2,))
-    # sub-normalized vectors are allowed when flagged
-    PureState(np.array([0.5, 0.0]), (2,), normalized=False)
 
 
 def test_pure_state_projector_and_overlap():
