@@ -25,6 +25,7 @@ from . import __version__
 from .channels import KrausChannel
 from .errors import EntpowError, SpecError
 from .power import (
+    FORM_PERMUTATION,
     certify_kraus_channel,
     channel_schmidt_number_bounds,
     classify_kraus_many,
@@ -86,7 +87,10 @@ def cmd_scan(args) -> int:
         engine=args.engine,
         optimizer=OptimizerConfig(restarts=args.restarts, seed=args.seed),
     )
-    write_csv(result, args.out)
+    try:
+        write_csv(result, args.out)
+    except OSError as exc:
+        raise SpecError("out", f"cannot write: {exc}") from None
     print(f"wrote {args.out}: {len(result.rows)} rows ({scenario.name}, {args.engine})")
     if scenario.name == "measurement":
         print(_KINK_NOTE, file=sys.stderr)
@@ -100,6 +104,7 @@ def cmd_scan(args) -> int:
 
 
 def _schmidt_state_report(state: PureState | DensityMatrix, args) -> int:
+    cut = (0,) if args.cut is None else _parse_cut(args.cut, state.dims.n)
     if isinstance(state, DensityMatrix):
         try:
             state = pure_from_density(state)
@@ -114,7 +119,6 @@ def _schmidt_state_report(state: PureState | DensityMatrix, args) -> int:
     dims = state.dims
     if dims.n < 2:
         raise SpecError("dims", "schmidt rank needs at least two parties")
-    cut = _parse_cut(args.cut, dims.n) if args.cut else (0,)
     rank = schmidt_rank(state, cut)
     print(f"pure state on dims {dims.dims}")
     print(f"cut {_fmt_cut(cut, dims.n)}: schmidt rank {rank} (SVD of amplitude matrix)")
@@ -123,8 +127,10 @@ def _schmidt_state_report(state: PureState | DensityMatrix, args) -> int:
 
 def _schmidt_channel_report(ch: KrausChannel, args) -> int:
     config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
+    n2 = 2 * ch.dims.n  # the Choi state's parties: references, then outputs
+    cut = None if args.cut is None else _parse_cut(args.cut, n2)
     print(f"channel on dims {ch.dims.dims} with {len(ch.kraus)} Kraus operator(s)")
-    if len(ch.kraus) == 1 or args.cut is not None:  # the form and rank lines, the swap-cut note
+    if len(ch.kraus) == 1 or cut is not None:  # the form and rank lines, the swap-cut note
         forms = classify_kraus_many(ch.kraus, ch.dims, config)
     if len(ch.kraus) == 1:
         print(f"kraus form: {forms[0].form}")
@@ -138,10 +144,8 @@ def _schmidt_channel_report(ch: KrausChannel, args) -> int:
             f"channel schmidt number bounds: ({bounds.lower}, {bounds.upper}) "
             f"[{bounds.method}]"
         )
-    if args.cut is not None:
+    if cut is not None:
         choi = ch.choi()
-        n2 = choi.dims.n
-        cut = _parse_cut(args.cut, n2)
         try:
             psi = pure_from_density(choi)
         except EntpowError:
@@ -152,7 +156,7 @@ def _schmidt_channel_report(ch: KrausChannel, args) -> int:
             return 0
         rank = schmidt_rank(psi, cut)
         print(f"choi cut {_fmt_cut(cut, n2)}: schmidt rank {rank} (brute-force SVD)")
-        if all(f.form == "permutation_local" for f in forms):
+        if all(f.form == FORM_PERMUTATION for f in forms):
             print(_SWAP_CUT_NOTE.format(cut=_fmt_cut(cut, n2)), file=sys.stderr)
     return 0
 

@@ -28,7 +28,6 @@ the decomposition search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,12 +62,15 @@ PROBES = 200
 PROBE_CHUNK = 8
 
 
-class ProbeViolation(NamedTuple):
-    """A product input whose (normalized) image under one operator is entangled."""
+@dataclass(frozen=True)
+class Violation:
+    """One replayable piece of entangling evidence."""
 
+    kind: str  # "witness" (full channel) | "stochastic" (single stored Kraus op)
+    witness: Witness
     input: ProductStateParam
-    image: PureState
-    image_rank: int
+    value: float
+    kraus_index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -78,22 +80,21 @@ class KrausStructure:
     `factors` holds the per-party operators for the tensor and permutation
     forms, and the per-party *vectors* of the product column space for the
     rank-1 form (whose bra side is `right_vector`: M = |factors><right_vector|).
+    An `unknown` operator carries the largest image Schmidt rank the probes
+    found (1 when none reached 2) and, when its probe image is entangled
+    enough to certify, that hit as a stochastic `Violation`.
     """
 
     form: str
     factors: tuple[np.ndarray, ...] | None = None
     permutation: tuple[int, ...] | None = None
     right_vector: np.ndarray | None = None
-    witness_violation: ProbeViolation | None = None
+    image_rank: int = 1
+    violation: Violation | None = None
 
     @property
     def is_product_preserving(self) -> bool:
         return self.form in (FORM_TENSOR, FORM_PERMUTATION, FORM_RANK1)
-
-    @property
-    def image_rank(self) -> int:
-        """The largest image Schmidt rank the probes found; 1 when none is stored."""
-        return self.witness_violation.image_rank if self.witness_violation else 1
 
 
 def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -119,11 +120,11 @@ def _image_svals(img: np.ndarray, scale: np.ndarray, dims: DimList) -> np.ndarra
     return svals
 
 
-def _image_rank_search(ops, dims: DimList, config: OptimizerConfig) -> list[ProbeViolation | None]:
-    """For each operator, the first of `PROBES` product inputs drawn
-    from ``(seed, 17)`` that reaches the largest image Schmidt rank among
-    them, as a `ProbeViolation` when that rank is at least 2, else None
-    (ranks 0 and 1).
+def _image_rank_search(ops, dims: DimList, config: OptimizerConfig):
+    """For each operator, the largest image Schmidt rank among `PROBES`
+    product inputs drawn from ``(seed, 17)``, with the first input that
+    reaches it and its normalized image: ``(rank, input, image)`` when that
+    rank is at least 2, else None (ranks 0 and 1).
 
     Image rank at least R means a non-zero R x R minor of the bilinear map
     ``(a, b) -> M (a (x) b)``, a polynomial that vanishes only on a null set,
@@ -157,11 +158,11 @@ def _image_rank_search(ops, dims: DimList, config: OptimizerConfig) -> list[Prob
         todo = todo[rank[todo] < min(d1, d2)]
         if not todo.size:
             break
-    found: list[ProbeViolation | None] = [None] * len(stack)
+    found: list[tuple[int, ProductStateParam, PureState] | None] = [None] * len(stack)
     for k in np.flatnonzero(rank >= 2):
         factors = (a[best[k]].copy(), b[best[k]].copy())  # a view would keep every probe alive
         image = PureState(kept[k] / np.linalg.norm(kept[k]), dims)
-        found[k] = ProbeViolation(ProductStateParam(factors), image, int(rank[k]))
+        found[k] = (int(rank[k]), ProductStateParam(factors), image)
     return found
 
 
@@ -169,8 +170,8 @@ def classify_kraus(m, dims, config: OptimizerConfig | None = None) -> KrausStruc
     """Classify one Kraus operator against the product-preserving forms.
 
     Bipartite only: more than two parties raise `ArityError`. An `unknown`
-    form with a stored `witness_violation` means the operator demonstrably
-    creates entanglement from a product input.
+    form with a stored `violation` means the operator demonstrably creates
+    entanglement from a product input.
     """
     return classify_kraus_many([m], dims, config)[0]
 
@@ -178,8 +179,8 @@ def classify_kraus(m, dims, config: OptimizerConfig | None = None) -> KrausStruc
 def classify_kraus_many(ops, dims, config: OptimizerConfig | None = None) -> list[KrausStructure]:
     """`classify_kraus` for each operator, in order: the structural tests of
     `_structures`, then one `_image_rank_search` over the operators they left
-    `unknown`, whose hits are stored as `witness_violation`. No step mixes
-    operators, so each result is the one the operator gets alone.
+    `unknown`, whose ranks and hits each stores. No step mixes operators, so
+    each result is the one the operator gets alone.
     """
     config = config or DEFAULT_CONFIG
     dims = DimList.of(dims)
@@ -234,12 +235,34 @@ def _structures(ops: np.ndarray, dims: DimList) -> list[KrausStructure]:
     return out
 
 
+def _stochastic_violation(
+    index: int, dims: DimList, probe: ProductStateParam, image: PureState
+) -> Violation | None:
+    """Package the probe hit of operator `index` as a replayable
+    shifted-witness violation.
+
+    The witness is ``c0^2 I - |image><image|`` whose separable maximum is
+    exactly the largest squared Schmidt coefficient of the image; its value
+    on the image, c0^2 - 1, must reach ``-TOL_WITNESS``, else None.
+    """
+    c0sq = float(schmidt_decompose(image).coefficients[0] ** 2)
+    value = c0sq - 1.0
+    if value > -TOL_WITNESS:
+        return None
+    w = Witness.from_shift(c0sq, image.projector(), dims, label=f"image_shift[{index}]")
+    return Violation("stochastic", w, probe, value, kraus_index=index)
+
+
 def _probe_unknown(structures, stack: np.ndarray, dims: DimList, config: OptimizerConfig):
-    """`structures`, each `unknown` one with its operator's hit in `_image_rank_search`."""
+    """`structures`, each `unknown` one with its operator's rank in
+    `_image_rank_search` and its hit as a `Violation` indexed into `stack`."""
     out = list(structures)
     rest = [k for k, st in enumerate(out) if st.form == FORM_UNKNOWN]
-    for k, viol in zip(rest, _image_rank_search(stack[rest], dims, config)):
-        out[k] = KrausStructure(FORM_UNKNOWN, witness_violation=viol)
+    for k, hit in zip(rest, _image_rank_search(stack[rest], dims, config)):
+        if hit is not None:
+            rank, probe, image = hit
+            out[k] = KrausStructure(FORM_UNKNOWN, image_rank=rank,
+                                    violation=_stochastic_violation(k, dims, probe, image))
     return out
 
 
@@ -269,17 +292,6 @@ class ChannelSchmidtBounds:
             raise DimensionError(
                 f"invalid bounds: lower={self.lower}, upper={self.upper}"
             )
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One replayable piece of entangling evidence."""
-
-    kind: str  # "witness" (full channel) | "stochastic" (single stored Kraus op)
-    witness: Witness
-    input: ProductStateParam
-    value: float
-    kraus_index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -374,29 +386,7 @@ def _product_decomposition(ch: KrausChannel, seed: int):
     return None
 
 
-def _stochastic_violation(
-    index: int, dims: DimList, probe: ProbeViolation
-) -> Violation | None:
-    """Package a probe hit as a replayable shifted-witness violation.
-
-    The witness is ``c0^2 I - |image><image|`` whose separable maximum is
-    exactly the largest squared Schmidt coefficient of the image; its value
-    on the image, c0^2 - 1, is negative for any genuinely entangled image.
-    """
-    dec = schmidt_decompose(probe.image)
-    c0sq = float(dec.coefficients[0] ** 2)
-    value = c0sq - 1.0
-    if value > -TOL_WITNESS:
-        return None
-    w = Witness.from_shift(
-        c0sq, probe.image.projector(), dims, label=f"image_shift[{index}]"
-    )
-    return Violation(
-        kind="stochastic", witness=w, input=probe.input, value=value, kraus_index=index
-    )
-
-
-def _witness_violations(
+def _channel_violations(
     ch: KrausChannel, witnesses: list[Witness], config: OptimizerConfig | None
 ) -> list[Violation]:
     """The violations of `witnesses` by the full channel, minimized in one batch."""
@@ -415,7 +405,7 @@ def certify_kraus_channel(ch: KrausChannel, config: OptimizerConfig | None = Non
     SNE requires every Kraus operator of the stored list, or of the list
     `_product_decomposition` finds, to classify structurally; `kraus` is
     that list. The entangling verdict needs replayable evidence: a witness
-    violation of the full channel, or the `witness_violation` that
+    violation of the full channel, or the stochastic `violation` that
     `classify_kraus_many` with `config` stores for a stored Kraus operator: a
     product input whose conditional output reaches the operator's
     `channel_schmidt_rank`. Probe evidence speaks only about the stored
@@ -443,12 +433,8 @@ def certify_kraus_channel(ch: KrausChannel, config: OptimizerConfig | None = Non
             note="a product-preserving remixing of the Kraus list reproduces the Choi matrix",
         )
     structures = tuple(_probe_unknown(structures, ch.kraus, ch.dims, config))
-    violations = _witness_violations(ch, default_witness_family(ch.dims), config)
-    for i, s in enumerate(structures):
-        if s.witness_violation is not None:
-            v = _stochastic_violation(i, ch.dims, s.witness_violation)
-            if v is not None:
-                violations.append(v)
+    violations = _channel_violations(ch, default_witness_family(ch.dims), config)
+    violations += [s.violation for s in structures if s.violation is not None]
     if violations:
         note = "" if violations[0].kind == "witness" else (
             "evidence is stochastic: a stored Kraus operator entangles a "

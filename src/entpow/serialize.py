@@ -282,7 +282,7 @@ def load_spec(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(path, f"cannot read: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SpecError(path, f"malformed JSON: {exc}") from None

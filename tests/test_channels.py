@@ -48,6 +48,10 @@ def test_kraus_channel_validation():
         ch.kraus[0, 0, 0] = 2.0
     ops[0][0, 0] = 2.0  # the channel keeps its own copy
     assert ch.kraus[0, 0, 0] == 1.0
+    assert repr(ch) == "<KrausChannel: 1 Kraus ops on dims (2, 2)>"
+    assert repr(KrausChannel(ops, (2, 2), label="id")).startswith("<id: ")
+    with pytest.raises(DimensionError, match="do not match"):
+        ch.apply(DensityMatrix(np.eye(4) / 4, (4,)))
 
 
 def test_trace_preservation_detection():
@@ -196,6 +200,16 @@ def test_measurement_channel_requires_povm():
     outputs = [DensityMatrix(np.eye(4) / 4, (2, 2))]
     with pytest.raises(DimensionError):
         measurement_channel([proj], outputs, (2, 2))  # effects don't sum to I
+    with pytest.raises(DimensionError, match="at least one effect"):
+        measurement_channel([], [], (2, 2))
+    with pytest.raises(DimensionError, match="2 effects but 1 outputs"):
+        measurement_channel([proj, np.eye(4) - proj], outputs, (2, 2))
+    skew = np.eye(4, dtype=complex)
+    skew[0, 1] = 0.5
+    with pytest.raises(DimensionError, match="effect 0 is not Hermitian"):
+        measurement_channel([skew], outputs, (2, 2))
+    with pytest.raises(DimensionError, match="effect 1 is not positive semidefinite"):
+        measurement_channel([2 * np.eye(4), -np.eye(4)], outputs * 2, (2, 2))
 
 
 def test_random_unitary_channel():
@@ -210,6 +224,8 @@ def test_random_unitary_channel():
         random_unitary_channel([np.eye(4) * 2], [1.0], (2, 2))
     with pytest.raises(DimensionError):
         random_unitary_channel([np.eye(4), cnot], [0.5, 0.6], (2, 2))
+    with pytest.raises(DimensionError, match="2 unitaries but 1 probabilities"):
+        random_unitary_channel([np.eye(4), cnot], [1.0], (2, 2))
 
 
 def test_mixing_channel_forms():
@@ -227,6 +243,9 @@ def test_mixing_channel_forms():
     obs = obs + obs.T
     dual_expected = 0.3 * obs + 0.7 * np.trace(sigma.matrix @ obs).real * np.eye(4)
     assert np.max(np.abs(ch.dual_apply(obs) - dual_expected)) < 1e-12
+    for p in (-0.1, 1.5):
+        with pytest.raises(DimensionError, match="outside"):
+            mixing_channel(p, sigma)
 
 
 def test_rank_boost_channel():

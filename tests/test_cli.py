@@ -129,6 +129,15 @@ MALFORMED = {
     # JSON true is not the number 1
     "p_bool": ("channel.p", edited(mixing_channel(0.3, max_entangled(2, 2).density()), p=True)),
     "dims_bool": ("channel.dims", edited(IDENTITY, dims=[True, 2])),
+    "entry_string": ("channel.kraus[0]", with_entry(IDENTITY, ["a", 0.0])),
+    "entries_flat": ("channel.kraus[0]", edited(IDENTITY, kraus=[[1.0, 0.0] * 16])),
+    "output_kind": ("channel.outputs[0].kind", edited(
+        REPLACE, outputs=[{**channel_to_json(REPLACE)["outputs"][0], "kind": "bogus"}])),
+    # a mixed state that `DensityMatrix` refuses: a negative eigenvalue
+    "sigma_not_psd": ("channel.sigma", edited(
+        mixing_channel(0.3, max_entangled(2, 2).density()),
+        sigma={"kind": "mixed", "dims": [2, 2],
+               "entries": [[x, 0.0] for x in np.diag([1.5, -0.5, 0.0, 0.0]).ravel()]})),
 }
 
 
@@ -331,6 +340,37 @@ def test_schmidt_bad_cut_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path, "swap.json", channel_to_json(swap_channel(2)))
     assert main(["schmidt", spec, "--cut", "0,9"]) == 2
     assert "spec error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, cut, field", [
+    (state_to_json(max_entangled(2, 2)), "", "cut"),
+    (channel_to_json(swap_channel(2)), "", "cut"),
+    (channel_to_json(swap_channel(2)), "0,a", "cut"),
+    (channel_to_json(swap_channel(2)), "0,0", "cut"),
+    (state_to_json(max_entangled(2, 2)), "1,1", "cut"),
+    ({"kind": "pure", "dims": [3], "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+     None, "dims"),
+], ids=["state_empty", "channel_empty", "not_integer", "repeated", "state_repeated",
+        "one_party"])
+def test_schmidt_bad_cut_exits_2_before_any_report(tmp_path, capsys, spec, cut, field):
+    argv = ["schmidt", write_spec(tmp_path, "spec.json", spec)]
+    assert main(argv + ([] if cut is None else ["--cut", cut])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"spec error [{field}]:" in captured.err
+
+
+def test_scan_to_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["scan", "--scenario", "fig3", "--step", "0.25", "--out", str(out)]) == 2
+    assert "spec error [out]: cannot write" in capsys.readouterr().err
+
+
+def test_classify_non_utf8_spec_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"label": "caf\u00e9"}'.encode("latin-1"))
+    assert main(["classify", str(path)]) == 2
+    assert f"spec error [{path}]: cannot read" in capsys.readouterr().err
 
 
 def test_installed_entry_point(tmp_path):

@@ -155,26 +155,40 @@ def test_classify_many_matches_each_operator(dims, ops):
 
 def rank_of(hit):
     """The image rank a search result stands for: None stands for 0 and 1."""
-    return 1 if hit is None else hit.image_rank
+    return 1 if hit is None else hit[0]
+
+
+def same_factors(x, y):
+    return all(np.array_equal(p, q) for p, q in zip(x.factors, y.factors, strict=True))
 
 
 def same_hit(x, y):
+    """Two `_image_rank_search` results: rank, input and image bitwise."""
+    if x is None or y is None:
+        return x is None and y is None
+    (rx, px, ix), (ry, py, iy) = x, y
+    return rx == ry and same_factors(px, py) and np.array_equal(ix.amplitudes, iy.amplitudes)
+
+
+def same_violation(x, y):
+    """Two stochastic violations, bitwise apart from their Kraus index."""
     if x is None or y is None:
         return x is None and y is None
     return (
-        x.image_rank == y.image_rank
-        and all(np.array_equal(p, q) for p, q in zip(x.input.factors, y.input.factors))
-        and np.array_equal(x.image.amplitudes, y.image.amplitudes)
+        (x.kind, x.value) == (y.kind, y.value)
+        and same_factors(x.input, y.input)
+        and np.array_equal(x.witness.operator, y.witness.operator)
     )
 
 
 def replays(m, hit, dims):
     """The hit's image is the normalized image of its input, of its rank."""
-    img = m @ hit.input.assemble().amplitudes
-    svals = np.linalg.svd(hit.image.amplitudes.reshape(dims), compute_uv=False)
+    rank, probe, image = hit
+    img = m @ probe.assemble().amplitudes
+    svals = np.linalg.svd(image.amplitudes.reshape(dims), compute_uv=False)
     return (
-        np.allclose(hit.image.amplitudes, img / np.linalg.norm(img), atol=1e-10)
-        and numerical_rank(svals) == hit.image_rank >= 2
+        np.allclose(image.amplitudes, img / np.linalg.norm(img), atol=1e-10)
+        and numerical_rank(svals) == rank >= 2
     )
 
 
@@ -215,8 +229,12 @@ def test_long_stack_classifies_each_operator_as_alone(dims):
     alone = [classify_kraus_many(m[None], dims)[0] for m in stack]
     assert {st.form for st in many} == {
         "tensor_product", "permutation_local", "rank1_product", "unknown"}
-    for x, y in zip(many, alone, strict=True):
-        assert same_structure(x, y) and same_hit(x.witness_violation, y.witness_violation)
+    assert any(st.violation is not None for st in many)
+    for k, (x, y) in enumerate(zip(many, alone, strict=True)):
+        assert same_structure(x, y) and x.image_rank == y.image_rank
+        assert same_violation(x.violation, y.violation)
+        if x.violation is not None:
+            assert (x.violation.kraus_index, y.violation.kraus_index) == (k, 0)
 
 
 def test_product_preserving_stack_has_no_hit():
@@ -225,4 +243,4 @@ def test_product_preserving_stack_has_no_hit():
     structures = classify_kraus_many(stack_of(ops, (2, 2)), (2, 2))
     assert [st.form for st in structures] == [
         "tensor_product", "permutation_local", "rank1_product", "tensor_product"]
-    assert all(st.witness_violation is None for st in structures)
+    assert all(st.violation is None and st.image_rank == 1 for st in structures)

@@ -26,12 +26,13 @@ from entpow.power import (
 )
 from entpow.states import (
     DensityMatrix,
+    PureState,
     max_entangled,
     random_product_state,
     random_state_vector,
     schmidt_rank,
 )
-from entpow.tensor import kron, swap_matrix
+from entpow.tensor import DimList, kron, swap_matrix
 from entpow.witnesses import OptimizerConfig, default_witness_family, swap_witness
 
 CNOT = np.eye(4)[[0, 1, 3, 2]]
@@ -81,16 +82,33 @@ def test_classify_rank_one_product():
         assert np.max(np.abs(rebuilt - m)) < 1e-9
 
 
-def test_classify_unknown_with_witness_violation():
+def test_classify_unknown_with_stochastic_violation():
     st = classify_kraus(CNOT, (2, 2))
     assert st.form == "unknown"
     assert not st.is_product_preserving
-    assert st.witness_violation is not None
-    # the probe stored a product input whose image is entangled
-    inp = st.witness_violation.input.assemble()
-    img = st.witness_violation.image
+    assert st.image_rank == 2
+    # the probe hit is stored as a replayable violation: a product input whose
+    # image falls below the separable maximum of the stored witness
+    v = st.violation
+    assert (v.kind, v.kraus_index) == ("stochastic", 0)
+    inp = v.input.assemble()
     assert schmidt_rank(inp) == 1
-    assert schmidt_rank(img) >= 2
+    img = CNOT @ inp.amplitudes
+    img = img / np.linalg.norm(img)
+    assert schmidt_rank(PureState(img, (2, 2))) == 2
+    assert np.vdot(img, v.witness.operator @ img).real == pytest.approx(v.value, abs=1e-12)
+    assert v.value < -1e-8
+
+
+def test_weak_probe_hit_gives_rank_but_no_violation():
+    # the image of a (x) b has Schmidt coefficients near (1, 1e-6): rank 2, but
+    # c0^2 - 1 stays above -TOL_WITNESS, so the hit certifies nothing
+    m = np.diag([1, 0, 0, 1e-6]).astype(complex)
+    st = classify_kraus(m, (2, 2))
+    assert (st.form, st.image_rank, st.violation) == ("unknown", 2, None)
+    cert = certify_kraus_channel(KrausChannel([m], (2, 2)))
+    assert cert.structures[0].image_rank == 2 and cert.structures[0].violation is None
+    assert cert.violations and {v.kind for v in cert.violations} == {"witness"}
 
 
 def test_classify_rank_one_entangling_is_not_product_preserving():
@@ -296,9 +314,12 @@ def test_one_search_backs_evidence_and_schmidt_ranks(build):
     stochastic = [v for v in cert.violations if v.kind == "stochastic"]
     assert stochastic
     for v in stochastic:
-        hit = structures[v.kraus_index].witness_violation
-        assert all(np.array_equal(x, y) for x, y in zip(v.input.factors, hit.input.factors))
-        assert channel_schmidt_rank(ch.kraus[v.kraus_index], ch.dims, config) == hit.image_rank
+        assert v is cert.structures[v.kraus_index].violation
+        alone = structures[v.kraus_index]
+        w = alone.violation
+        assert w.value == v.value and np.array_equal(w.witness.operator, v.witness.operator)
+        assert all(np.array_equal(x, y) for x, y in zip(v.input.factors, w.input.factors))
+        assert channel_schmidt_rank(ch.kraus[v.kraus_index], ch.dims, config) == alone.image_rank
 
 
 def hidden_product_pair():
@@ -306,6 +327,14 @@ def hidden_product_pair():
     ab = kron(rand_op(rng, 2), rand_op(rng, 2))
     cd = kron(rand_op(rng, 2), rand_op(rng, 2))
     return KrausChannel([(ab + cd) / np.sqrt(2), (ab - cd) / np.sqrt(2)], (2, 2))
+
+
+def test_simple_tensor_basis_refuses_dependent_factors():
+    # A (x) B1 and A (x) B2 span no basis of two simple tensors with independent A-factors
+    rng = np.random.default_rng(4)
+    a = rand_op(rng, 2)
+    ops = np.array([kron(a, rand_op(rng, 2)), kron(a, rand_op(rng, 2))])
+    assert power._simple_tensor_basis(ops, DimList.of((2, 2)), rng) is None
 
 
 def test_bounds_classify_and_search_once():

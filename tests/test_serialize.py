@@ -103,6 +103,13 @@ def test_channel_roundtrip_example1_and_mixing():
     assert back.p == 0.25
     assert np.array_equal(back.sigma.matrix, sigma.matrix)
 
+    # sigma may be given as a pure-state spec: it stands for its projector
+    psi = max_entangled(2, 2)
+    spec = {**channel_to_json(mix), "sigma": state_to_json(psi)}
+    back = channel_from_json(dumps_loads(spec))
+    assert isinstance(back, MixingChannel)
+    assert np.array_equal(back.sigma.matrix, psi.density().matrix)
+
 
 def test_witness_roundtrip():
     w = swap_witness(2)
@@ -168,6 +175,12 @@ def test_spec_error_paths():
     with pytest.raises(SpecError) as exc:
         witness_from_json({**shifted, "lambda": True})  # JSON true is not the number 1
     assert exc.value.field == "witness.lambda"
+    # a matrix that `Witness` itself refuses: not Hermitian
+    skew = witness_to_json(swap_witness(2))
+    skew["entries"][1] = [0.0, 1.0]
+    with pytest.raises(SpecError, match="Hermitian") as exc:
+        witness_from_json(skew)
+    assert exc.value.field == "witness"
 
 
 def test_load_spec_errors(tmp_path):

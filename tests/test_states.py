@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import entpow
-from entpow.errors import DimensionError, InvalidCutError
+from entpow.errors import ArityError, DimensionError, InvalidCutError
 from entpow.states import (
     DensityMatrix,
     ProductStateParam,
@@ -23,6 +23,8 @@ def test_pure_state_normalization_gate():
     PureState(np.array([1.0, 0.0]), (2,))
     with pytest.raises(DimensionError):
         PureState(np.array([1.0, 1.0]), (2,))
+    with pytest.raises(DimensionError, match="amplitude length 2"):
+        PureState(np.array([1.0, 0.0]), (2, 2))
 
 
 def test_pure_state_projector_and_overlap():
@@ -41,6 +43,8 @@ def test_density_matrix_gates():
     with pytest.raises(DimensionError):
         DensityMatrix(np.diag([0.9, 0.9]), (2,))  # trace 1.8
     DensityMatrix(np.diag([0.3, 0.3]), (2,), subnormalized=True)
+    with pytest.raises(DimensionError, match="sub-normalized state has trace"):
+        DensityMatrix(np.diag([0.9, 0.9]), (2,), subnormalized=True)
 
 
 def test_density_matrix_expectation_and_purity():
@@ -90,6 +94,9 @@ def test_schmidt_rank_invalid_cuts():
         schmidt_rank(psi, (0, 1))
     with pytest.raises(InvalidCutError):
         schmidt_rank(psi, (5,))
+    ghz3 = PureState(np.eye(8)[[0, 7]].sum(axis=0) / np.sqrt(2), (2, 2, 2))
+    with pytest.raises(ArityError, match="explicit cut"):
+        schmidt_rank(ghz3)  # no default cut beyond two parties
 
 
 def test_max_entangled_validation():
@@ -119,6 +126,8 @@ def test_random_separable_is_a_state_and_ppt():
     for seed in range(10):
         rho = random_separable((3, 3), terms=4, seed=seed)
         assert is_ppt(rho)
+    with pytest.raises(DimensionError, match="terms must be >= 1"):
+        random_separable((2, 2), terms=0, seed=0)
 
 
 def test_is_ppt_flags_bell():
@@ -145,6 +154,8 @@ def test_product_state_param_assemble():
     psi = ProductStateParam((a, b)).assemble()
     assert psi.dims.dims == (2, 3)
     assert np.max(np.abs(psi.amplitudes - np.kron(a, b))) < 1e-14
+    with pytest.raises(DimensionError, match="unit vector"):
+        ProductStateParam((a, 2 * b))
 
 
 def test_package_exports_states():

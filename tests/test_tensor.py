@@ -4,6 +4,7 @@ import pytest
 from entpow.errors import DimensionError, InvalidCutError
 from entpow.tensor import (
     DimList,
+    as_vector,
     dagger,
     is_hermitian,
     kron,
@@ -50,6 +51,15 @@ def test_dimlist_check_matrix():
         dims.check_matrix(np.eye(3))
     with pytest.raises(DimensionError):
         dims.check_matrix(np.zeros((4, 3)))
+
+
+def test_coercions_reject_the_wrong_ndim():
+    with pytest.raises(DimensionError, match="expected a matrix, got ndim=1"):
+        kron(np.ones(2), np.eye(2))
+    with pytest.raises(DimensionError, match="expected a vector, got ndim=2"):
+        as_vector(np.eye(2))
+    with pytest.raises(DimensionError, match="at least one factor"):
+        kron_all([])
 
 
 def test_partial_trace_bell():

@@ -226,6 +226,8 @@ def test_witness_shifted_form_checked():
     assert w.shifted is not None
     with pytest.raises(DimensionError):
         Witness(np.eye(4), (2, 2), shifted=(0.5, proj))  # operator mismatch
+    with pytest.raises(DimensionError, match="must be PSD"):
+        Witness.from_shift(0.5, np.diag([1.0, -1.0, 0.0, 0.0]), (2, 2))
 
 
 def test_lambda_min_of_max_entangled():
@@ -327,6 +329,8 @@ def test_schmidt_class_max_limits():
     assert vals[0] <= vals[1] + 1e-10 <= vals[2] + 2e-10
     with pytest.raises(DimensionError):
         schmidt_class_max(obs, 4, (3, 3), FAST)
+    with pytest.raises(DimensionError, match="must be Hermitian"):
+        schmidt_class_max(obs + 1j * np.eye(9)[::-1], 1, (3, 3), FAST)
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -425,6 +429,9 @@ def test_mixing_shifted_dual_requires_shifted():
     sep = DensityMatrix(np.eye(4) / 4, (2, 2))
     with pytest.raises(Exception):
         mixing_shifted_dual(0.5, sep, w)
+    shifted = Witness.from_shift(0.5, max_entangled(2, 2).projector(), (2, 2))
+    with pytest.raises(DimensionError, match="0 < p <= 1"):
+        mixing_shifted_dual(0.0, sep, shifted)
 
 
 # -- the default family -----------------------------------------------
