@@ -19,11 +19,13 @@ first, then systems: (R1..Rn, S1..Sn).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DimensionError
 from .states import DensityMatrix, PureState, max_entangled, schmidt_diagonal
-from .tensor import DimList, as_matrix, dagger, kron, partial_trace, swap_matrix
+from .tensor import DimList, as_matrix, dagger, kron, numerical_rank, partial_trace, swap_matrix
 
 TP_ATOL = 1e-10
 _EIG_CUTOFF = 1e-14
@@ -65,6 +67,12 @@ class KrausChannel:
     @property
     def is_trace_preserving(self) -> bool:
         return self._tp_residual <= TP_ATOL
+
+    @cached_property
+    def choi_rank(self) -> int:
+        """The length of a minimal Kraus list: `numerical_rank` of the flattened (K, D^2) stack."""
+        flat = self.kraus.reshape(len(self.kraus), -1)
+        return int(numerical_rank(np.linalg.svd(flat, compute_uv=False)))
 
     def __repr__(self):
         name = self.label or type(self).__name__

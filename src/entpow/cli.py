@@ -9,7 +9,9 @@ Subcommands
 ``entpow scan --scenario fig3|fig4 --step S --engine E --out FILE``
     Evaluates the named two-parameter scan and writes a deterministic CSV.
 ``entpow schmidt <spec.json> [--cut 0,2]``
-    Schmidt-rank report for a state or channel spec, with optional Choi cut.
+    Schmidt-rank report for a state spec; for a channel spec, the one line of
+    `channel_schmidt_number_bounds`, and with ``--cut`` the Schmidt rank of
+    the Choi state across that cut.
 
 Exit codes: 0 success, 2 invalid input spec, 3 numerical non-convergence.
 """
@@ -30,7 +32,7 @@ from .power import (
     channel_schmidt_number_bounds,
     classify_kraus_many,
 )
-from .scans import SCENARIO_ALIASES, get_scenario, run_scan, write_csv
+from .scans import SCENARIO_ALIASES, _check_step, get_scenario, run_scan, write_csv
 from .serialize import (
     certificate_to_json,
     channel_from_json,
@@ -81,13 +83,11 @@ def cmd_classify(args) -> int:
 
 def cmd_scan(args) -> int:
     scenario = get_scenario(args.scenario)
-    result = run_scan(
-        args.scenario,
-        args.step,
-        engine=args.engine,
-        optimizer=OptimizerConfig(restarts=args.restarts, seed=args.seed),
-    )
+    _check_step(args.step)  # before the out file is opened: a bad step leaves none behind
+    config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     try:
+        open(args.out, "a", encoding="utf-8").close()  # an unwritable path fails before the grid
+        result = run_scan(args.scenario, args.step, engine=args.engine, optimizer=config)
         write_csv(result, args.out)
     except OSError as exc:
         raise SpecError("out", f"cannot write: {exc}") from None
@@ -130,20 +130,8 @@ def _schmidt_channel_report(ch: KrausChannel, args) -> int:
     n2 = 2 * ch.dims.n  # the Choi state's parties: references, then outputs
     cut = None if args.cut is None else _parse_cut(args.cut, n2)
     print(f"channel on dims {ch.dims.dims} with {len(ch.kraus)} Kraus operator(s)")
-    if len(ch.kraus) == 1 or cut is not None:  # the form and rank lines, the swap-cut note
-        forms = classify_kraus_many(ch.kraus, ch.dims, config)
-    if len(ch.kraus) == 1:
-        print(f"kraus form: {forms[0].form}")
-        print(
-            f"channel schmidt rank: {forms[0].image_rank} "
-            "(structural classification + randomized product probes)"
-        )
-    else:
-        bounds = channel_schmidt_number_bounds(ch, config)
-        print(
-            f"channel schmidt number bounds: ({bounds.lower}, {bounds.upper}) "
-            f"[{bounds.method}]"
-        )
+    bounds = channel_schmidt_number_bounds(ch, config)
+    print(f"channel schmidt number bounds: ({bounds.lower}, {bounds.upper}) [{bounds.method}]")
     if cut is not None:
         choi = ch.choi()
         try:
@@ -156,6 +144,7 @@ def _schmidt_channel_report(ch: KrausChannel, args) -> int:
             return 0
         rank = schmidt_rank(psi, cut)
         print(f"choi cut {_fmt_cut(cut, n2)}: schmidt rank {rank} (brute-force SVD)")
+        forms = classify_kraus_many(ch.kraus, ch.dims, config)
         if all(f.form == FORM_PERMUTATION for f in forms):
             print(_SWAP_CUT_NOTE.format(cut=_fmt_cut(cut, n2)), file=sys.stderr)
     return 0

@@ -18,7 +18,9 @@ decomposition; a different decomposition of the same channel may be free of
 such operators. "stochastically_nonentangling" requires structural
 classification of every operator in at least one decomposition; probe
 evidence alone never certifies it. The channel Schmidt number is 1 exactly
-for SNE channels, so its bounds read the certificate.
+for SNE channels, so its bounds read the certificate, except at Choi rank 1:
+there every Kraus list is one operator up to weights and phases, and that
+operator's image rank is the Schmidt number.
 
 Every seeded search takes one `OptimizerConfig`: its restarts drive the
 witness minimizations, and its seed also draws the image-rank probes and
@@ -339,7 +341,7 @@ def _product_decomposition(ch: KrausChannel, seed: int):
     when the search finds none.
 
     ``s[:r, None] * vh[:r]`` from the SVD of the flattened Kraus stack is a
-    minimal Kraus list, r the Choi rank. A product list of r operators is a
+    minimal Kraus list, r the `choi_rank`. A product list of r operators is a
     basis of simple tensors of its span (after ``@ V``), which
     `_simple_tensor_basis` draws from ``(seed, 23)``. Least squares gives the
     mixing; each operator is weighted by the norm of its coefficient column.
@@ -353,11 +355,10 @@ def _product_decomposition(ch: KrausChannel, seed: int):
     """
     d1, d2 = ch.dims.dims
     n = d1 * d2
-    flat = ch.kraus.reshape(len(ch.kraus), -1)
-    if numerical_rank(np.linalg.svd(flat, compute_uv=False)) > min(d1 * d1, d2 * d2):
+    r = ch.choi_rank
+    if r > min(d1 * d1, d2 * d2):
         return None  # decided without the singular vectors
-    _, s, vh = np.linalg.svd(flat, full_matrices=False)
-    r = numerical_rank(s)
+    _, s, vh = np.linalg.svd(ch.kraus.reshape(len(ch.kraus), -1), full_matrices=False)
     s, vh = s[:r], vh[:r]
     basis = (s[:, None] * vh).reshape(r, n, n)
     rng = np.random.default_rng((seed, 23))
@@ -469,24 +470,26 @@ def channel_schmidt_number_bounds(
 ) -> ChannelSchmidtBounds:
     """Bracket the convex-roof channel Schmidt number.
 
-    Replacement channels short-circuit to their exact value. Otherwise the
-    bounds read one `certify_kraus_channel` result: the Schmidt number is 1
-    exactly when the channel is SNE, so an SNE verdict gives ``(1, 1)`` with
-    the certificate's Kraus list. Otherwise the upper bound is the largest
-    image rank stored for the stored list, and the lower bound is 2 exactly
-    when the verdict is `entangling`.
+    Two cases are exact without a certificate: a replacement channel (the
+    rank of its fixed output), and a channel of `choi_rank` 1, whose Kraus
+    lists are all one operator up to weights and phases (the largest
+    `image_rank` that `classify_kraus_many` stores for the stored list).
+    Otherwise the bounds read one `certify_kraus_channel` result. The Schmidt
+    number is 1 exactly when the channel is SNE, so an SNE verdict gives
+    ``(1, 1)`` with the certificate's Kraus list; else the upper bound is the
+    largest image rank stored for the stored list, and the lower bound is 2
+    exactly when the verdict is `entangling`.
     """
     ch.dims.require_bipartite()
-
     target = _replacement_target(ch)
     if target is not None:
         r = schmidt_rank(target)
-        return ChannelSchmidtBounds(
-            lower=r,
-            upper=r,
-            method="replacement channel: exact rank of the fixed output",
-            certificate=ch.kraus,
-        )
+        return ChannelSchmidtBounds(r, r, "replacement channel: exact rank of the fixed output",
+                                    certificate=ch.kraus)
+    if ch.choi_rank == 1:
+        r = max(s.image_rank for s in classify_kraus_many(ch.kraus, ch.dims, config))
+        return ChannelSchmidtBounds(r, r, "Choi rank 1: exact image rank of the one Kraus operator",
+                                    certificate=ch.kraus)
     cert = certify_kraus_channel(ch, config)
     if cert.verdict == SNE:
         method = ("stored decomposition" if cert.kraus is ch.kraus
@@ -494,9 +497,7 @@ def channel_schmidt_number_bounds(
         return ChannelSchmidtBounds(lower=1, upper=1, method=method, certificate=cert.kraus)
     upper = max(s.image_rank for s in cert.structures)
     lower = 2 if cert.verdict == "entangling" else 1
-    return ChannelSchmidtBounds(
-        lower, max(upper, lower), method="stored decomposition", certificate=cert.kraus
-    )
+    return ChannelSchmidtBounds(lower, max(upper, lower), "stored decomposition", cert.kraus)
 
 
 @dataclass(frozen=True)

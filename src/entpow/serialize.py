@@ -34,6 +34,9 @@ def _from_pairs(pairs, shape, field: str) -> np.ndarray:
         raise SpecError(field, "entries must be [re, im] pairs") from None
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise SpecError(field, f"entries must be [re, im] pairs, got shape {arr.shape}")
+    for i, pair in enumerate(pairs):
+        if not all(map(_is_number, pair)):
+            raise SpecError(field, f"entry {i} must be a pair of numbers, got {pair!r}")
     if not np.isfinite(arr).all():
         raise SpecError(field, "entries must be finite")
     expected = int(np.prod(shape))
@@ -57,11 +60,26 @@ def _integer(value, field: str) -> int:
     raise SpecError(field, f"expected an integer, got {value!r}")
 
 
-def _number(value, field: str) -> float:
+def _is_number(value) -> bool:
     """A JSON number: 0.3 or 1, not "0.3" or true."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, field: str) -> float:
+    if _is_number(value):
         return float(value)
     raise SpecError(field, f"expected a number, got {value!r}")
+
+
+def _numbers(obj: dict, key: str, field: str):
+    """The list `key` of `obj`, once every entry that is not itself a list
+    passes `_number` as ``key[i]``; the channel constructors check the
+    list's shape and values."""
+    raw = _get(obj, key, field)
+    for i, value in enumerate(raw if isinstance(raw, list) else ()):
+        if not isinstance(value, list):
+            _number(value, f"{field}.{key}[{i}]")
+    return raw
 
 
 def _dims_of(obj: dict, field: str) -> DimList:
@@ -189,12 +207,12 @@ def channel_from_json(obj: dict) -> ch_mod.KrausChannel:
         if kind == "random_unitary":
             dims = _dims_of(obj, field)
             unitaries = _squares(obj, dims, "unitaries", field)
-            probs = _get(obj, "probabilities", field)
+            probs = _numbers(obj, "probabilities", field)
             return ch_mod.random_unitary_channel(unitaries, probs, dims)
         if kind == "example1":
             k = _integer(_get(obj, "k", field), f"{field}.k")
             d = _integer(_get(obj, "d", field), f"{field}.d")
-            coeffs = _get(obj, "coefficients", field)
+            coeffs = _numbers(obj, "coefficients", field)
             return ch_mod.rank_boost_channel(k, d, coeffs)
         if kind == "mixing":
             p = _number(_get(obj, "p", field), f"{field}.p")

@@ -4,15 +4,24 @@ A mixture of weighted local unitaries whose Kraus list is hidden by a random
 unitary on the Kraus index is SNE by construction. Its certificate must not
 depend on which Kraus list of the channel is stored, nor on the order of the
 parties, and the Kraus list it ships must reproduce the channel. Certificates
-and Schmidt-number bounds must also not change when the Kraus list is scaled.
+and Schmidt-number bounds must also not change when the Kraus list is scaled,
+nor, for one operator, when it is stored as several multiples of itself.
 """
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entpow.channels import KrausChannel, mixing_channel
+from entpow.cli import main
 from entpow.power import certify_kraus_channel, channel_schmidt_number_bounds
+from entpow.serialize import channel_to_json
 from entpow.states import DensityMatrix, max_entangled
 from entpow.tensor import kron
 
@@ -139,7 +148,40 @@ def test_bounds_read_the_certificate(channel):
     cert = certify_kraus_channel(ch)
     bounds = channel_schmidt_number_bounds(ch)
     assert ((bounds.lower, bounds.upper) == (1, 1)) == (cert.verdict == SNE)
-    assert (bounds.lower == 2) == (cert.verdict == "entangling")
+    assert cert.verdict != "entangling" or bounds.lower >= 2
+    if ch.choi_rank == 1:  # exact: the image rank of the one operator
+        assert bounds.lower == bounds.upper
+    else:
+        assert (bounds.lower == 2) == (cert.verdict == "entangling")
     want = unnormalized_choi(ops)
     for kraus in (cert.kraus, bounds.certificate):
         assert np.linalg.norm(unnormalized_choi(kraus) - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def schmidt_report(ch):
+    """What ``entpow schmidt`` prints for `ch`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "ch.json"
+        spec.write_text(json.dumps(channel_to_json(ch)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["schmidt", str(spec)]) == 0
+    return out.getvalue()
+
+
+@PROPS
+@given(st.one_of(hidden_mixtures(), stored_lists()), SEEDS)
+def test_choi_rank_one_bounds_do_not_depend_on_the_split(channel, seed):
+    # one operator stored as 1, 2 or 3 multiples c_j M with sum |c_j|^2 = 1
+    ops, dims = channel
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for terms in (1, 2, 3):
+        c = np.sqrt(rng.dirichlet(np.ones(terms))) * np.exp(2j * np.pi * rng.random(terms))
+        ch = KrausChannel([cj * ops[0] for cj in c], dims)
+        assert ch.choi_rank == 1
+        b = channel_schmidt_number_bounds(ch)
+        line = f"channel schmidt number bounds: ({b.lower}, {b.upper}) [{b.method}]\n"
+        assert line in schmidt_report(ch)
+        seen.add((b.lower, b.upper, b.method))
+    assert len(seen) == 1

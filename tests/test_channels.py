@@ -129,6 +129,19 @@ def test_choi_party_bookkeeping():
         choi_apply(DensityMatrix(np.eye(12) / 12, (2, 3, 2)), np.eye(6) / 6)
 
 
+def test_choi_rank_counts_a_minimal_kraus_list_once():
+    rng = np.random.default_rng(6)
+    u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    ops = rand_channel(rng, 4, 3)
+    for kraus, rank in [([u], 1), ([0.6 * u, 0.8j * u], 1), ([u, 0 * u], 1), (ops, 3),
+                        ([*ops, ops[0] + ops[1]], 3), ([0 * u], 0)]:
+        ch = KrausChannel(kraus, (2, 2))
+        assert ch.choi_rank == rank
+        # cached: read again without a second SVD
+        assert vars(ch)["choi_rank"] == rank
+    assert mixing_channel(0.3, DensityMatrix(np.eye(4) / 4, (2, 2))).choi_rank == 16
+
+
 def test_choi_memory_stays_at_one_choi_matrix():
     # 257 Kraus operators; summing their outer products all at once took 259 MB
     ch = mixing_channel(0.3, DensityMatrix(np.eye(16) / 16, (4, 4)))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 from unittest.mock import call, patch
 
@@ -130,6 +131,16 @@ MALFORMED = {
     "p_bool": ("channel.p", edited(mixing_channel(0.3, max_entangled(2, 2).density()), p=True)),
     "dims_bool": ("channel.dims", edited(IDENTITY, dims=[True, 2])),
     "entry_string": ("channel.kraus[0]", with_entry(IDENTITY, ["a", 0.0])),
+    # numpy would read these as 1.0 and 0.0
+    "entry_numeric_string": ("channel.kraus[0]", with_entry(IDENTITY, ["1", 0])),
+    "entry_bools": ("channel.kraus[0]", with_entry(IDENTITY, [True, False])),
+    "probabilities_bools": ("channel.probabilities[0]",
+                            edited(CX_MIX, probabilities=[True, False])),
+    "probabilities_strings": ("channel.probabilities[1]",
+                              edited(CX_MIX, probabilities=[0.5, "0.5"])),
+    "coefficients_strings": ("channel.coefficients[0]",
+                             edited(rank_boost_channel(2, 3, [0.96, 0.224, 0.168]),
+                                    coefficients=["0.96", "0.224", "0.168"])),
     "entries_flat": ("channel.kraus[0]", edited(IDENTITY, kraus=[[1.0, 0.0] * 16])),
     "output_kind": ("channel.outputs[0].kind", edited(
         REPLACE, outputs=[{**channel_to_json(REPLACE)["outputs"][0], "kind": "bogus"}])),
@@ -150,7 +161,9 @@ def test_malformed_spec_exits_2_naming_its_field(tmp_path, capsys, case):
 
 @pytest.mark.parametrize("case, words", [("probabilities_nested", "must be a list of numbers"),
                                          ("coefficient_nan", "must be finite"),
-                                         ("dims_bool", "expected an integer, got True")])
+                                         ("dims_bool", "expected an integer, got True"),
+                                         ("entry_bools", "entry 0 must be a pair of numbers"),
+                                         ("probabilities_bools", "expected a number, got True")])
 def test_malformed_spec_error_says_what_is_wrong(tmp_path, capsys, case, words):
     assert main(["classify", write_spec(tmp_path, "bad.json", MALFORMED[case][1])]) == 2
     assert words in capsys.readouterr().err
@@ -279,8 +292,7 @@ def test_schmidt_channel_report_and_cut(tmp_path, capsys):
     spec = write_spec(tmp_path, "swap.json", channel_to_json(swap_channel(2)))
     assert main(["schmidt", spec]) == 0
     captured = capsys.readouterr()
-    assert "channel schmidt rank: 1" in captured.out
-    assert "permutation_local" in captured.out
+    assert "channel schmidt number bounds: (1, 1) [Choi rank 1: " in captured.out
 
     assert main(["schmidt", spec, "--cut", "0,2"]) == 0
     captured = capsys.readouterr()
@@ -299,12 +311,15 @@ def test_schmidt_cut_of_a_mixed_choi_matrix(tmp_path, capsys):
 
 def test_schmidt_single_operator_classifies_once(tmp_path, capsys):
     spec = write_spec(tmp_path, "cx.json", channel_to_json(unitary_channel(CNOT, (2, 2))))
-    with patch.object(power, "_structures", wraps=power._structures) as structural, \
-            patch.object(power, "_image_rank_search", wraps=power._image_rank_search) as search:
+    names = ("_structures", "_image_rank_search", "certify_kraus_channel", "product_minima")
+    with ExitStack() as stack:
+        spies = [stack.enter_context(patch.object(power, n, wraps=getattr(power, n)))
+                 for n in names]
         assert main(["schmidt", spec]) == 0
     out = capsys.readouterr().out
-    assert "kraus form: unknown" in out and "channel schmidt rank: 2" in out
-    assert (structural.call_count, search.call_count) == (1, 1)
+    assert "channel schmidt number bounds: (2, 2) [Choi rank 1: " in out
+    assert "kraus form" not in out and "channel schmidt rank" not in out
+    assert [spy.call_count for spy in spies] == [1, 1, 0, 0]
 
 
 def test_consecutive_mains_share_no_parsed_state(tmp_path, capsys):
@@ -364,6 +379,24 @@ def test_scan_to_a_missing_directory_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     assert main(["scan", "--scenario", "fig3", "--step", "0.25", "--out", str(out)]) == 2
     assert "spec error [out]: cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing_directory", "directory"])
+def test_scan_checks_its_out_path_before_the_grid_runs(tmp_path, capsys, out):
+    argv = ["scan", "--scenario", "fig3", "--step", "0.005", "--out", str(tmp_path / out)]
+    with patch("entpow.cli.run_scan", side_effect=AssertionError("the grid ran")) as scan:
+        assert main(argv) == 2
+    assert scan.call_count == 0
+    assert "spec error [out]: cannot write" in capsys.readouterr().err
+
+
+def test_scan_keeps_an_existing_out_file_until_it_writes(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    out.write_text("old\n")
+    assert main(["scan", "--scenario", "fig3", "--step", "0.4", "--out", str(out)]) == 2
+    assert out.read_text() == "old\n"
+    assert main(["scan", "--scenario", "fig3", "--step", "0.25", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "p,q,min_value"
 
 
 def test_classify_non_utf8_spec_exits_2(tmp_path, capsys):

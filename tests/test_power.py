@@ -204,6 +204,27 @@ def test_bounds_entangling_unitary():
     assert b.upper == 2
 
 
+def controlled_shift(d):
+    """``|a, b> -> |a, a + b mod d>``: operator Schmidt rank d, image rank d."""
+    shift = np.roll(np.eye(d), 1, axis=0)
+    return sum(np.kron(np.diag(np.eye(d)[a]), np.linalg.matrix_power(shift, a))
+               for a in range(d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])  # the controlled shift for d = 2 is CNOT
+def test_choi_rank_one_bounds_are_the_image_rank_for_any_split(d):
+    rng = np.random.default_rng(d)
+    local = [kron(haar(rng, d), haar(rng, d)) for _ in range(2)]
+    u = local[0] @ controlled_shift(d) @ local[1]
+    w = rng.dirichlet(np.ones(3))
+    c = np.sqrt(w) * np.exp(2j * np.pi * rng.random(3))
+    for ops in ([u], [np.sqrt(0.5) * u] * 2, [cj * u for cj in c]):
+        b = channel_schmidt_number_bounds(KrausChannel(ops, (d, d)))
+        assert (b.lower, b.upper) == (d, d)
+        assert b.method == "Choi rank 1: exact image rank of the one Kraus operator"
+        assert b.certificate is not None and len(b.certificate) == len(ops)
+
+
 def test_bounds_hidden_product_decomposition():
     # stored operators entangle individually, but a remixing is product
     rng = np.random.default_rng(4)
