@@ -17,6 +17,7 @@ from entpow import (
     entanglement_annihilating_check,
     kron,
     max_entangled,
+    min_over_products,
     nonentangling_threshold,
     rank_boost_channel,
     replacement_channel,
@@ -44,11 +45,18 @@ st = classify_kraus(cnot, (2, 2))
 print("CNOT form:", st.form, "| product preserving:", st.is_product_preserving)
 
 # Whole-channel certificates: the swap channel is stochastically
-# non-entangling, CNOT is entangling with a replayable witness violation
+# non-entangling, CNOT is entangling with a replayable witness violation.
+# CNOT has one Kraus operator, so the probe's entangled image is the
+# channel's own output: the image-shift witness c0^2 I - |img><img| is
+# violated by the channel itself, and no witness family is minimized. The
+# swap witness, pulled back through the channel, goes further below zero.
 print("\nswap: ", certify_kraus_channel(swap_channel(2)).verdict)
-cert = certify_kraus_channel(unitary_channel(cnot, (2, 2), label="cx"))
+cx = unitary_channel(cnot, (2, 2), label="cx")
+cert = certify_kraus_channel(cx)
 best = min(v.value for v in cert.violations)
-print(f"CNOT:  {cert.verdict} (worst witness value {best:.4f})")
+print(f"CNOT:  {cert.verdict} (image-shift witness value {best:.4f})")
+swap_min = min_over_products(cx.dual_apply(swap_matrix(2)), (2, 2)).value
+print(f"CNOT:  swap witness pulled back, minimum over products {swap_min:.4f}")
 
 # A channel whose stored Kraus operators are entangling can still be SNE:
 # (A (x) B +/- C (x) D)/sqrt(2) span the same operators as A (x) B and

@@ -15,12 +15,15 @@ the full channel (a separable input provably maps to an entangled output) or
 by a single Kraus operator of the *stored* decomposition mapping a product
 input to an entangled conditional output. The latter speaks about the stored
 decomposition; a different decomposition of the same channel may be free of
-such operators. "stochastically_nonentangling" requires structural
-classification of every operator in at least one decomposition; probe
-evidence alone never certifies it. The channel Schmidt number is 1 exactly
-for SNE channels, so its bounds read the certificate, except at Choi rank 1:
-there every Kraus list is one operator up to weights and phases, and that
-operator's image rank is the Schmidt number.
+such operators. At Choi rank 1 the two coincide: the channel has one
+outcome, so a probe hit's entangled image is the channel's own output, and
+the hit is a witness violation of the channel.
+"stochastically_nonentangling" requires structural classification of every
+operator in at least one decomposition; probe evidence alone never certifies
+it. The channel Schmidt number is 1 exactly for SNE channels, so its bounds
+read the certificate, except at Choi rank 1: there every Kraus list is one
+operator up to weights and phases, and that operator's image rank is the
+Schmidt number.
 
 Every seeded search takes one `OptimizerConfig`: its restarts drive the
 witness minimizations, and its seed also draws the image-rank probes and
@@ -68,7 +71,7 @@ PROBE_CHUNK = 8
 class Violation:
     """One replayable piece of entangling evidence."""
 
-    kind: str  # "witness" (full channel) | "stochastic" (single stored Kraus op)
+    kind: str  # "witness" (full channel; at Choi rank 1, a probe hit) | "stochastic" (stored op)
     witness: Witness
     input: ProductStateParam
     value: float
@@ -351,12 +354,14 @@ def _product_decomposition(ch: KrausChannel, seed: int):
     alone would pass an entangling admixture of weight 1e-12). So the search
     can miss a decomposition but never invent one. Out of reach: lists mixing
     the two forms, rank-1 product forms, lists of more than r operators; for
-    ``r > min(d1^2, d2^2)`` this returns None before the singular vectors.
+    ``r > min(d1^2, d2^2)`` and for r = 1 this returns None before the
+    singular vectors. At r = 1 every Kraus list is multiples of one operator,
+    which `_structures` has already classified in the stored list.
     """
     d1, d2 = ch.dims.dims
     n = d1 * d2
     r = ch.choi_rank
-    if r > min(d1 * d1, d2 * d2):
+    if not 1 < r <= min(d1 * d1, d2 * d2):
         return None  # decided without the singular vectors
     _, s, vh = np.linalg.svd(ch.kraus.reshape(len(ch.kraus), -1), full_matrices=False)
     s, vh = s[:r], vh[:r]
@@ -400,6 +405,21 @@ def _channel_violations(
     ]
 
 
+def _image_witness_violations(ch: KrausChannel, hits: list[Violation]) -> list[Violation]:
+    """Each probe hit of a Choi-rank-1 channel as a `witness` violation of the
+    channel: the hit's witness ``c0^2 I - |img><img|`` (its separable ceiling
+    c0^2 is exact) and input, valued on the channel's output on that input.
+    Kept when the value reaches ``-TOL_WITNESS``."""
+    found = []
+    for hit in hits:
+        chi = hit.input.assemble().amplitudes
+        out = ch.apply_matrix(np.outer(chi, np.conj(chi)))
+        value = float(np.real(np.trace(hit.witness.operator @ out)))
+        if value <= -TOL_WITNESS:
+            found.append(Violation("witness", hit.witness, hit.input, value))
+    return found
+
+
 def certify_kraus_channel(ch: KrausChannel, config: OptimizerConfig | None = None) -> Certificate:
     """Three-way certificate: SNE / entangling / inconclusive.
 
@@ -411,8 +431,11 @@ def certify_kraus_channel(ch: KrausChannel, config: OptimizerConfig | None = Non
     product input whose conditional output reaches the operator's
     `channel_schmidt_rank`. Probe evidence speaks only about the stored
     decomposition, so the stored list's `unknown` operators are probed only
-    after the decomposition search fails, both before the witnesses of
-    `default_witness_family`, which no SNE channel violates.
+    after the decomposition search fails. At `choi_rank` 1 every Kraus list
+    is multiples of one operator, so each hit, valued on the channel's
+    output, is a witness violation of the channel. The witnesses of
+    `default_witness_family`, which no SNE channel violates, are minimized
+    only when no such violation is kept.
     """
     config = config or DEFAULT_CONFIG
     ch.dims.require_bipartite()
@@ -434,8 +457,11 @@ def certify_kraus_channel(ch: KrausChannel, config: OptimizerConfig | None = Non
             note="a product-preserving remixing of the Kraus list reproduces the Choi matrix",
         )
     structures = tuple(_probe_unknown(structures, ch.kraus, ch.dims, config))
-    violations = _channel_violations(ch, default_witness_family(ch.dims), config)
-    violations += [s.violation for s in structures if s.violation is not None]
+    hits = [s.violation for s in structures if s.violation is not None]
+    violations = _image_witness_violations(ch, hits) if ch.choi_rank == 1 else []
+    if not violations:
+        violations = _channel_violations(ch, default_witness_family(ch.dims), config)
+    violations += hits
     if violations:
         note = "" if violations[0].kind == "witness" else (
             "evidence is stochastic: a stored Kraus operator entangles a "

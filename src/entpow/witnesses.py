@@ -111,10 +111,10 @@ class Witness:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """The one config of the seeded searches: `restarts` optimizer restarts,
-    restart r drawn from ``default_rng(seed + r)``; `entpow.power` draws its
-    image-rank probes from ``(seed, 17)`` and its decomposition search from
-    ``(seed, 23)``."""
+    """The one config of the seeded searches: `restarts` (at least 1) optimizer
+    restarts, restart r drawn from ``default_rng(seed + r)`` for a `seed` of at
+    least 0; `entpow.power` draws its image-rank probes from ``(seed, 17)``
+    and its decomposition search from ``(seed, 23)``."""
 
     restarts: int = 64
     seed: int = 0
@@ -122,6 +122,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise EntpowError(f"optimizer needs restarts >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise EntpowError(f"optimizer needs seed >= 0, got {self.seed}")
 
 
 DEFAULT_CONFIG = OptimizerConfig()

@@ -172,7 +172,9 @@ def schmidt_report(ch):
 @PROPS
 @given(st.one_of(hidden_mixtures(), stored_lists()), SEEDS)
 def test_choi_rank_one_bounds_do_not_depend_on_the_split(channel, seed):
-    # one operator stored as 1, 2 or 3 multiples c_j M with sum |c_j|^2 = 1
+    # one operator stored as 1, 2 or 3 multiples c_j M with sum |c_j|^2 = 1:
+    # the bounds, the printed line and the verdict agree, and every witness
+    # violation is evidence about the channel, replaying on its output
     ops, dims = channel
     rng = np.random.default_rng(seed)
     seen = set()
@@ -183,5 +185,13 @@ def test_choi_rank_one_bounds_do_not_depend_on_the_split(channel, seed):
         b = channel_schmidt_number_bounds(ch)
         line = f"channel schmidt number bounds: ({b.lower}, {b.upper}) [{b.method}]\n"
         assert line in schmidt_report(ch)
-        seen.add((b.lower, b.upper, b.method))
+        cert = certify_kraus_channel(ch)
+        for v in cert.violations:
+            if v.kind == "witness":
+                chi = v.input.assemble().amplitudes
+                out = ch.apply_matrix(np.outer(chi, np.conj(chi)))
+                replayed = np.real(np.trace(v.witness.operator @ out))
+                assert abs(replayed - v.value) <= 1e-9 * max(1.0, abs(v.value))
+        assert cert.verdict != "entangling" or any(v.kind == "witness" for v in cert.violations)
+        seen.add((b.lower, b.upper, b.method, cert.verdict))
     assert len(seen) == 1

@@ -48,10 +48,18 @@ def test_classify_cnot_reports_violation(tmp_path, capsys):
     assert main(["classify", spec, "--seed", "1", "--restarts", "32"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["verdict"] == "entangling"
-    witness_hits = [v for v in blob["violations"] if v["kind"] == "witness"]
-    assert min(v["value"] for v in witness_hits) < -0.99  # swap witness on CNOT
-    rank2 = [v for v in witness_hits if v["witness"].get("label") == "shifted_rank2"]
-    assert rank2 and abs(rank2[0]["value"] - (-0.5)) < 1e-6
+    assert [(v["kind"], v["witness"]["label"]) for v in blob["violations"]] == [
+        ("witness", "image_shift[0]"), ("stochastic", "image_shift[0]")]
+    # one Kraus operator: the probe hit is the channel's own output, replayed here in numpy
+    (hit,) = [v for v in blob["violations"] if v["kind"] == "witness"]
+    a, b = (np.asarray(f)[:, 0] + 1j * np.asarray(f)[:, 1] for f in hit["input"])
+    out = CNOT @ np.kron(a, b)
+    test_op = (np.asarray(hit["witness"]["test_op"]) @ [1, 1j]).reshape(4, 4)
+    assert np.allclose(test_op, np.outer(out, out.conj()))
+    lam = hit["witness"]["lambda"]
+    assert abs(lam - np.linalg.svd(out.reshape(2, 2), compute_uv=False)[0] ** 2) < 1e-12
+    assert abs(hit["value"] - np.real(out.conj() @ (lam * out - test_op @ out))) < 1e-12
+    assert abs(hit["value"] - (-0.0886993236356)) < 1e-9
 
 
 def certificate_of(spec, restarts=64, seed=0):
@@ -198,6 +206,20 @@ def test_classify_zero_restarts_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path, "swap.json", channel_to_json(swap_channel(2)))
     assert main(["classify", spec, "--restarts", "0"]) == 2
     assert "restarts >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "SPEC", "--seed", "-1"],
+    ["scan", "--scenario", "unitary_mix", "--step", "0.25", "--engine", "optimizer",
+     "--seed", "-1", "--out", "OUT"],
+])
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, "swap.json", channel_to_json(swap_channel(2)))
+    out = tmp_path / "x.csv"
+    argv = [spec if a == "SPEC" else str(out) if a == "OUT" else a for a in argv]
+    assert main(argv) == 2
+    assert "seed >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scan_writes_deterministic_csv(tmp_path, capsys):

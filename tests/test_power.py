@@ -483,14 +483,49 @@ def test_certify_single_kraus_rank_one():
 def test_certify_cnot_entangling_with_replayable_evidence():
     ch = unitary_channel(CNOT, (2, 2))
     cert = certify_kraus_channel(ch)
+    assert cert.verdict == "entangling" and cert.note == ""
+    assert [(v.kind, v.witness.label) for v in cert.violations] == [
+        ("witness", "image_shift[0]"), ("stochastic", "image_shift[0]")]
+    # Choi rank 1: the probe hit, valued on the channel's output, is the evidence
+    hit = cert.violations[0]
+    out = CNOT @ np.kron(*hit.input.factors)
+    lam, test_op = hit.witness.shifted
+    assert np.allclose(test_op, np.outer(out, out.conj()))
+    assert abs(lam - np.linalg.svd(out.reshape(2, 2), compute_uv=False)[0] ** 2) < 1e-12
+    assert abs(hit.value - np.real(out.conj() @ (lam * out - test_op @ out))) < 1e-12
+    assert abs(hit.value - (-0.0354710781001)) < 1e-9
+
+
+def dressed_controlled_shift(d, seed):
+    """The controlled shift between two random local unitaries, as a channel."""
+    rng = np.random.default_rng(seed)
+    local = [kron(haar(rng, d), haar(rng, d)) for _ in range(2)]
+    return KrausChannel([local[0] @ controlled_shift(d) @ local[1]], (d, d))
+
+
+def test_choi_rank_one_certificate_minimizes_no_witness_family():
+    # the probe hit of the one operator is the channel's own output: no descent
+    ch = dressed_controlled_shift(4, 4)
+    with patch.object(power, "product_minima", wraps=power.product_minima) as spy:
+        cert = certify_kraus_channel(ch)
+    assert spy.call_count == 0
     assert cert.verdict == "entangling"
-    kinds = {v.kind for v in cert.violations}
-    assert "witness" in kinds
-    labels = {v.witness.label for v in cert.violations}
-    assert "shifted_rank2" in labels
-    for v in cert.violations:
-        if v.witness.label == "shifted_rank2":
-            assert abs(v.value + 0.5) < 1e-6
+    assert [(v.kind, v.kraus_index) for v in cert.violations] == [("witness", None),
+                                                                  ("stochastic", 0)]
+    hit, stored = cert.violations
+    assert hit.witness is stored.witness and hit.input is stored.input
+    chi = hit.input.assemble().amplitudes
+    out = ch.apply_matrix(np.outer(chi, chi.conj()))
+    assert abs(np.real(np.trace(hit.witness.operator @ out)) - hit.value) < 1e-12
+
+
+def test_product_decomposition_skips_choi_rank_one():
+    # every Kraus list is multiples of one operator, which _structures classified
+    u = dressed_controlled_shift(3, 3).kraus[0]
+    ch = KrausChannel([np.sqrt(0.5) * u, np.sqrt(0.5) * u], (3, 3))
+    with patch.object(power, "_simple_tensor_basis", wraps=power._simple_tensor_basis) as spy:
+        assert power._product_decomposition(ch, 0) is None
+    assert spy.call_count == 0
 
 
 def test_certify_hidden_product_decomposition_is_sne():

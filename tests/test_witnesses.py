@@ -146,6 +146,11 @@ def test_optimizer_config_needs_a_restart():
         OptimizerConfig(restarts=0)
 
 
+def test_optimizer_config_needs_a_non_negative_seed():
+    with pytest.raises(EntpowError, match="seed"):
+        OptimizerConfig(seed=-1)
+
+
 def _unit_norm_herm(seed, d):
     obs = rand_herm(np.random.default_rng(seed), d)
     return obs / np.linalg.norm(obs)
