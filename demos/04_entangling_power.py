@@ -30,13 +30,17 @@ from entpow.channels import KrausChannel
 rng = np.random.default_rng(1)
 g = lambda d: rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 
-# Single operators: the three product-preserving forms are recognized
-# structurally (tensor product, permutation composed with locals, and
-# rank-one onto a product state)
+# Single operators: the product-preserving forms are recognized structurally
+# (tensor product, permutation composed with locals, and a range inside a
+# local subspace, a (x) C^2). A rank-one operator onto a product state is the
+# smallest local-range operator; (|0> (x) I) N has rank 2 and is one too
 print("A (x) B:            ", classify_kraus(kron(g(2), g(2)), (2, 2)).form)
 print("(A (x) B) swap:     ", classify_kraus(kron(g(2), g(2)) @ swap_matrix(2), (2, 2)).form)
 left = np.kron([1.0, 0.0], [0.0, 1.0])
 print("|chi1 chi2><Psi|:   ", classify_kraus(np.outer(left, g(4)[0].conj()), (2, 2)).form)
+bell_rows = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]])  # N = |0><00+11| + |1><01+10|
+local = np.kron([[1.0], [0.0]], np.eye(2)) @ bell_rows
+print("(|0> (x) I) N:      ", classify_kraus(local, (2, 2)).form)
 
 # CNOT fits none of them, and the classifier exhibits a product input whose
 # image is entangled

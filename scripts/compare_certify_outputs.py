@@ -4,15 +4,17 @@
 
 Both directories must hold the same files. The ``schmidt``, ``schmidt-cut``
 and ``demo-<stem>`` outputs must be byte-equal. For each ``classify`` output the
-two sides must agree on the
-verdict, the note, the witness violations (kind "witness") and the list of
-``(kind, kraus_index)`` over the other violations; stochastic violations may
-differ in their input and value. Witness violations are matched by witness
-label: per file it prints the labels only one side has (dropped from A, or
-added in B) and, per label on both sides, how far the value moved, and any
-of these that is not an exact match is a difference. The benchmark's
-verifier (`bench/verify.py` ``check_classify``, read but never changed) must
-report the same problem kinds and the same ``decided`` count on both sides.
+two sides must agree on the verdict, the note, the ``kraus_forms``, the
+witness violations (kind "witness") and the list of ``(kind, kraus_index)``
+over the other violations; stochastic violations may differ in their input
+and value. A changed form is a difference, printed per file as its
+``(old, new)`` pair with a count; the summary tallies each pair over all
+files. Witness violations are matched by witness label: per file it prints
+the labels only one side has (dropped from A, or added in B) and, per label
+on both sides, how far the value moved, and any of these that is not an
+exact match is a difference. The benchmark's verifier (`bench/verify.py`
+``check_classify``, read but never changed) must report the same problem
+kinds and the same ``decided`` count on both sides.
 Prints one line per difference and a summary.
 """
 
@@ -22,6 +24,7 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -88,12 +91,27 @@ def witness_differences(va: list[dict], vb: list[dict]) -> list[str]:
     return out
 
 
-def classify_differences(seed: int, name: str, text_a: str, text_b: str) -> list[str]:
+def form_changes(a: dict, b: dict) -> Counter:
+    """``(old, new)`` form pairs, by Kraus index, where the two certificates'
+    ``kraus_forms`` differ; lists of different lengths pair up as wholes."""
+    fa, fb = a.get("kraus_forms", []), b.get("kraus_forms", [])
+    if len(fa) != len(fb):
+        return Counter({(str(fa), str(fb)): 1})
+    return Counter((x, y) for x, y in zip(fa, fb) if x != y)
+
+
+def classify_differences(seed: int, name: str, text_a: str, text_b: str,
+                         forms: Counter) -> list[str]:
+    """The differences of one ``classify`` file; its form changes are also
+    added to `forms`."""
     a, b = certificate(text_a), certificate(text_b)
     out = []
     for key in ("verdict", "note"):
         if a.get(key) != b.get(key):
             out.append(f"{key} {a.get(key)!r} vs {b.get(key)!r}")
+    changes = form_changes(a, b)
+    forms.update(changes)
+    out += [f"kraus_forms {old} -> {new} x{count}" for (old, new), count in changes.items()]
     va, vb = a.get("violations", []), b.get("violations", [])
     out += witness_differences(va, vb)
     kinds_a = [(v["kind"], v["kraus_index"]) for v in va if v["kind"] != "witness"]
@@ -116,6 +134,7 @@ def main() -> int:
     problems = [f"{f}: only in {args.a}" for f in sorted(files_a - files_b)]
     problems += [f"{f}: only in {args.b}" for f in sorted(files_b - files_a)]
     common = sorted(files_a & files_b)
+    forms: Counter = Counter()
     for f in common:
         m = NAME.fullmatch(f)
         if m is None:
@@ -127,12 +146,14 @@ def main() -> int:
                 problems.append(f"{f}: {m.group(3) or 'demo'} output differs")
             continue
         try:
-            found = classify_differences(int(m.group(1)), m.group(2), text_a, text_b)
+            found = classify_differences(int(m.group(1)), m.group(2), text_a, text_b, forms)
         except (ValueError, KeyError) as exc:
             found = [f"unreadable: {exc!r}"]
         problems += [f"{f}: {d}" for d in found]
     for line in problems:
         print(line)
+    for (old, new), count in sorted(forms.items()):
+        print(f"kraus_forms {old} -> {new}: {count} operator(s)")
     print(f"{len(common)} files compared, {len(problems)} differences")
     return 1 if problems else 0
 

@@ -33,11 +33,14 @@ _EIG_CUTOFF = 1e-14
 
 def _kraus_stack(kraus, dims: DimList) -> np.ndarray:
     """The operators as a new complex (K, D, D) array; `DimensionError` names
-    every shape other than (D, D)."""
+    every shape other than (D, D), and refuses a NaN or infinite entry."""
     bad = {np.shape(m) for m in kraus} - {(dims.total, dims.total)}
     if bad:
         raise DimensionError(f"Kraus operator shapes {sorted(bad)} do not match dims {dims.dims}")
-    return np.array(kraus, dtype=complex).reshape(-1, dims.total, dims.total)
+    ops = np.array(kraus, dtype=complex).reshape(-1, dims.total, dims.total)
+    if not np.all(np.isfinite(ops)):
+        raise DimensionError("Kraus operators must have finite entries")
+    return ops
 
 
 class KrausChannel:

@@ -145,7 +145,7 @@ def _schmidt_channel_report(ch: KrausChannel, args) -> int:
         rank = schmidt_rank(psi, cut)
         print(f"choi cut {_fmt_cut(cut, n2)}: schmidt rank {rank} (brute-force SVD)")
         forms = classify_kraus_many(ch.kraus, ch.dims, config)
-        if all(f.form == FORM_PERMUTATION for f in forms):
+        if ch.dims[0] == ch.dims[1] and all(f.form == FORM_PERMUTATION for f in forms):
             print(_SWAP_CUT_NOTE.format(cut=_fmt_cut(cut, n2)), file=sys.stderr)
     return 0
 

@@ -1,14 +1,17 @@
 """Entangling-power analysis: Kraus structure, channel Schmidt measures,
 and stochastic-non-entangling certificates.
 
-A single Kraus operator preserves the set of product states exactly when it
-has one of three structural forms: a simple tensor ``A (x) B``, a simple
-tensor composed with a party permutation, or a rank-1 operator
-``|chi_1, chi_2><Psi|`` whose column space is a product vector. Channels all
-of whose Kraus operators (in some decomposition) take these forms cannot
-create entanglement even stochastically; this module classifies operators,
-searches decompositions, bounds the channel Schmidt number, and produces
-replayable certificates.
+A single Kraus operator sends every product input to a product output when
+it takes one of the forms of Westwick's characterization of maps that
+preserve decomposable tensors (Pacific J. Math. 23, 613, 1967): a simple
+tensor ``A (x) B``, a simple tensor after the party swap, ``(A (x) B) V``,
+or an operator whose range lies in a local subspace, ``a (x) N`` or
+``N (x) b`` (this covers every rank-1 operator ``|chi_1, chi_2><Psi|``).
+Each detected form is product-preserving, and its factors rebuild the
+operator. Channels all of whose Kraus operators (in some decomposition)
+take these forms cannot create entanglement even stochastically; this
+module classifies operators, searches decompositions, bounds the channel
+Schmidt number, and produces replayable certificates.
 
 Verdict semantics: "entangling" is backed either by a witness violation of
 the full channel (a separable input provably maps to an entangled output) or
@@ -51,7 +54,7 @@ from .witnesses import (
 
 FORM_TENSOR = "tensor_product"
 FORM_PERMUTATION = "permutation_local"
-FORM_RANK1 = "rank1_product"
+FORM_LOCAL = "local_range"
 FORM_UNKNOWN = "unknown"
 SNE = "stochastically_nonentangling"
 
@@ -82,9 +85,12 @@ class Violation:
 class KrausStructure:
     """Structural classification of a single Kraus operator.
 
-    `factors` holds the per-party operators for the tensor and permutation
-    forms, and the per-party *vectors* of the product column space for the
-    rank-1 form (whose bra side is `right_vector`: M = |factors><right_vector|).
+    `factors` holds one array per party, D = d1 * d2, and rebuilds the operator:
+    - `tensor_product`: A (d1, d1), B (d2, d2); M = A (x) B.
+    - `permutation_local`: A (d1, d2), B (d2, d1), `permutation` (1, 0);
+      M = (A (x) B) V for the party swap V, so M (x (x) y) = A y (x) B x.
+    - `local_range`: a (d1,), N (d2, D), M = a (x) N with range inside
+      a (x) C^d2; or N (d1, D), b (d2,), M = N (x) b.
     An `unknown` operator carries the largest image Schmidt rank the probes
     found (1 when none reached 2) and, when its probe image is entangled
     enough to certify, that hit as a stochastic `Violation`.
@@ -93,13 +99,12 @@ class KrausStructure:
     form: str
     factors: tuple[np.ndarray, ...] | None = None
     permutation: tuple[int, ...] | None = None
-    right_vector: np.ndarray | None = None
     image_rank: int = 1
     violation: Violation | None = None
 
     @property
     def is_product_preserving(self) -> bool:
-        return self.form in (FORM_TENSOR, FORM_PERMUTATION, FORM_RANK1)
+        return self.form != FORM_UNKNOWN
 
 
 def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -196,47 +201,37 @@ def classify_kraus_many(ops, dims, config: OptimizerConfig | None = None) -> lis
 
 def _structures(ops: np.ndarray, dims: DimList) -> list[KrausStructure]:
     """The structural form of each operator of the (K, D, D) stack `ops`, with
-    no probing. The tensor, permutation and rank-1 tests each run as one
-    stacked reshuffle and SVD over the operators no earlier test classified;
-    the permutation test reshuffles with the party swap folded into the
-    index order.
+    no probing. Each product-preserving form has operator rank at most one
+    once the axes (out1, out2, in1, in2) are split in two groups, one row of
+    the table below per split. Each row runs as one stacked reshuffle and SVD
+    over the operators no earlier row classified, and splits the top singular
+    value evenly between the two factors.
     """
     d1, d2 = dims.dims
+    n = d1 * d2
     stack = ops.reshape(-1, d1, d2, d1, d2)
     out = [KrausStructure(FORM_UNKNOWN)] * len(ops)
     rest = np.arange(len(ops))
-
-    # A (x) B, then (A (x) B) V for the swap V: operator Schmidt rank at most
-    # one after reshuffling (out1, in1 | out2, in2); V swaps the input axes.
-    tests = [(FORM_TENSOR, (0, 1, 3, 2, 4), None)]
-    if d1 == d2:
-        tests.append((FORM_PERMUTATION, (0, 1, 4, 2, 3), (1, 0)))
-    for form, axes, permutation in tests:
+    # form, axes of the (K, out1, out2, in1, in2) stack, factor shapes, permutation;
+    # the rows split (out1, in1 | out2, in2), (out1, in2 | out2, in1),
+    # (out1 | out2, in) and (out1, in | out2)
+    table = [
+        (FORM_TENSOR, (0, 1, 3, 2, 4), ((d1, d1), (d2, d2)), None),
+        (FORM_PERMUTATION, (0, 1, 4, 2, 3), ((d1, d2), (d2, d1)), (1, 0)),
+        (FORM_LOCAL, (0, 1, 2, 3, 4), ((d1,), (d2, n)), None),
+        (FORM_LOCAL, (0, 1, 3, 4, 2), ((d1, n), (d2,)), None),
+    ]
+    for form, axes, (left, right), permutation in table:
         if not rest.size:
             break
-        shuffled = stack[rest].transpose(axes).reshape(-1, d1 * d1, d2 * d2)
+        shuffled = stack[rest].transpose(axes).reshape(len(rest), -1, int(np.prod(right)))
         u, s, vh = np.linalg.svd(shuffled, full_matrices=False)
         simple = numerical_rank(s) <= 1
         for k, j in zip(rest[simple], np.flatnonzero(simple)):
             root = np.sqrt(float(s[j, 0]))
-            factors = (root * u[j, :, 0].reshape(d1, d1), root * vh[j, 0].reshape(d2, d2))
+            factors = (root * u[j, :, 0].reshape(left), root * vh[j, 0].reshape(right))
             out[k] = KrausStructure(form, factors=factors, permutation=permutation)
         rest = rest[~simple]
-
-    if rest.size:
-        # |chi_1 chi_2><Psi|: rank one with a product column space
-        u_m, s_m, vh_m = np.linalg.svd(stack[rest].reshape(len(rest), d1 * d2, -1))
-        one = np.flatnonzero(numerical_rank(s_m) == 1)
-        amats = u_m[one, :, 0].reshape(-1, d1, d2)
-        keep = numerical_rank(np.linalg.svd(amats, compute_uv=False)) == 1
-        if keep.any():
-            u2, s2, vh2 = np.linalg.svd(amats[keep])
-            for j, u2j, s2j, vh2j in zip(one[keep], u2, s2, vh2):
-                out[rest[j]] = KrausStructure(
-                    FORM_RANK1,
-                    factors=(s2j[0] * u2j[:, 0], vh2j[0, :]),
-                    right_vector=float(s_m[j, 0]) * np.conj(vh_m[j, 0, :]),
-                )
     return out
 
 
@@ -353,10 +348,11 @@ def _product_decomposition(ch: KrausChannel, seed: int):
     and its coordinates over s form a unitary (``RANK_RTOL * ||Choi||_F``
     alone would pass an entangling admixture of weight 1e-12). So the search
     can miss a decomposition but never invent one. Out of reach: lists mixing
-    the two forms, rank-1 product forms, lists of more than r operators; for
-    ``r > min(d1^2, d2^2)`` and for r = 1 this returns None before the
-    singular vectors. At r = 1 every Kraus list is multiples of one operator,
-    which `_structures` has already classified in the stored list.
+    the two forms, `local_range` forms, ``(A (x) B) V`` on unequal dims, lists
+    of more than r operators; for ``r > min(d1^2, d2^2)`` and for r = 1 this
+    returns None before the singular vectors. At r = 1 every Kraus list is
+    multiples of one operator, which `_structures` has already classified in
+    the stored list.
     """
     d1, d2 = ch.dims.dims
     n = d1 * d2
@@ -405,19 +401,15 @@ def _channel_violations(
     ]
 
 
-def _image_witness_violations(ch: KrausChannel, hits: list[Violation]) -> list[Violation]:
-    """Each probe hit of a Choi-rank-1 channel as a `witness` violation of the
+def _image_witness_violations(ch: KrausChannel, hit: Violation) -> list[Violation]:
+    """A probe hit of a Choi-rank-1 channel as a `witness` violation of the
     channel: the hit's witness ``c0^2 I - |img><img|`` (its separable ceiling
     c0^2 is exact) and input, valued on the channel's output on that input.
     Kept when the value reaches ``-TOL_WITNESS``."""
-    found = []
-    for hit in hits:
-        chi = hit.input.assemble().amplitudes
-        out = ch.apply_matrix(np.outer(chi, np.conj(chi)))
-        value = float(np.real(np.trace(hit.witness.operator @ out)))
-        if value <= -TOL_WITNESS:
-            found.append(Violation("witness", hit.witness, hit.input, value))
-    return found
+    chi = hit.input.assemble().amplitudes
+    out = ch.apply_matrix(np.outer(chi, np.conj(chi)))
+    value = float(np.real(np.trace(hit.witness.operator @ out)))
+    return [Violation("witness", hit.witness, hit.input, value)] if value <= -TOL_WITNESS else []
 
 
 def certify_kraus_channel(ch: KrausChannel, config: OptimizerConfig | None = None) -> Certificate:
@@ -432,8 +424,9 @@ def certify_kraus_channel(ch: KrausChannel, config: OptimizerConfig | None = Non
     `channel_schmidt_rank`. Probe evidence speaks only about the stored
     decomposition, so the stored list's `unknown` operators are probed only
     after the decomposition search fails. At `choi_rank` 1 every Kraus list
-    is multiples of one operator, so each hit, valued on the channel's
-    output, is a witness violation of the channel. The witnesses of
+    is multiples of one operator, so the first hit, valued on the channel's
+    output, is a witness violation of the channel; the multiples are probed
+    with the same inputs, so later hits would repeat it. The witnesses of
     `default_witness_family`, which no SNE channel violates, are minimized
     only when no such violation is kept.
     """
@@ -458,7 +451,7 @@ def certify_kraus_channel(ch: KrausChannel, config: OptimizerConfig | None = Non
         )
     structures = tuple(_probe_unknown(structures, ch.kraus, ch.dims, config))
     hits = [s.violation for s in structures if s.violation is not None]
-    violations = _image_witness_violations(ch, hits) if ch.choi_rank == 1 else []
+    violations = _image_witness_violations(ch, hits[0]) if hits and ch.choi_rank == 1 else []
     if not violations:
         violations = _channel_violations(ch, default_witness_family(ch.dims), config)
     violations += hits

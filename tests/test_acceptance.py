@@ -388,7 +388,7 @@ def _form_instances(rng, kind):
 def test_criterion_6_property_suites():
     problems = []
     try:
-        forms = ("tensor_product", "permutation_local", "rank1_product")
+        forms = ("tensor_product", "permutation_local", "local_range")
 
         # product-preserving forms never increase the Schmidt rank
         rng = np.random.default_rng(60)

@@ -122,16 +122,28 @@ def test_answers_do_not_change_when_the_kraus_list_is_scaled(channel, k):
 
 @st.composite
 def stored_lists(draw):
-    """One to three operators, each local ``A (x) B`` or generic, as stored."""
+    """One to three operators, as stored: each local ``A (x) B``, swapped
+    ``M (x (x) y) = A y (x) B x`` (rectangular A and B on unequal dims), of
+    local range ``a (x) N`` or ``N (x) b``, or generic."""
     d1, d2 = draw(DIMS)
+    n = d1 * d2
     rng = np.random.default_rng(draw(SEEDS))
-    kinds = draw(st.lists(st.sampled_from(["local", "generic"]), min_size=1, max_size=3))
+    kinds = ["local", "swap", "local_left", "local_right", "generic"]
+    drawn = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3))
 
-    def rand(n):
-        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    def rand(rows, cols):
+        return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
 
-    ops = [kron(rand(d1), rand(d2)) if kind == "local" else rand(d1 * d2) for kind in kinds]
-    return np.array(ops), (d1, d2)
+    # V |x, y> = |y, x> from the (d1, d2) space to the (d2, d1) space
+    v = np.eye(n).reshape(d1, d2, n).transpose(1, 0, 2).reshape(n, n)
+    build = {
+        "local": lambda: kron(rand(d1, d1), rand(d2, d2)),
+        "swap": lambda: kron(rand(d1, d2), rand(d2, d1)) @ v,
+        "local_left": lambda: np.kron(rand(d1, 1), rand(d2, n)),
+        "local_right": lambda: np.kron(rand(d1, n), rand(d2, 1)),
+        "generic": lambda: rand(n, n),
+    }
+    return np.array([build[kind]() for kind in drawn]), (d1, d2)
 
 
 @PROPS
@@ -173,8 +185,9 @@ def schmidt_report(ch):
 @given(st.one_of(hidden_mixtures(), stored_lists()), SEEDS)
 def test_choi_rank_one_bounds_do_not_depend_on_the_split(channel, seed):
     # one operator stored as 1, 2 or 3 multiples c_j M with sum |c_j|^2 = 1:
-    # the bounds, the printed line and the verdict agree, and every witness
-    # violation is evidence about the channel, replaying on its output
+    # the bounds, the printed line and the verdict agree, and an entangling
+    # certificate lists exactly one witness violation, evidence about the
+    # channel that replays on its output
     ops, dims = channel
     rng = np.random.default_rng(seed)
     seen = set()
@@ -192,6 +205,7 @@ def test_choi_rank_one_bounds_do_not_depend_on_the_split(channel, seed):
                 out = ch.apply_matrix(np.outer(chi, np.conj(chi)))
                 replayed = np.real(np.trace(v.witness.operator @ out))
                 assert abs(replayed - v.value) <= 1e-9 * max(1.0, abs(v.value))
-        assert cert.verdict != "entangling" or any(v.kind == "witness" for v in cert.violations)
+        witnesses = [v for v in cert.violations if v.kind == "witness"]
+        assert len(witnesses) == (cert.verdict == "entangling")
         seen.add((b.lower, b.upper, b.method, cert.verdict))
     assert len(seen) == 1

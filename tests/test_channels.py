@@ -41,6 +41,11 @@ def test_kraus_channel_validation():
         KrausChannel([np.eye(3)], (2, 2))
     with pytest.raises(DimensionError, match=r"\(3, 3\)"):
         KrausChannel([np.eye(4), np.eye(3)], (2, 2))
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        op = np.eye(4, dtype=complex)
+        op[1, 2] = bad
+        with pytest.raises(DimensionError, match="finite"):
+            KrausChannel([np.eye(4), op], (2, 2))
     ops = [np.eye(4)]
     ch = KrausChannel(ops, (2, 2))
     assert ch.kraus.shape == (1, 4, 4)

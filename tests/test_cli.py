@@ -10,6 +10,7 @@ import pytest
 
 from entpow import __version__, power, witnesses
 from entpow.channels import (
+    KrausChannel,
     identity_channel,
     mixing_channel,
     random_unitary_channel,
@@ -320,6 +321,20 @@ def test_schmidt_channel_report_and_cut(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "choi cut (0,2)|(1,3): schmidt rank 4" in captured.out
     assert "rank d^2" in captured.err  # swap-cut advisory
+
+
+def test_schmidt_swap_cut_note_needs_equal_dims(tmp_path, capsys):
+    # M (x (x) y) = A y (x) B x on (2, 3) is `permutation_local`, but the
+    # note's d^2 speaks of one dimension d, so it stays silent
+    rng = np.random.default_rng(1)
+    v = np.eye(6).reshape(2, 3, 6).transpose(1, 0, 2).reshape(6, 6)
+    m = np.kron(rng.normal(size=(2, 3)), rng.normal(size=(3, 2))) @ v
+    spec = write_spec(tmp_path, "rect.json", channel_to_json(KrausChannel([m], (2, 3))))
+    assert power.classify_kraus(m, (2, 3)).form == "permutation_local"
+    assert main(["schmidt", spec, "--cut", "0,2"]) == 0
+    captured = capsys.readouterr()
+    assert "choi cut (0,2)|(1,3): schmidt rank 4" in captured.out
+    assert captured.err == ""
 
 
 def test_schmidt_cut_of_a_mixed_choi_matrix(tmp_path, capsys):

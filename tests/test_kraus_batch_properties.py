@@ -19,17 +19,17 @@ from entpow.power import (
     channel_schmidt_rank,
     classify_kraus_many,
 )
-from entpow.states import PureState, schmidt_rank
-from entpow.tensor import DimList, kron, numerical_rank, operator_schmidt, swap_matrix
+from entpow.tensor import DimList, kron, numerical_rank, operator_schmidt
 from entpow.witnesses import OptimizerConfig
 
 PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 DIMS = st.sampled_from([(2, 2), (2, 3), (3, 3)])
 SEEDS = st.integers(0, 2**32 - 1)
-KINDS = st.sampled_from(
-    ["tensor", "swap", "rank1_product", "rank1_entangled", "schmidt2", "generic", "zero"]
-)
+KINDS = st.sampled_from([
+    "tensor", "swap", "local_left", "local_right", "rank1_product", "rank1_entangled",
+    "schmidt2", "generic", "zero",
+])
 OPS = st.lists(st.tuples(KINDS, SEEDS), min_size=1, max_size=7)
 CHUNK = st.integers(1, 3)
 SCALES = st.sampled_from([1e-9, 1.0, 1e3])
@@ -41,27 +41,41 @@ SMALL = OptimizerConfig(seed=3)
 
 # The largest image rank of each kind of `operator`; "generic" reaches min(d1, d2).
 KNOWN_RANK = {
-    "tensor": 1, "swap": 1, "rank1_product": 1, "zero": 1, "rank1_entangled": 2, "schmidt2": 2,
+    "tensor": 1, "swap": 1, "local_left": 1, "local_right": 1, "rank1_product": 1, "zero": 1,
+    "rank1_entangled": 2, "schmidt2": 2,
 }
 
 
-def rand_op(rng, d):
-    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+def rand_op(rng, d, cols=None):
+    cols = d if cols is None else cols
+    return rng.normal(size=(d, cols)) + 1j * rng.normal(size=(d, cols))
 
 
 def rand_vec(rng, d):
     return rng.normal(size=d) + 1j * rng.normal(size=d)
 
 
+def party_swap(d1, d2):
+    """V |x, y> = |y, x> from the (d1, d2) space to the (d2, d1) space."""
+    return np.eye(d1 * d2).reshape(d1, d2, d1 * d2).transpose(1, 0, 2).reshape(d1 * d2, -1)
+
+
 def operator(kind, seed, dims):
     """One operator of a given structure: each form, plus operators that
-    entangle with image rank below or at min(d1, d2)."""
+    entangle with image rank below or at min(d1, d2). "swap" is
+    ``M (x (x) y) = A y (x) B x``, which on unequal dims needs rectangular
+    A and B; "local_left" is ``a (x) N`` and "local_right" ``N (x) b``."""
     rng = np.random.default_rng(seed)
     d1, d2 = dims
-    if kind == "tensor" or (kind == "swap" and d1 != d2):
+    n = d1 * d2
+    if kind == "tensor":
         return kron(rand_op(rng, d1), rand_op(rng, d2))
     if kind == "swap":
-        return kron(rand_op(rng, d1), rand_op(rng, d2)) @ swap_matrix(d1)
+        return kron(rand_op(rng, d1, d2), rand_op(rng, d2, d1)) @ party_swap(d1, d2)
+    if kind == "local_left":
+        return np.kron(rand_op(rng, d1, 1), rand_op(rng, d2, n))
+    if kind == "local_right":
+        return np.kron(rand_op(rng, d1, n), rand_op(rng, d2, 1))
     if kind == "rank1_product":
         return np.outer(np.kron(rand_vec(rng, d1), rand_vec(rng, d2)), rand_vec(rng, d1 * d2))
     if kind == "rank1_entangled":  # |00> + |11> out: image rank 2 for every input
@@ -104,38 +118,50 @@ def reference_max_image_rank(m, dims, config):
 
 
 def reference_form(m, dims):
-    """Form and factors from the per-operator structural tests."""
+    """Form and factors from per-operator structural tests, one form at a
+    time: the operator Schmidt rank of M; of ``M V^-1 = A (x) B`` for the
+    party swap V, a map from the (d2, d1) space with A (d1, d2), B (d2, d1);
+    and the rank of ``M M^dagger`` reduced to output party 1, then 2 (rank 1
+    puts the range in ``a (x) C^d2``, or in ``C^d1 (x) b``). A local-range
+    operator gets the unit vector a (or b) and its contraction with M."""
     d1, d2 = dims
     dec = operator_schmidt(m, dims)
     if numerical_rank(dec.values) <= 1:
         s = float(dec.values[0])
         return "tensor_product", (np.sqrt(s) * dec.left[0], np.sqrt(s) * dec.right[0])
-    if d1 == d2:
-        dec2 = operator_schmidt(m @ swap_matrix(d1), dims)
-        if numerical_rank(dec2.values) <= 1:
-            s = float(dec2.values[0])
-            return "permutation_local", (np.sqrt(s) * dec2.left[0], np.sqrt(s) * dec2.right[0])
-    u_m, s_m, _ = np.linalg.svd(m)
-    if numerical_rank(s_m) == 1 and schmidt_rank(PureState(u_m[:, 0], dims)) == 1:
-        u2, s2, vh2 = np.linalg.svd(u_m[:, 0].reshape(d1, d2))
-        return "rank1_product", (s2[0] * u2[:, 0], vh2[0, :])
+    simple = (m @ party_swap(d1, d2).T).reshape(d1, d2, d2, d1).transpose(0, 2, 1, 3)
+    u, s, vh = np.linalg.svd(simple.reshape(d1 * d2, d2 * d1), full_matrices=False)
+    if numerical_rank(s) <= 1:
+        root = np.sqrt(float(s[0]))
+        return "permutation_local", (root * u[:, 0].reshape(d1, d2), root * vh[0].reshape(d2, d1))
+    t = m.reshape(d1, d2, -1)
+    gram = np.einsum("ajx,bkx->ajbk", t, np.conj(t))
+    vals, vecs = np.linalg.eigh(np.einsum("ajbj->ab", gram))
+    if numerical_rank(vals[::-1]) == 1:
+        a = vecs[:, -1]
+        return "local_range", (a, np.einsum("a,ajx->jx", np.conj(a), t))
+    vals, vecs = np.linalg.eigh(np.einsum("ajak->jk", gram))
+    if numerical_rank(vals[::-1]) == 1:
+        b = vecs[:, -1]
+        return "local_range", (np.einsum("ajx,j->ax", t, np.conj(b)), b)
     return "unknown", None
 
 
 # -- properties ------------------------------------------------------------
 
 
-def arrays(st):
-    return (st.factors or ()) + (() if st.right_vector is None else (st.right_vector,))
-
-
 def same_structure(x, y):
     return (
         x.form == y.form
         and x.permutation == y.permutation
-        and len(arrays(x)) == len(arrays(y))
-        and all(np.array_equal(p, q) for p, q in zip(arrays(x), arrays(y)))
+        and len(x.factors or ()) == len(y.factors or ())
+        and all(np.array_equal(p, q) for p, q in zip(x.factors or (), y.factors or ()))
     )
+
+
+def rebuild(factors, dims):
+    """``f1 (x) f2`` with vectors as columns: the operator of a local-range form."""
+    return np.kron(factors[0].reshape(dims[0], -1), factors[1].reshape(dims[1], -1))
 
 
 @PROPS
@@ -149,7 +175,10 @@ def test_classify_many_matches_each_operator(dims, ops):
         assert same_structure(st_many, _structures(m[None], dl)[0])
         form, factors = reference_form(m, dims)
         assert st_many.form == form
-        if factors is not None:
+        if form == "local_range":  # the same product, split differently
+            assert [p.shape for p in st_many.factors] == [q.shape for q in factors]
+            assert np.allclose(rebuild(st_many.factors, dims), rebuild(factors, dims), atol=1e-10)
+        elif factors is not None:
             assert all(np.array_equal(p, q) for p, q in zip(st_many.factors, factors))
 
 
@@ -228,7 +257,7 @@ def test_long_stack_classifies_each_operator_as_alone(dims):
     many = classify_kraus_many(stack, dims)
     alone = [classify_kraus_many(m[None], dims)[0] for m in stack]
     assert {st.form for st in many} == {
-        "tensor_product", "permutation_local", "rank1_product", "unknown"}
+        "tensor_product", "permutation_local", "local_range", "unknown"}
     assert any(st.violation is not None for st in many)
     for k, (x, y) in enumerate(zip(many, alone, strict=True)):
         assert same_structure(x, y) and x.image_rank == y.image_rank
@@ -239,8 +268,10 @@ def test_long_stack_classifies_each_operator_as_alone(dims):
 
 def test_product_preserving_stack_has_no_hit():
     # the search then runs over no operator at all
-    ops = [("tensor", 1), ("swap", 2), ("rank1_product", 3), ("zero", 4)]
-    structures = classify_kraus_many(stack_of(ops, (2, 2)), (2, 2))
+    ops = [("tensor", 1), ("swap", 2), ("rank1_product", 3), ("zero", 4), ("local_left", 5),
+           ("local_right", 6)]
+    structures = classify_kraus_many(stack_of(ops, (2, 3)), (2, 3))
     assert [st.form for st in structures] == [
-        "tensor_product", "permutation_local", "rank1_product", "tensor_product"]
+        "tensor_product", "permutation_local", "local_range", "tensor_product", "local_range",
+        "local_range"]
     assert all(st.violation is None and st.image_rank == 1 for st in structures)

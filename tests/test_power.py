@@ -74,12 +74,48 @@ def test_classify_rank_one_product():
         right = random_state_vector(4, rng)  # arbitrary, may be entangled
         m = np.outer(left, np.conj(right))
         st = classify_kraus(m, (2, 2))
-        assert st.form == "rank1_product"
+        assert st.form == "local_range"
         assert st.is_product_preserving
-        chi1, chi2 = st.factors
-        # the reconstruction |chi1 chi2><psi| must reproduce m
-        rebuilt = np.outer(np.kron(chi1, chi2), np.conj(st.right_vector))
-        assert np.max(np.abs(rebuilt - m)) < 1e-9
+        # |chi1 chi2><psi| is chi1 (x) N for N = |chi2><psi|
+        assert [f.shape for f in st.factors] == [(2,), (2, 4)]
+        assert np.max(np.abs(rebuild(st, (2, 2)) - m)) < 1e-9
+
+
+def party_swap(d1, d2):
+    """V |x, y> = |y, x> from the (d1, d2) space to the (d2, d1) space."""
+    return np.eye(d1 * d2).reshape(d1, d2, d1 * d2).transpose(1, 0, 2).reshape(d1 * d2, -1)
+
+
+def rebuild(st, dims):
+    """The operator a structure's per-party factors stand for."""
+    d1, d2 = dims
+    m = np.kron(st.factors[0].reshape(d1, -1), st.factors[1].reshape(d2, -1))
+    return m @ party_swap(d1, d2) if st.permutation else m
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 3), (3, 2)])
+def test_classify_local_range_and_rectangular_swap(dims):
+    # a (x) N and N (x) b: the range lies in a (x) C^d2 or C^d1 (x) b; and
+    # M (x (x) y) = A y (x) B x, which needs A (d1, d2) and B (d2, d1)
+    d1, d2 = dims
+    n = d1 * d2
+    rng = np.random.default_rng(12)
+
+    def rand(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for _ in range(20):
+        cases = [
+            ("local_range", None, [(d1,), (d2, n)], np.kron(rand(d1, 1), rand(d2, n))),
+            ("local_range", None, [(d1, n), (d2,)], np.kron(rand(d1, n), rand(d2, 1))),
+            ("permutation_local", (1, 0), [(d1, d2), (d2, d1)],
+             np.kron(rand(d1, d2), rand(d2, d1)) @ party_swap(d1, d2)),
+        ]
+        for form, permutation, shapes, m in cases:
+            st = classify_kraus(m, dims)
+            assert (st.form, st.permutation) == (form, permutation)
+            assert [f.shape for f in st.factors] == shapes
+            assert np.max(np.abs(rebuild(st, dims) - m)) < 1e-12
 
 
 def test_classify_unknown_with_stochastic_violation():
@@ -125,6 +161,16 @@ def test_classify_rank_one_entangling_is_not_product_preserving():
 def test_classify_is_bipartite_only():
     with pytest.raises(ArityError):
         classify_kraus(np.eye(8), (2, 2, 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_classify_rejects_non_finite_entries(bad):
+    m = np.eye(4)
+    m[3, 0] = bad
+    with pytest.raises(DimensionError, match="finite"):
+        classify_kraus(m, (2, 2))
+    with pytest.raises(DimensionError, match="finite"):
+        classify_kraus_many([np.eye(4), m], (2, 2))
 
 
 # -- channel Schmidt rank (single Kraus operator) ----------------------
@@ -534,20 +580,36 @@ def test_certify_hidden_product_decomposition_is_sne():
     assert cert.note == DECOMPOSITION_NOTE
 
 
-def test_certify_inconclusive_without_structure_or_violation():
-    # (|0> (x) I) N1 and (|1> (x) I) N2 send every input to a product state, yet
-    # neither takes a recognized form: no structure, no entangled image and no
-    # witness violation leave the verdict open
+def test_certify_local_range_operators_are_sne():
+    # (|0> (x) I) N1 and (|1> (x) I) N2 send every input to a product state:
+    # each range lies in a (x) C^2, so the stored list certifies itself
     rng = np.random.default_rng(11)
     u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
     ops = [np.kron(np.eye(2)[:, [a]], np.eye(2)) @ u[2 * a:2 * a + 2] for a in (0, 1)]
     ch = KrausChannel(ops, (2, 2))
     assert ch.is_trace_preserving
     cert = certify_kraus_channel(ch)
-    assert cert.verdict == "inconclusive" and cert.violations == ()
-    assert [s.form for s in cert.structures] == ["unknown", "unknown"]
+    assert (cert.verdict, cert.violations) == (SNE, ())
+    assert [s.form for s in cert.structures] == ["local_range", "local_range"]
+    for s, op in zip(cert.structures, cert.kraus):  # the factors rebuild each operator
+        assert np.max(np.abs(rebuild(s, (2, 2)) - op)) < 1e-12
     b = channel_schmidt_number_bounds(ch)
-    assert (b.lower, b.upper) == (1, 1)
+    assert (b.lower, b.upper, b.method) == (1, 1, "stored decomposition")
+    assert reproduces_choi(b.certificate, ch)
+
+
+def test_certify_inconclusive_without_structure_or_violation():
+    # diag(1, 0, 0, 1e-9) entangles, but so weakly that neither its probe hit
+    # nor a witness of the channel reaches -TOL_WITNESS: no structure and no
+    # violation leave the verdict open
+    weak = np.diag([1, 0, 0, 1e-9]).astype(complex)
+    ch = KrausChannel([np.sqrt(0.5) * weak, np.sqrt(0.5) * np.eye(4)], (2, 2))
+    cert = certify_kraus_channel(ch)
+    assert cert.verdict == "inconclusive" and cert.violations == ()
+    assert [(s.form, s.image_rank) for s in cert.structures] == [
+        ("unknown", 2), ("tensor_product", 1)]
+    b = channel_schmidt_number_bounds(ch)
+    assert (b.lower, b.upper) == (1, 2)
 
 
 def test_certify_rank_boost_never_sne():
