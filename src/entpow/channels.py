@@ -174,7 +174,8 @@ class MeasurementChannel(KrausChannel):
         kraus = []
         for j, (e, out) in enumerate(zip(effects, outs)):
             dims.check_matrix(e)
-            dims.check_matrix(out.matrix)
+            if out.dims != dims:
+                raise DimensionError(f"output {j} has dims {out.dims.dims}, the channel {dims.dims}")
             if np.max(np.abs(e - dagger(e))) > 1e-10:
                 raise DimensionError(f"effect {j} is not Hermitian")
             evals, evecs = np.linalg.eigh(e)

@@ -132,9 +132,13 @@ def _axis(step: float) -> np.ndarray:
 
 
 def _check_step(step: float) -> float:
+    """`step` as a float in (0, 0.25] whose axis of ``round(1 / step) + 1``
+    points numpy can index, decided without building the axis."""
     step = float(step)
     if not (0.0 < step <= 0.25):
         raise SpecError("step", f"step must lie in (0, 0.25], got {step}")
+    if not 1.0 / step < np.iinfo(np.intp).max:  # round(1 / step) + 1 > intp max, or inf
+        raise SpecError("step", f"step {step} gives an axis of more points than numpy can index")
     return step
 
 

@@ -202,6 +202,10 @@ def channel_from_json(obj: dict) -> ch_mod.KrausChannel:
             effects = _squares(obj, dims, "effects", field)
             raw_o = _list_of(obj, "outputs", field)
             outputs = [state_from_json(o, f"{field}.outputs[{i}]") for i, o in enumerate(raw_o)]
+            for i, o in enumerate(outputs):
+                if o.dims != dims:
+                    raise SpecError(f"{field}.outputs[{i}]",
+                                    f"dims {list(o.dims)} differ from the channel's {list(dims)}")
             outputs = [o.density() if isinstance(o, PureState) else o for o in outputs]
             return ch_mod.measurement_channel(effects, outputs, dims)
         if kind == "random_unitary":

@@ -17,17 +17,21 @@ is one row. Each party's projector
 for a qubit, with real coordinates, and otherwise the matrix units ``E_xy``,
 whose coordinates are the matrix entries themselves. So every observable
 becomes one tensor ``T[a_1, ..., a_n]``, real when every party is a qubit,
-built once per call. A step contracts the other parties' coordinates with it
-in one einsum. A qubit party then moves in closed form on the Bloch sphere
+built once per call. Rows run in slots on the last axis of every working
+array, so each party's gathered coordinates are one ``(d_i^2, rest, slots)``
+tensor and its state one ``(coordinates, slots)`` array. A step contracts the
+other parties' coordinates with that tensor in one einsum over contiguous
+slots. A qubit party then moves in closed form on the Bloch sphere
 (`_bloch_step`: the length of its Bloch vector is the root of a sum of
 squares, and a `hypot` chain only where that root leaves (1e-150, 1e150)); a
 larger one takes the lowest eigenvector of the effective matrix that its
 coordinates are, reshaped (`_eigh_step`). Qubit unit vectors are recovered only
 for each observable's best row. A row that converges frees its slot for the
 next waiting row (the refill), so no sweep waits on the slowest restart; a
-slot keeps its row's coordinate tensors until then. No step mixes rows, so a
-value does not depend on the batch it ran in; tolerances are relative to the
-observable's size.
+slot keeps its row's coordinate tensors until then. Once no row waits, freed
+slots go idle and are dropped together in one compaction (`_descend`). No
+step mixes slots, so a value does not depend on the batch it ran in;
+tolerances are relative to the observable's size.
 
 Before any descent, each bipartite observable of the form
 ``c I - |psi><psi|`` or ``c I + |psi><psi|`` is solved exactly
@@ -138,9 +142,11 @@ class OptimizationResult:
     spread: float
 
 
-# Most rows active at once. The active set's working set is its rows times
-# each party's gathered coordinate tensor, so this bounds memory on whole grids;
-# a tensor is complex, twice the bytes per row, when some party has d >= 3.
+# Most rows busy at once, one slot each, on the last axis of the descent's
+# arrays. The working set is its slots times each party's gathered coordinate
+# tensor, so this bounds memory on whole grids; a tensor is complex, twice the
+# bytes per slot, when some party has d >= 3. There are never more than
+# max(BLOCK_ROWS, 2) slots, idle ones included.
 BLOCK_ROWS = 2048
 
 
@@ -167,58 +173,60 @@ def _observable_coordinates(stack: np.ndarray, d: tuple[int, ...]) -> np.ndarray
 
 
 def _ket_coordinates(u: np.ndarray) -> np.ndarray:
-    """Per row, the coordinates q of the projector ``P = conj(u) u^T`` of a unit
-    vector u, so ``P = sum_a q_a B_a``: real Pauli coordinates
+    """Per column, the coordinates q of the projector ``P = conj(u) u^T`` of a
+    unit vector u, so ``P = sum_a q_a B_a``: real Pauli coordinates
     ``q_a = Tr(B_a P) / 2`` for a qubit, otherwise P's entries."""
-    if u.shape[1] != 2:
-        return (np.conj(u)[:, :, None] * u[:, None, :]).reshape(len(u), -1)
-    return _basis_contract(u[:, :, None] * np.conj(u)[:, None, :], 2).real / 2.0
+    if len(u) != 2:
+        return (np.conj(u)[:, None] * u[None]).reshape(-1, u.shape[-1])
+    rows = u.T
+    return _basis_contract(rows[:, :, None] * np.conj(rows)[:, None, :], 2).T.real / 2.0
 
 
 def _bloch_step(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least value of ``q . v`` over a qubit's projector coordinates
-    ``q = (1, m) / 2``, m a unit Bloch vector, and the coordinates attaining it.
+    ``q = (1, m) / 2``, m a unit Bloch vector, and the coordinates attaining it,
+    per column of the ``(4, n)`` v.
 
     The value is ``(v_0 - |v'|) / 2`` at ``m = -v' / |v'|``, for ``v' = v[1:]``;
     at ``v' = 0`` every m attains it, and m = +z (the ket |0>) is taken.
-    ``|v'|`` is the root of the sum of squares, or a `hypot` chain for rows
-    where that root falls outside (1e-150, 1e150), where a square may under-
-    or overflow.
+    ``|v'|`` is the root of the sum of squares, one contraction for all
+    columns; only when some root falls outside (1e-150, 1e150), where a square
+    may under- or overflow, are those columns redone as a `hypot` chain and
+    checked for zero.
     """
-    x, y, z = v[:, 1], v[:, 2], v[:, 3]
-    with np.errstate(over="ignore", under="ignore"):
-        norm = np.sqrt(x * x + y * y + z * z)
-    odd = ~((norm > 1e-150) & (norm < 1e150))
-    if odd.any():
-        norm[odd] = np.hypot(np.hypot(x[odd], y[odd]), z[odd])
-    flat = norm == 0.0
+    norm = np.sqrt(np.einsum("an,an->n", v[1:], v[1:]))  # einsum raises no floating-point warning
     q = np.empty_like(v)
-    q[:, 0] = 0.5
-    scale = -2.0 * np.where(flat, 1.0, norm)
-    for a in (1, 2, 3):  # column by column: a broadcast divide of the (n, 3) block is slower
-        np.divide(v[:, a], scale, out=q[:, a])
-    if flat.any():
-        q[flat, 1:] = (0.0, 0.0, 0.5)
-    return (v[:, 0] - norm) / 2.0, q
+    q[0] = 0.5
+    if 1e-150 < norm.min() and norm.max() < 1e150:
+        np.divide(v[1:], -2.0 * norm, out=q[1:])
+    else:
+        odd = ~((norm > 1e-150) & (norm < 1e150))
+        norm[odd] = np.hypot(np.hypot(v[1, odd], v[2, odd]), v[3, odd])
+        flat = norm == 0.0
+        np.divide(v[1:], -2.0 * np.where(flat, 1.0, norm), out=q[1:])
+        q[1:, flat] = ((0.0,), (0.0,), (0.5,))
+    return (v[0] - norm) / 2.0, q
 
 
 def _bloch_ket(q: np.ndarray) -> np.ndarray:
-    """A unit vector u with ``conj(u) u^T = sum_a q_a B_a`` for qubit coordinates
-    ``q = (1, m) / 2``; of the two free of cancellation, the one with a real
-    non-negative second entry when m_z <= 0, and first entry otherwise."""
-    m1, m2, m3 = 2.0 * q[:, 1], 2.0 * q[:, 2], 2.0 * q[:, 3]
+    """Per column, a unit vector u with ``conj(u) u^T = sum_a q_a B_a`` for qubit
+    coordinates ``q = (1, m) / 2``; of the two free of cancellation, the one
+    with a real non-negative second entry when m_z <= 0, and first entry
+    otherwise."""
+    m1, m2, m3 = 2.0 * q[1], 2.0 * q[2], 2.0 * q[3]
     up = m3 <= 0.0
     ket = np.stack([np.where(up, m1 + 1j * m2, 1.0 + m3),
-                    np.where(up, 1.0 - m3, m1 - 1j * m2)], axis=1)
-    return ket / np.hypot(np.hypot(m1, m2), 1.0 + np.abs(m3))[:, None]
+                    np.where(up, 1.0 - m3, m1 - 1j * m2)])
+    return ket / np.hypot(np.hypot(m1, m2), 1.0 + np.abs(m3))
 
 
 def _eigh_step(v: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Least value of ``q . v`` over the projector coordinates q of a unit
-    vector of dimension d, and that vector: the lowest eigenpair of the
-    effective matrix ``v.reshape(d, d)``, read from its lower triangle."""
-    evals, evecs = np.linalg.eigh(v.reshape(len(v), d, d))
-    return evals[:, 0], evecs[:, :, 0]
+    vector of dimension d, and that vector, per column of the ``(d^2, n)`` v:
+    the lowest eigenpair of the effective matrix ``v[:, k].reshape(d, d)``,
+    read from its lower triangle."""
+    evals, evecs = np.linalg.eigh(v.T.reshape(-1, d, d))
+    return evals[:, 0], evecs[:, :, 0].T
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -250,59 +258,76 @@ def _starts(d: tuple[int, ...], config: OptimizerConfig) -> tuple[np.ndarray, ..
 
 
 def _descend(tensors, dims, owner, tols, states):
-    """Coordinate descent, in place, from the party states ``states[i][k]``:
-    a qubit's projector coordinates, any other party's unit vector. Returns
-    each row's value and whether it converged.
+    """Coordinate descent, in place, from the party states ``states[i][:, k]``:
+    a qubit's projector coordinates, any other party's unit vector, one column
+    per row. Returns each row's value and whether it converged.
 
     Row k minimizes observable ``owner[k]``, whose coordinates with party i's
-    axis first are ``tensors[i][owner[k]]``, and has converged once a sweep
-    moves its value by at most ``tols[k]``. At most `BLOCK_ROWS` rows are
-    active: a row that converges or reaches `MAX_SWEEPS` sweeps frees its
-    slot at the end of the sweep, and the next waiting row takes it. Each
-    slot holds its row's states, coordinate tensors, last value and
-    tolerance, written when a row takes the slot. Every step acts on each
-    row alone, so no result depends on the other rows.
+    axis first are ``tensors[i][..., owner[k]]``, and has converged once a
+    sweep moves its value by at most ``tols[k]``. Rows run in slots, the last
+    axis of every working array: each slot holds its row's states, coordinate
+    tensors, last value and tolerance, written when a row takes the slot. At
+    most `BLOCK_ROWS` rows are busy: a row that converges or reaches
+    `MAX_SWEEPS` sweeps frees its slot at the end of the sweep, and the next
+    waiting row takes it. With no row left waiting a freed slot goes idle: it
+    keeps stepping its finished row, unread, until the idle slots outnumber
+    the busy ones, and then all of them are dropped in one compaction. An
+    idle slot skips the `eigh` steps, the costly ones; it takes the cheap
+    contractions and qubit steps. At least two slots are kept, as on a
+    single slot numpy's contractions sum in another order. Every step acts
+    on each slot alone, so no result depends on the other rows.
     """
     rows = len(owner)
     values, converged = np.full(rows, np.inf), np.zeros(rows, dtype=bool)
     nxt = min(BLOCK_ROWS, rows)
-    live, sweeps = np.arange(nxt), np.zeros(nxt, dtype=int)
-    cur = [s[live] for s in states]
-    gathered = [t[owner[live]] for t in tensors]
-    last, tol = np.full(nxt, np.inf), tols[live]
-    while live.size:
+    row = np.arange(max(nxt, 2)) % rows  # a lone row gets an idle twin
+    busy, sweeps, count = np.arange(row.size) < nxt, np.zeros(row.size, dtype=int), nxt
+    # `take`, as indexing with [..., row] would put the slots first in memory
+    cur = [s.take(row, axis=-1) for s in states]
+    gathered = [t.take(owner[row], axis=-1) for t in tensors]
+    last, tol = np.full(row.size, np.inf), tols[row]
+    while count:
         for i, (t, di) in enumerate(zip(gathered, dims)):
             others = [c if dj == 2 else _ket_coordinates(c)
                       for j, (c, dj) in enumerate(zip(cur, dims)) if j != i]
-            w = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(len(a), -1),
-                       others[1:], others[0]) if others else np.ones((live.size, 1))
-            v = np.einsum("nm,nam->na", w, t)
-            new, cur[i] = _bloch_step(v.real) if di == 2 else _eigh_step(v, di)
+            w = reduce(lambda a, b: (a[:, None] * b[None]).reshape(-1, row.size),
+                       others[1:], others[0]) if others else np.ones((1, row.size))
+            v = np.einsum("amn,mn->an", t, w)
+            if di == 2:
+                new, cur[i] = _bloch_step(v.real)
+            elif count < row.size:  # an idle slot would cost an `eigh`
+                new = last.copy()
+                new[busy], cur[i][:, busy] = _eigh_step(v.compress(busy, axis=1), di)
+            else:
+                new, cur[i] = _eigh_step(v, di)
         sweeps += 1
         done = np.abs(new - last) <= tol
         last = new
-        free = np.flatnonzero(done | (sweeps >= MAX_SWEEPS))
+        free = np.flatnonzero(busy & (done | (sweeps >= MAX_SWEEPS)))
         if not free.size:
             continue
-        gone = live[free]
+        gone = row[free]
         values[gone], converged[gone] = new[free], done[free]
         for s, c in zip(states, cur):
-            s[gone] = c[free]
+            s[:, gone] = c[:, free]
         fresh = np.arange(nxt, min(nxt + free.size, rows))
         nxt += fresh.size
-        fill, free = free[:fresh.size], free[fresh.size:]
-        live[fill], sweeps[fill], last[fill], tol[fill] = fresh, 0, np.inf, tols[fresh]
+        fill, idle = free[:fresh.size], free[fresh.size:]
+        row[fill], sweeps[fill], last[fill], tol[fill] = fresh, 0, np.inf, tols[fresh]
         for c, s in zip(cur, states):
-            c[fill] = s[fresh]
+            c[:, fill] = s[:, fresh]
         own = owner[fresh]
         for g, t in zip(gathered, tensors):
-            g[fill] = t[own]
-        if free.size:  # nothing left waiting: drop the idle slots
-            keep = np.ones(live.size, dtype=bool)
-            keep[free] = False
-            live, sweeps, last, tol = live[keep], sweeps[keep], last[keep], tol[keep]
-            cur = [c[keep] for c in cur]
-            gathered = [g[keep] for g in gathered]
+            g[..., fill] = t[..., own]
+        busy[idle] = False
+        count = np.count_nonzero(busy)
+        if count and 2 * count < row.size:
+            keep = busy.copy()
+            if count == 1:  # an idle slot stays beside the last busy one
+                keep[np.argmin(busy)] = True
+            row, busy, sweeps, last, tol = row[keep], busy[keep], sweeps[keep], last[keep], tol[keep]
+            cur = [c.compress(keep, axis=-1) for c in cur]
+            gathered = [g.compress(keep, axis=-1) for g in gathered]
     return values, converged
 
 
@@ -336,19 +361,19 @@ def _descent_minima(stack: np.ndarray, d: tuple[int, ...], config: OptimizerConf
     count = len(stack)
     scale = _row_norms(stack.reshape(count, -1))
     coords = _observable_coordinates(stack, d)
-    tensors = [np.ascontiguousarray(np.moveaxis(coords, 1 + i, 1).reshape(count, di * di, -1))
+    tensors = [np.ascontiguousarray(np.moveaxis(coords, (1 + i, 0), (0, -1)).reshape(di * di, -1, count))
                for i, di in enumerate(d)]
-    starts = [_ket_coordinates(s) if di == 2 else s for s, di in zip(_starts(d, config), d)]
-    r_count = len(starts[0])
+    starts = [_ket_coordinates(s.T) if di == 2 else s.T for s, di in zip(_starts(d, config), d)]
+    r_count = starts[0].shape[1]
     owner = np.repeat(np.arange(count), r_count)
-    states = [np.tile(s, (count, 1)) for s in starts]
+    states = [np.tile(s, count) for s in starts]
     values, converged = _descend(tensors, d, owner, TOL_SWEEP * scale[owner], states)
     per_obs = values.reshape(count, r_count)
     low = per_obs.min(axis=1)
     # lowest value wins; ties (within the convergence tolerance) go to the earliest restart
     first = np.argmax(per_obs <= (low + TOL_SWEEP * scale)[:, None], axis=1)
     best = np.arange(count) * r_count + first
-    kets = [_bloch_ket(s[best]) if di == 2 else s[best] for s, di in zip(states, d)]
+    kets = [(_bloch_ket(s[:, best]) if di == 2 else s[:, best]).T for s, di in zip(states, d)]
     return values[best], converged[best], per_obs.max(axis=1) - low, kets
 
 

@@ -228,6 +228,9 @@ def test_measurement_channel_requires_povm():
         measurement_channel([skew], outputs, (2, 2))
     with pytest.raises(DimensionError, match="effect 1 is not positive semidefinite"):
         measurement_channel([2 * np.eye(4), -np.eye(4)], outputs * 2, (2, 2))
+    mixed = DensityMatrix(np.eye(6) / 6, (3, 2))
+    with pytest.raises(DimensionError, match=r"output 0 has dims \(3, 2\)"):
+        measurement_channel([np.eye(6)], [mixed], (2, 3))
 
 
 def test_random_unitary_channel():

@@ -112,6 +112,7 @@ def with_entry(ch, value):
 IDENTITY = identity_channel((2, 2))
 CX_MIX = random_unitary_channel([np.eye(4), CNOT], [0.5, 0.5], (2, 2))
 REPLACE = replacement_channel(max_entangled(2, 2))
+REPLACE_23 = replacement_channel(DensityMatrix(np.eye(6) / 6, (2, 3)))
 MALFORMED = {
     "effects_not_a_list": ("channel.effects", edited(REPLACE, effects=5)),
     "effects_dict": ("channel.effects", edited(REPLACE, effects={"a": 1})),
@@ -151,6 +152,9 @@ MALFORMED = {
                              edited(rank_boost_channel(2, 3, [0.96, 0.224, 0.168]),
                                     coefficients=["0.96", "0.224", "0.168"])),
     "entries_flat": ("channel.kraus[0]", edited(IDENTITY, kraus=[[1.0, 0.0] * 16])),
+    # an output on dims [3, 2] of a channel on [2, 3] would be read on the channel's split
+    "output_dims": ("channel.outputs[0]", edited(
+        REPLACE_23, outputs=[{**channel_to_json(REPLACE_23)["outputs"][0], "dims": [3, 2]}])),
     "output_kind": ("channel.outputs[0].kind", edited(
         REPLACE, outputs=[{**channel_to_json(REPLACE)["outputs"][0], "kind": "bogus"}])),
     # a mixed state that `DensityMatrix` refuses: a negative eigenvalue
@@ -278,11 +282,13 @@ def test_scan_optimizer_exits_3_when_a_point_does_not_converge(tmp_path, capsys)
     assert len(out.read_text().splitlines()) == 16  # the CSV is still written
 
 
-def test_scan_rejects_bad_step(tmp_path, capsys):
+@pytest.mark.parametrize("step", ["0.4", "1e-300", "5e-324"])
+def test_scan_rejects_bad_step(tmp_path, capsys, step):
+    # 1e-300 and 5e-324 are in range, but their axes have more points than numpy can index
     out = tmp_path / "x.csv"
-    rc = main(["scan", "--scenario", "fig3", "--step", "0.4", "--out", str(out)])
+    rc = main(["scan", "--scenario", "fig3", "--step", step, "--out", str(out)])
     assert rc == 2
-    assert "spec error" in capsys.readouterr().err
+    assert "spec error [step]" in capsys.readouterr().err
     assert not out.exists()
 
 

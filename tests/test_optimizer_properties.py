@@ -148,14 +148,16 @@ def coordinate_basis(d):
 
 def step(stack):
     """One party step on effective matrices M (lowest eigenpair of each):
-    their coordinates ``v_a = sum M[x, y] B_a[x, y]``, then the optimizer's step."""
+    their coordinates ``v_a = sum M[x, y] B_a[x, y]``, one column per matrix,
+    then the optimizer's step; the vectors come back one row per matrix."""
     d = stack.shape[-1]
-    v = np.einsum("nxy,axy->na", stack, coordinate_basis(d))
+    v = np.einsum("nxy,axy->an", stack, coordinate_basis(d))
     if d != 2:
-        return _eigh_step(v, d)
+        vals, vecs = _eigh_step(v, d)
+        return vals, vecs.T
     vals, q = _bloch_step(v.real)
-    proj = np.einsum("na,axy->nxy", q, coordinate_basis(2))  # conj(u) u^T
-    return vals, _bloch_ket(q), proj
+    proj = np.einsum("an,axy->nxy", q, coordinate_basis(2))  # conj(u) u^T
+    return vals, _bloch_ket(q).T, proj
 
 
 def norms(a):
@@ -220,7 +222,7 @@ def test_coordinates_reproduce_the_expectation(dims, seed, chi_seed):
     kets = [k / np.linalg.norm(k) for k in (rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims)]
     t = _observable_coordinates(obs[None], dims)[0]
     for ket in kets:
-        t = np.tensordot(_ket_coordinates(ket[None])[0], t, axes=(0, 0))
+        t = np.tensordot(_ket_coordinates(ket[:, None])[:, 0], t, axes=(0, 0))
     chi = reduce(np.kron, kets)
     exact = np.real(np.conj(chi) @ obs @ chi)
     assert abs(t - exact) <= 1e-12 * np.linalg.norm(obs)
@@ -344,6 +346,17 @@ def test_descended_minimum_is_scale_free(dims):
     assert np.all(found.restarts_used == CFG.restarts)
     assert np.all(np.abs(found.values / scales - found.values[1]) <= 1e-12)
     assert np.all(found.converged == found.converged[1])
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2)])
+def test_rows_at_far_scales_in_one_block_match_each_observable_alone(dims):
+    # the Bloch step's hypot guard runs on the rows at 1e-200 and 1e200 only
+    obs = observable(9, dims)
+    stack = np.array([1e-200, 1.0, 1e200])[:, None, None] * obs
+    found = product_minima(stack, dims, CFG)
+    assert np.all(found.restarts_used == CFG.restarts)
+    for i, o in enumerate(stack):
+        assert same(row(found, i), alone(o, dims))
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4)])

@@ -34,7 +34,7 @@ def test_scenario_lookup_and_aliases():
 
 
 def test_step_validation():
-    for bad in (0.0, -0.1, 0.3, 1.0):
+    for bad in (0.0, -0.1, 0.3, 1.0, 1e-300):
         with pytest.raises(SpecError):
             run_scan("measurement", step=bad, engine="closed_form")
     with pytest.raises(SpecError):
@@ -73,20 +73,23 @@ def test_optimizer_engine_agrees_with_closed_form():
         assert zero_contour_residual(res) < tol
 
 
-def test_optimizer_scan_values_do_not_depend_on_the_batch(monkeypatch):
-    # an active set of 7 rows splits each point's 16 restarts across refills
+@pytest.mark.parametrize("name", ["measurement", "unitary_mix"])
+def test_optimizer_scan_values_do_not_depend_on_the_batch(monkeypatch, name):
+    # 7 slots split each point's 16 restarts across refills; the measurement
+    # duals are all solved exactly, while 12 of the 15 unitary_mix duals are descended
     monkeypatch.setattr(witnesses, "BLOCK_ROWS", 7)
     cfg = OptimizerConfig(restarts=16, seed=3)
-    scenario = get_scenario("measurement")
-    scan = run_scan("measurement", step=0.25, engine="optimizer", optimizer=cfg)
+    scenario = get_scenario(name)
+    scan = run_scan(name, step=0.25, engine="optimizer", optimizer=cfg)
     p, q, _ = np.array(scan.rows).T
     duals = scans._duals(scenario, p, q)
     batched = witnesses.product_minima(duals, scenario.dims, cfg)
+    assert np.count_nonzero(batched.restarts_used) == {"measurement": 0, "unitary_mix": 12}[name]
     for (_, _, v), dual, value, conv in zip(scan.rows, duals, batched.values, batched.converged):
         alone = witnesses.min_over_products(dual, scenario.dims, cfg)
         assert (v, value, conv) == (alone.value, alone.value, alone.converged)
     assert scan.all_converged == batched.converged.all()
-    again = run_scan("measurement", step=0.25, engine="optimizer", optimizer=cfg)
+    again = run_scan(name, step=0.25, engine="optimizer", optimizer=cfg)
     assert format_csv(again) == format_csv(scan)
 
 
