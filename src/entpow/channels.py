@@ -25,10 +25,22 @@ import numpy as np
 
 from .errors import DimensionError
 from .states import DensityMatrix, PureState, max_entangled, schmidt_diagonal
-from .tensor import DimList, as_matrix, dagger, kron, numerical_rank, partial_trace, swap_matrix
-
-TP_ATOL = 1e-10
-_EIG_CUTOFF = 1e-14
+from .tensor import (
+    COEFF_ATOL,
+    EFFECT_HERM_ATOL,
+    EIG_CUTOFF,
+    ORDER_ATOL,
+    PROB_ATOL,
+    PSD_ATOL,
+    TP_ATOL,
+    DimList,
+    as_matrix,
+    dagger,
+    kron,
+    numerical_rank,
+    partial_trace,
+    swap_matrix,
+)
 
 
 def _kraus_stack(kraus, dims: DimList) -> np.ndarray:
@@ -140,9 +152,9 @@ def choi_apply(choi: DensityMatrix, rho: np.ndarray) -> np.ndarray:
 
 
 def _eig_pairs(evals: np.ndarray, evecs: np.ndarray):
-    """The eigenvalues above `_EIG_CUTOFF` of an `np.linalg.eigh` result, and
+    """The eigenvalues above `EIG_CUTOFF` of an `np.linalg.eigh` result, and
     their eigenvectors as rows."""
-    keep = evals > _EIG_CUTOFF
+    keep = evals > EIG_CUTOFF
     return evals[keep], evecs[:, keep].T
 
 
@@ -176,10 +188,10 @@ class MeasurementChannel(KrausChannel):
             dims.check_matrix(e)
             if out.dims != dims:
                 raise DimensionError(f"output {j} has dims {out.dims.dims}, the channel {dims.dims}")
-            if np.max(np.abs(e - dagger(e))) > 1e-10:
+            if np.max(np.abs(e - dagger(e))) > EFFECT_HERM_ATOL:
                 raise DimensionError(f"effect {j} is not Hermitian")
             evals, evecs = np.linalg.eigh(e)
-            if evals[0] < -1e-10:
+            if evals[0] < -PSD_ATOL:
                 raise DimensionError(f"effect {j} is not positive semidefinite")
             e_m, f = _eig_pairs(evals, evecs)
             r_i, u = _eig_pairs(*np.linalg.eigh(out.matrix))
@@ -226,17 +238,17 @@ class RandomUnitaryChannel(KrausChannel):
             raise DimensionError(
                 f"{len(unitaries)} unitaries but {probs.shape[0]} probabilities"
             )
-        if not np.isfinite(probs).all() or np.any(probs < -1e-12):
+        if not np.isfinite(probs).all() or np.any(probs < -PROB_ATOL):
             raise DimensionError(f"negative or non-finite probability in {probs.tolist()}")
-        if abs(probs.sum() - 1.0) > 1e-10:
+        if abs(probs.sum() - 1.0) > TP_ATOL:
             raise DimensionError(f"probabilities sum to {probs.sum()}, not 1")
         dims = DimList.of(dims)
         for a, u in enumerate(unitaries):
             dims.check_matrix(u)
-            if np.max(np.abs(dagger(u) @ u - np.eye(dims.total))) > 1e-10:
+            if np.max(np.abs(dagger(u) @ u - np.eye(dims.total))) > TP_ATOL:
                 raise DimensionError(f"operator {a} is not unitary")
         kraus = [
-            np.sqrt(p) * u for p, u in zip(probs, unitaries) if p > _EIG_CUTOFF
+            np.sqrt(p) * u for p, u in zip(probs, unitaries) if p > EIG_CUTOFF
         ]
         super().__init__(kraus, dims, label=label)
         self.unitaries = tuple(unitaries)
@@ -256,8 +268,8 @@ class MixingChannel(KrausChannel):
             raise DimensionError(f"mixing probability {p} outside [0, 1]")
         dims = sigma.dims
         eye = np.eye(dims.total, dtype=complex)
-        kraus = [np.sqrt(p) * eye[None]] if p > _EIG_CUTOFF else []
-        if 1.0 - p > _EIG_CUTOFF:
+        kraus = [np.sqrt(p) * eye[None]] if p > EIG_CUTOFF else []
+        if 1.0 - p > EIG_CUTOFF:
             r_i, u = _eig_pairs(*np.linalg.eigh(sigma.matrix))
             kraus.append(_outer_stack(np.sqrt((1.0 - p) * r_i)[:, None], u, eye))
         super().__init__(np.concatenate(kraus), dims, label="mixing")
@@ -292,9 +304,9 @@ def _rank_boost_coefficients(k, d, schmidt_coeffs) -> np.ndarray:
         raise DimensionError(f"need exactly d={d} Schmidt coefficients, got shape {coeffs.shape}")
     if not (np.isfinite(coeffs).all() and np.all(coeffs > 0)):
         raise DimensionError("all Schmidt coefficients must be finite and positive")
-    if np.any(np.diff(coeffs) > 1e-12):
+    if np.any(np.diff(coeffs) > ORDER_ATOL):
         raise DimensionError("Schmidt coefficients must be non-increasing")
-    if abs(float(np.sum(coeffs**2)) - 1.0) > 1e-9:
+    if abs(float(np.sum(coeffs**2)) - 1.0) > COEFF_ATOL:
         raise DimensionError("squared Schmidt coefficients must sum to 1")
     return coeffs
 

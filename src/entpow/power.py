@@ -42,10 +42,19 @@ import numpy as np
 from .channels import KrausChannel, _kraus_stack, _rank_boost_coefficients
 from .errors import DimensionError
 from .states import ProductStateParam, PureState, schmidt_decompose, schmidt_rank
-from .tensor import RANK_RTOL, DimList, numerical_rank, swap_matrix
+from .tensor import (
+    IMAGE_RTOL,
+    MATCH_RTOL,
+    PSD_ATOL,
+    SCALE_FLOOR,
+    THRESHOLD_ATOL,
+    TOL_WITNESS,
+    DimList,
+    numerical_rank,
+    swap_matrix,
+)
 from .witnesses import (
     DEFAULT_CONFIG,
-    TOL_WITNESS,
     OptimizerConfig,
     Witness,
     default_witness_family,
@@ -113,16 +122,17 @@ def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
 
 
 def _scales(ops: np.ndarray) -> np.ndarray:
-    """Per operator, the Frobenius norm floored at 1: images below 1e-12 of it are zero."""
-    return np.maximum(np.linalg.norm(ops.reshape(len(ops), -1), axis=1), 1.0)
+    """Per operator, the Frobenius norm floored at `SCALE_FLOOR`: images below
+    `IMAGE_RTOL` of it are zero."""
+    return np.maximum(np.linalg.norm(ops.reshape(len(ops), -1), axis=1), SCALE_FLOOR)
 
 
 def _image_svals(img: np.ndarray, scale: np.ndarray, dims: DimList) -> np.ndarray:
     """Schmidt coefficients of images (K, P, d) of operators with scales
-    (K,); an image below ``1e-12 * scale`` gets zero coefficients."""
+    (K,); an image below ``IMAGE_RTOL * scale`` gets zero coefficients."""
     d1, d2 = dims.dims
     norms = np.linalg.norm(img, axis=-1)
-    ok = norms > 1e-12 * scale[:, None]
+    ok = norms > IMAGE_RTOL * scale[:, None]
     svals = np.zeros(norms.shape + (min(d1, d2),))
     if np.any(ok):
         normalized = img[ok] / norms[ok][:, None]
@@ -343,9 +353,9 @@ def _product_decomposition(ch: KrausChannel, seed: int):
     basis of simple tensors of its span (after ``@ V``), which
     `_simple_tensor_basis` draws from ``(seed, 23)``. Least squares gives the
     mixing; each operator is weighted by the norm of its coefficient column.
-    A candidate must reproduce the Choi matrix to ``RANK_RTOL`` in each
+    A candidate must reproduce the Choi matrix to ``MATCH_RTOL`` in each
     direction of the span at its own weight: each operator lies in the span,
-    and its coordinates over s form a unitary (``RANK_RTOL * ||Choi||_F``
+    and its coordinates over s form a unitary (``MATCH_RTOL * ||Choi||_F``
     alone would pass an entangling admixture of weight 1e-12). So the search
     can miss a decomposition but never invent one. Out of reach: lists mixing
     the two forms, `local_range` forms, ``(A (x) B) V`` on unequal dims, lists
@@ -382,7 +392,7 @@ def _product_decomposition(ch: KrausChannel, seed: int):
         off_span = np.linalg.norm(got - coords @ vh, axis=1) / np.linalg.norm(got, axis=1)
         whitened = coords / s  # unitary exactly when the two lists share a Choi matrix
         gap = np.linalg.norm(whitened @ np.conj(whitened.T) - np.eye(r))
-        if gap <= RANK_RTOL and np.all(off_span <= RANK_RTOL):
+        if gap <= MATCH_RTOL and np.all(off_span <= MATCH_RTOL):
             return ops, tuple(KrausStructure(form, factors=(w * x, y), permutation=permutation)
                               for w, x, y in zip(weights, a, b))
     return None
@@ -545,7 +555,7 @@ def nonentangling_threshold(k: int, d: int, schmidt_coeffs) -> ThresholdReport:
     coeffs = _rank_boost_coefficients(k, d, schmidt_coeffs)
     product = float(coeffs[0] * coeffs[1])
     bound = (k - 1) / d**2
-    verdict = "nonentangling_certified" if product <= bound + 1e-12 else "unknown"
+    verdict = "nonentangling_certified" if product <= bound + THRESHOLD_ATOL else "unknown"
     return ThresholdReport(
         verdict=verdict,
         coeff_product=product,
@@ -564,6 +574,6 @@ def entanglement_annihilating_check(ch: KrausChannel, witnesses: list[Witness]) 
     for w in witnesses:
         dual = ch.dual_apply(w.operator)
         dual = (dual + np.conj(dual.T)) / 2.0
-        if np.linalg.eigvalsh(dual)[0] < -1e-10:
+        if np.linalg.eigvalsh(dual)[0] < -PSD_ATOL:
             return False
     return True

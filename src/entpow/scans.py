@@ -34,7 +34,7 @@ import numpy as np
 from .channels import KrausChannel, measurement_channel, random_unitary_channel
 from .errors import SpecError
 from .states import DensityMatrix, bell_states, max_entangled
-from .tensor import DimList
+from .tensor import GRID_ATOL, DimList
 from .witnesses import (
     OptimizerConfig,
     Witness,
@@ -100,7 +100,7 @@ SCENARIOS: dict[str, Scenario] = {
         build_channel=_unitary_mix_scenario_channel,
         build_witness=_unitary_mix_witness,
         closed_form=lambda p, q: unitary_mix_scan_min(p, q, shift=4.0 / 5.0),
-        in_domain=lambda p, q: p + q <= 1.0 + 1e-9,
+        in_domain=lambda p, q: p + q <= 1.0 + GRID_ATOL,
     ),
 }
 
@@ -128,7 +128,7 @@ class ScanResult:
 def _axis(step: float) -> np.ndarray:
     vals = np.minimum(np.arange(int(round(1.0 / step)) + 1) * step, 1.0)
     # a step that does not divide 1 still includes the edge
-    return vals if vals[-1] >= 1.0 - 1e-9 else np.append(vals, 1.0)
+    return vals if vals[-1] >= 1.0 - GRID_ATOL else np.append(vals, 1.0)
 
 
 def _check_step(step: float) -> float:

@@ -30,6 +30,8 @@ def _pairs(arr: np.ndarray) -> list[list[float]]:
 def _from_pairs(pairs, shape, field: str) -> np.ndarray:
     try:
         arr = np.asarray(pairs, dtype=float)
+    except OverflowError:
+        raise SpecError(field, "entries must fit in a float") from None
     except (TypeError, ValueError):
         raise SpecError(field, "entries must be [re, im] pairs") from None
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -66,9 +68,12 @@ def _is_number(value) -> bool:
 
 
 def _number(value, field: str) -> float:
-    if _is_number(value):
+    if not _is_number(value):
+        raise SpecError(field, f"expected a number, got {value!r}")
+    try:
         return float(value)
-    raise SpecError(field, f"expected a number, got {value!r}")
+    except OverflowError:
+        raise SpecError(field, "expected a number that fits in a float") from None
 
 
 def _numbers(obj: dict, key: str, field: str):
@@ -143,7 +148,7 @@ def state_from_json(obj: dict, field: str = "state") -> PureState | DensityMatri
             return DensityMatrix(_square(obj, dims, "entries", field), dims)
     except SpecError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(field, str(exc)) from None
     raise SpecError(f"{field}.kind", f"unknown state kind {kind!r}")
 
@@ -226,7 +231,7 @@ def channel_from_json(obj: dict) -> ch_mod.KrausChannel:
             return ch_mod.mixing_channel(p, sigma)
     except SpecError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(field, str(exc)) from None
     raise SpecError(f"{field}.kind", f"unknown channel kind {kind!r}")
 
@@ -266,7 +271,7 @@ def witness_from_json(obj: dict, field: str = "witness") -> Witness:
             return Witness.from_shift(lam, test, dims, label=str(obj.get("label", "")))
     except SpecError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(field, str(exc)) from None
     raise SpecError(f"{field}.kind", f"unknown witness kind {kind!r}")
 
@@ -306,7 +311,7 @@ def load_spec(path: str) -> dict:
             obj = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(path, f"cannot read: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise SpecError(path, f"malformed JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise SpecError(path, "top-level spec must be a JSON object")

@@ -16,9 +16,19 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ArityError, DimensionError, InvalidCutError
-from .tensor import DimList, as_matrix, as_vector, numerical_rank, partial_transpose
-
-PSD_ATOL = 1e-10
+from .tensor import (
+    PSD_ATOL,
+    SCALE_FLOOR,
+    STATE_HERM_ATOL,
+    STATE_PSD_RTOL,
+    TRACE_ATOL,
+    UNIT_ATOL,
+    DimList,
+    as_matrix,
+    as_vector,
+    numerical_rank,
+    partial_transpose,
+)
 
 
 @dataclass(frozen=True)
@@ -36,7 +46,7 @@ class PureState:
                 f"amplitude length {amps.shape[0]} does not match dims {dims.dims}"
             )
         nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > 1e-9:
+        if abs(nrm - 1.0) > UNIT_ATOL:
             raise DimensionError(f"state norm {nrm} is not 1")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
@@ -63,16 +73,16 @@ class DensityMatrix:
         m = as_matrix(self.matrix)
         dims = DimList.of(self.dims)
         dims.check_matrix(m)
-        if np.max(np.abs(m - np.conj(m.T))) > 1e-9:
+        if np.max(np.abs(m - np.conj(m.T))) > STATE_HERM_ATOL:
             raise DimensionError("density matrix must be Hermitian")
         m = (m + np.conj(m.T)) / 2.0
         evals = np.linalg.eigvalsh(m)
-        if evals[0] < -PSD_ATOL * max(1.0, float(evals[-1])):
+        if evals[0] < -STATE_PSD_RTOL * max(SCALE_FLOOR, float(evals[-1])):
             raise DimensionError(f"density matrix has negative eigenvalue {evals[0]}")
         tr = float(np.real(np.trace(m)))
-        if not self.subnormalized and abs(tr - 1.0) > 1e-8:
+        if not self.subnormalized and abs(tr - 1.0) > TRACE_ATOL:
             raise DimensionError(f"trace {tr} is not 1 (flag subnormalized=True to allow)")
-        if self.subnormalized and tr > 1.0 + 1e-8:
+        if self.subnormalized and tr > 1.0 + TRACE_ATOL:
             raise DimensionError(f"sub-normalized state has trace {tr} > 1")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
@@ -95,7 +105,7 @@ class ProductStateParam:
         fs = []
         for f in self.factors:
             f = as_vector(f)
-            if abs(np.linalg.norm(f) - 1.0) > 1e-9:
+            if abs(np.linalg.norm(f) - 1.0) > UNIT_ATOL:
                 raise DimensionError("every party factor must be a unit vector")
             fs.append(f)
         object.__setattr__(self, "factors", tuple(fs))
@@ -235,8 +245,8 @@ def is_ppt(rho: DensityMatrix) -> bool:
 
 def pure_from_density(rho: DensityMatrix) -> PureState:
     """Extract the state vector of a rank-1 density matrix: its purity must
-    be its squared trace to 1e-8."""
-    if abs(rho.purity() - rho.trace**2) > 1e-8:
+    be its squared trace to `TRACE_ATOL`."""
+    if abs(rho.purity() - rho.trace**2) > TRACE_ATOL:
         raise DimensionError(f"density matrix is not pure (purity {rho.purity()})")
     evals, evecs = np.linalg.eigh(rho.matrix)
     vec = evecs[:, -1] * np.sqrt(max(evals[-1], 0.0))

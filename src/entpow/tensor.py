@@ -16,10 +16,48 @@ import numpy as np
 
 from .errors import ArityError, DimensionError
 
-# Singular values count as nonzero iff s > RANK_RTOL * max(s_max, 1).
-RANK_RTOL = 1e-10
+# -- tolerances ---------------------------------------------------------------
+# Every threshold of the package, one name per value, scale rule and meaning;
+# no other module writes a tolerance as a number. Each comment gives the rule:
+# - absolute: compared as it is;
+# - relative: times the size it names, of the operator it judges;
+# - floored: times that size once raised to SCALE_FLOOR, so it is absolute on
+#   operators smaller than SCALE_FLOOR.
 
-HERM_ATOL = 1e-12
+SCALE_FLOOR = 1.0  # the least size that a floored tolerance multiplies
+
+RANK_RTOL = 1e-10  # floored, largest singular value: a singular value above it is nonzero
+IMAGE_RTOL = 1e-12  # floored, ||M||_F: an image M chi below it is zero
+STATE_PSD_RTOL = 1e-10  # floored, largest eigenvalue: least eigenvalue of a density matrix
+
+MATCH_RTOL = 1e-10  # relative, each direction's weight: residual of a remixed Kraus list
+TEST_PSD_RTOL = 1e-10  # relative, max|eigenvalue|: least eigenvalue of a shifted test operator
+WITNESS_RTOL = 1e-12  # relative, max|entry|: W - W^dag, and W against its shifted form
+OBSERVABLE_RTOL = 1e-8  # relative, max|entry|: O - O^dag of an observable to minimize
+TOL_SWEEP = 1e-12  # relative, ||O||_F: a sweep moving a restart this little ends it
+TOL_SHIFTED_PURE = 1e-12  # relative, max|eigenvalue|: spread of a shifted-pure spectrum
+TOL_POWER = 1e-13  # relative, max|eigenvalue|: a power-iteration step moving this little ends it
+
+TOL_WITNESS = 1e-8  # absolute: minima above -TOL_WITNESS still count as a witness
+TOL_ZERO = 1e-6  # absolute: minima below +TOL_ZERO count as touching zero (optimality)
+TP_ATOL = 1e-10  # absolute: max|entry| of sum K^dag K - I, sum E - I or U^dag U - I; |sum p - 1|
+PSD_ATOL = 1e-10  # absolute: how far below 0 an eigenvalue of a PSD operator may lie
+UNIT_ATOL = 1e-9  # absolute: |norm - 1| of a unit vector
+TRACE_ATOL = 1e-8  # absolute: a state's trace against 1, and its purity against trace^2
+EIG_CUTOFF = 1e-14  # absolute: a weight or eigenvalue at or below it gives no Kraus operator
+EFFECT_HERM_ATOL = 1e-10  # absolute: max|entry| of E - E^dag for a POVM effect
+STATE_HERM_ATOL = 1e-9  # absolute: max|entry| of rho - rho^dag for a density matrix
+TEST_HERM_ATOL = 1e-8  # absolute: max|entry| of L - L^dag for a Schmidt-class test operator
+PROB_ATOL = 1e-12  # absolute: how far below 0 a probability may lie
+ORDER_ATOL = 1e-12  # absolute: how far a Schmidt coefficient may exceed the one before it
+COEFF_ATOL = 1e-9  # absolute: |sum c^2 - 1| of rank-boost Schmidt coefficients
+THRESHOLD_ATOL = 1e-12  # absolute: slack of the rank-boost coefficient-product bound
+SHIFT_ATOL = 1e-12  # absolute: two shifted witnesses' test operators (max|entry|) or shifts agree
+GRID_ATOL = 1e-9  # absolute: a scan coordinate, or p + q, this close to 1 counts as 1
+COORD_ATOL = 1e-12  # absolute: how far above 1 a closed-form scan's p or q may lie
+
+
+# -- tensor-product spaces ----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -88,7 +126,7 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(m, -1, -2))
 
 
-def is_hermitian(m: np.ndarray, atol: float = HERM_ATOL) -> bool:
+def is_hermitian(m: np.ndarray, atol: float) -> bool:
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - dagger(m))) <= atol
 
 
@@ -178,7 +216,8 @@ def operator_schmidt(m, dims) -> OperatorSchmidt:
 
 
 def numerical_rank(singular_values: np.ndarray) -> int | np.ndarray:
-    """Count of singular values above the package-wide rank threshold.
+    """Count of singular values above `RANK_RTOL` times the largest, floored
+    at `SCALE_FLOOR`.
 
     Values are in descending order, so the first is the largest. A 2-D array
     is counted row by row and gives an integer array with one count per row;
@@ -187,7 +226,7 @@ def numerical_rank(singular_values: np.ndarray) -> int | np.ndarray:
     s = np.asarray(singular_values, dtype=float)
     if s.shape[-1] == 0:
         return 0 if s.ndim == 1 else np.zeros(s.shape[:-1], dtype=int)
-    counts = np.sum(s > RANK_RTOL * np.maximum(s[..., :1], 1.0), axis=-1)
+    counts = np.sum(s > RANK_RTOL * np.maximum(s[..., :1], SCALE_FLOOR), axis=-1)
     return int(counts) if s.ndim == 1 else counts
 
 

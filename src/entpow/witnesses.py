@@ -18,20 +18,21 @@ for a qubit, with real coordinates, and otherwise the matrix units ``E_xy``,
 whose coordinates are the matrix entries themselves. So every observable
 becomes one tensor ``T[a_1, ..., a_n]``, real when every party is a qubit,
 built once per call. Rows run in slots on the last axis of every working
-array, so each party's gathered coordinates are one ``(d_i^2, rest, slots)``
-tensor and its state one ``(coordinates, slots)`` array. A step contracts the
+array, so the gathered coordinates are one ``(d_1^2, ..., d_n^2, slots)``
+tensor that every party shares, and each party's state is one
+``(coordinates, slots)`` array. A step contracts the outer product of the
 other parties' coordinates with that tensor in one einsum over contiguous
 slots. A qubit party then moves in closed form on the Bloch sphere
 (`_bloch_step`: the length of its Bloch vector is the root of a sum of
-squares, and a `hypot` chain only where that root leaves (1e-150, 1e150)); a
-larger one takes the lowest eigenvector of the effective matrix that its
-coordinates are, reshaped (`_eigh_step`). Qubit unit vectors are recovered only
-for each observable's best row. A row that converges frees its slot for the
-next waiting row (the refill), so no sweep waits on the slowest restart; a
-slot keeps its row's coordinate tensors until then. Once no row waits, freed
-slots go idle and are dropped together in one compaction (`_descend`). No
-step mixes slots, so a value does not depend on the batch it ran in;
-tolerances are relative to the observable's size.
+squares, and a `hypot` chain only where that root leaves (`SQUARE_MIN`,
+`SQUARE_MAX`)); a larger one takes the lowest eigenvector of the effective
+matrix that its coordinates are, reshaped (`_eigh_step`). Qubit unit vectors
+are recovered only for each observable's best row. A row that converges
+frees its slot for the next waiting row (the refill), so no sweep waits on
+the slowest restart; a slot keeps its row's coordinates until then. Once no
+row waits, freed slots go idle and are dropped together in one compaction
+(`_descend`). No step mixes slots, so a value does not depend on the batch it
+ran in; tolerances are relative to the observable's size.
 
 Before any descent, each bipartite observable of the form
 ``c I - |psi><psi|`` or ``c I + |psi><psi|`` is solved exactly
@@ -63,13 +64,32 @@ from .errors import (
     NotAWitnessError,
 )
 from .states import ProductStateParam, PureState, schmidt_diagonal, schmidt_rank
-from .tensor import DimList, as_matrix, dagger, is_hermitian, partial_transpose, swap_matrix
+from .tensor import (
+    COORD_ATOL,
+    GRID_ATOL,
+    OBSERVABLE_RTOL,
+    PSD_ATOL,
+    SHIFT_ATOL,
+    TEST_HERM_ATOL,
+    TEST_PSD_RTOL,
+    TOL_POWER,
+    TOL_SHIFTED_PURE,
+    TOL_SWEEP,
+    TOL_WITNESS,
+    TOL_ZERO,
+    UNIT_ATOL,
+    WITNESS_RTOL,
+    DimList,
+    as_matrix,
+    dagger,
+    is_hermitian,
+    partial_transpose,
+    swap_matrix,
+)
 
-TOL_WITNESS = 1e-8  # minima above -TOL_WITNESS still count as a witness
-TOL_ZERO = 1e-6     # minima below +TOL_ZERO count as touching zero (optimality)
-TOL_SWEEP = 1e-12   # a restart converges once a sweep moves it by this, relative to ||O||_F
-MAX_SWEEPS = 500    # sweeps after which a restart stops unconverged
-TOL_SHIFTED_PURE = 1e-12  # eigenvalue spread of the shifted-pure form, relative to max|eigenvalue|
+MAX_SWEEPS = 500  # sweeps after which a restart stops unconverged
+# A root of a sum of squares outside (SQUARE_MIN, SQUARE_MAX) may have under- or overflowed.
+SQUARE_MIN, SQUARE_MAX = 1e-150, 1e150
 
 
 @dataclass(frozen=True)
@@ -78,6 +98,9 @@ class Witness:
 
     `shifted` optionally records the form ``lambda * I - L`` with a PSD test
     operator L; only shifted witnesses sharing the same L can be compared.
+    The operator must be Hermitian, and match its shifted form, to
+    `WITNESS_RTOL` of its largest |entry|; L must be PSD to `TEST_PSD_RTOL` of
+    its largest |eigenvalue|.
     """
 
     operator: np.ndarray
@@ -89,17 +112,17 @@ class Witness:
         op = as_matrix(self.operator)
         dims = DimList.of(self.dims)
         dims.check_matrix(op)
-        tol = 1e-12 * np.abs(op).max()
+        tol = WITNESS_RTOL * np.abs(op).max()
         if not is_hermitian(op, tol):
-            raise DimensionError("witness operator must be Hermitian (to 1e-12 of its largest"
-                                 " entry)")
+            raise DimensionError(f"witness operator must be Hermitian (to {WITNESS_RTOL:g} of its"
+                                 " largest entry)")
         if self.shifted is not None:
             lam, test = self.shifted
             test = as_matrix(test)
             if np.max(np.abs(op - (lam * np.eye(dims.total) - test))) > tol:
                 raise DimensionError("shifted form does not match operator")
             spectrum = np.linalg.eigvalsh(test)
-            if spectrum[0] < -1e-10 * np.abs(spectrum).max():
+            if spectrum[0] < -TEST_PSD_RTOL * np.abs(spectrum).max():
                 raise DimensionError("shifted test operator must be PSD")
             object.__setattr__(self, "shifted", (float(lam), test))
         object.__setattr__(self, "operator", op)
@@ -143,10 +166,10 @@ class OptimizationResult:
 
 
 # Most rows busy at once, one slot each, on the last axis of the descent's
-# arrays. The working set is its slots times each party's gathered coordinate
-# tensor, so this bounds memory on whole grids; a tensor is complex, twice the
-# bytes per slot, when some party has d >= 3. There are never more than
-# max(BLOCK_ROWS, 2) slots, idle ones included.
+# arrays. The working set is its slots times the d_1^2 ... d_n^2 entries of the
+# gathered coordinate tensor, so this bounds memory on whole grids; the tensor
+# is complex, twice the bytes per slot, when some party has d >= 3. There are
+# never more than max(BLOCK_ROWS, 2) slots, idle ones included.
 BLOCK_ROWS = 2048
 
 
@@ -175,9 +198,11 @@ def _observable_coordinates(stack: np.ndarray, d: tuple[int, ...]) -> np.ndarray
 def _ket_coordinates(u: np.ndarray) -> np.ndarray:
     """Per column, the coordinates q of the projector ``P = conj(u) u^T`` of a
     unit vector u, so ``P = sum_a q_a B_a``: real Pauli coordinates
-    ``q_a = Tr(B_a P) / 2`` for a qubit, otherwise P's entries."""
+    ``q_a = Tr(B_a P) / 2`` for a qubit, otherwise P's entries, in C order
+    whatever the layout of u: einsum picks its summation order from the
+    operands' strides."""
     if len(u) != 2:
-        return (np.conj(u)[:, None] * u[None]).reshape(-1, u.shape[-1])
+        return np.ascontiguousarray((np.conj(u)[:, None] * u[None]).reshape(-1, u.shape[-1]))
     rows = u.T
     return _basis_contract(rows[:, :, None] * np.conj(rows)[:, None, :], 2).T.real / 2.0
 
@@ -190,17 +215,17 @@ def _bloch_step(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The value is ``(v_0 - |v'|) / 2`` at ``m = -v' / |v'|``, for ``v' = v[1:]``;
     at ``v' = 0`` every m attains it, and m = +z (the ket |0>) is taken.
     ``|v'|`` is the root of the sum of squares, one contraction for all
-    columns; only when some root falls outside (1e-150, 1e150), where a square
-    may under- or overflow, are those columns redone as a `hypot` chain and
-    checked for zero.
+    columns; only when some root falls outside (`SQUARE_MIN`, `SQUARE_MAX`),
+    where a square may under- or overflow, are those columns redone as a
+    `hypot` chain and checked for zero.
     """
     norm = np.sqrt(np.einsum("an,an->n", v[1:], v[1:]))  # einsum raises no floating-point warning
     q = np.empty_like(v)
     q[0] = 0.5
-    if 1e-150 < norm.min() and norm.max() < 1e150:
+    if SQUARE_MIN < norm.min() and norm.max() < SQUARE_MAX:
         np.divide(v[1:], -2.0 * norm, out=q[1:])
     else:
-        odd = ~((norm > 1e-150) & (norm < 1e150))
+        odd = ~((norm > SQUARE_MIN) & (norm < SQUARE_MAX))
         norm[odd] = np.hypot(np.hypot(v[1, odd], v[2, odd]), v[3, odd])
         flat = norm == 0.0
         np.divide(v[1:], -2.0 * np.where(flat, 1.0, norm), out=q[1:])
@@ -231,11 +256,11 @@ def _eigh_step(v: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, by the dot products `np.linalg.norm` takes of one
-    vector; a nonzero row whose norm leaves (1e-150, 1e150), where a square may
-    under- or overflow, is divided by its largest |entry| first."""
+    vector; a nonzero row whose norm leaves (`SQUARE_MIN`, `SQUARE_MAX`), where a
+    square may under- or overflow, is divided by its largest |entry| first."""
     with np.errstate(over="ignore", under="ignore"):
         norm = np.sqrt(sum(x[:, None, :] @ x[:, :, None] for x in (v.real, v.imag)))[:, 0, 0]
-    odd = ~((norm > 1e-150) & (norm < 1e150))
+    odd = ~((norm > SQUARE_MIN) & (norm < SQUARE_MAX))
     if odd.any():
         odd[odd] = v[odd].any(axis=1)
         big = np.abs(v[odd]).max(axis=1)
@@ -257,16 +282,25 @@ def _starts(d: tuple[int, ...], config: OptimizerConfig) -> tuple[np.ndarray, ..
     return out
 
 
-def _descend(tensors, dims, owner, tols, states):
+def _contraction(i: int, n: int) -> str:
+    """The einsum subscripts of party i's step among n: the outer product of
+    the other parties' coordinates, ``(..., d_j^2, ..., slots)`` in party
+    order, contracted with the ``(d_1^2, ..., d_n^2, slots)`` coordinate
+    tensor into party i's ``(d_i^2, slots)`` effective coordinates."""
+    axes = "abcdefghijklmnopqrstuvwxy"[:n]
+    return f"{axes.replace(axes[i], '')}z,{axes}z->{axes[i]}z"
+
+
+def _descend(tensor, dims, owner, tols, states):
     """Coordinate descent, in place, from the party states ``states[i][:, k]``:
     a qubit's projector coordinates, any other party's unit vector, one column
     per row. Returns each row's value and whether it converged.
 
-    Row k minimizes observable ``owner[k]``, whose coordinates with party i's
-    axis first are ``tensors[i][..., owner[k]]``, and has converged once a
+    Row k minimizes observable ``owner[k]``, whose coordinates are
+    ``tensor[..., owner[k]]``, one axis per party, and has converged once a
     sweep moves its value by at most ``tols[k]``. Rows run in slots, the last
     axis of every working array: each slot holds its row's states, coordinate
-    tensors, last value and tolerance, written when a row takes the slot. At
+    tensor, last value and tolerance, written when a row takes the slot. At
     most `BLOCK_ROWS` rows are busy: a row that converges or reaches
     `MAX_SWEEPS` sweeps frees its slot at the end of the sweep, and the next
     waiting row takes it. With no row left waiting a freed slot goes idle: it
@@ -284,15 +318,15 @@ def _descend(tensors, dims, owner, tols, states):
     busy, sweeps, count = np.arange(row.size) < nxt, np.zeros(row.size, dtype=int), nxt
     # `take`, as indexing with [..., row] would put the slots first in memory
     cur = [s.take(row, axis=-1) for s in states]
-    gathered = [t.take(owner[row], axis=-1) for t in tensors]
+    gathered = tensor.take(owner[row], axis=-1)
     last, tol = np.full(row.size, np.inf), tols[row]
+    subscripts = [_contraction(i, len(dims)) for i in range(len(dims))]
     while count:
-        for i, (t, di) in enumerate(zip(gathered, dims)):
+        for i, (sub, di) in enumerate(zip(subscripts, dims)):
             others = [c if dj == 2 else _ket_coordinates(c)
                       for j, (c, dj) in enumerate(zip(cur, dims)) if j != i]
-            w = reduce(lambda a, b: (a[:, None] * b[None]).reshape(-1, row.size),
-                       others[1:], others[0]) if others else np.ones((1, row.size))
-            v = np.einsum("amn,mn->an", t, w)
+            w = reduce(lambda a, b: a[..., None, :] * b, others) if others else np.ones(row.size)
+            v = np.einsum(sub, w, gathered)
             if di == 2:
                 new, cur[i] = _bloch_step(v.real)
             elif count < row.size:  # an idle slot would cost an `eigh`
@@ -316,9 +350,7 @@ def _descend(tensors, dims, owner, tols, states):
         row[fill], sweeps[fill], last[fill], tol[fill] = fresh, 0, np.inf, tols[fresh]
         for c, s in zip(cur, states):
             c[:, fill] = s[:, fresh]
-        own = owner[fresh]
-        for g, t in zip(gathered, tensors):
-            g[..., fill] = t[..., own]
+        gathered[..., fill] = tensor[..., owner[fresh]]
         busy[idle] = False
         count = np.count_nonzero(busy)
         if count and 2 * count < row.size:
@@ -327,7 +359,7 @@ def _descend(tensors, dims, owner, tols, states):
                 keep[np.argmin(busy)] = True
             row, busy, sweeps, last, tol = row[keep], busy[keep], sweeps[keep], last[keep], tol[keep]
             cur = [c.compress(keep, axis=-1) for c in cur]
-            gathered = [g.compress(keep, axis=-1) for g in gathered]
+            gathered = gathered.compress(keep, axis=-1)
     return values, converged
 
 
@@ -360,14 +392,12 @@ def _descent_minima(stack: np.ndarray, d: tuple[int, ...], config: OptimizerConf
     restart spread and the best row's party kets."""
     count = len(stack)
     scale = _row_norms(stack.reshape(count, -1))
-    coords = _observable_coordinates(stack, d)
-    tensors = [np.ascontiguousarray(np.moveaxis(coords, (1 + i, 0), (0, -1)).reshape(di * di, -1, count))
-               for i, di in enumerate(d)]
+    tensor = np.ascontiguousarray(np.moveaxis(_observable_coordinates(stack, d), 0, -1))
     starts = [_ket_coordinates(s.T) if di == 2 else s.T for s, di in zip(_starts(d, config), d)]
     r_count = starts[0].shape[1]
     owner = np.repeat(np.arange(count), r_count)
     states = [np.tile(s, count) for s in starts]
-    values, converged = _descend(tensors, d, owner, TOL_SWEEP * scale[owner], states)
+    values, converged = _descend(tensor, d, owner, TOL_SWEEP * scale[owner], states)
     per_obs = values.reshape(count, r_count)
     low = per_obs.min(axis=1)
     # lowest value wins; ties (within the convergence tolerance) go to the earliest restart
@@ -396,7 +426,7 @@ def product_minima(stack, dims, config: OptimizerConfig | None = None) -> Produc
     converged, spread 0). Every (observable, restart) pair of the others is
     one row, and one `_descend` runs them all. The stack gets a shape check, a
     check that every entry is finite and a Hermitian check
-    (``max|O - O^dagger| <= 1e-8 max|O|`` per observable). Each entry is
+    (``max|O - O^dagger| <= OBSERVABLE_RTOL max|O|`` per observable). Each entry is
     bitwise the one the observable gets alone.
     """
     dims = DimList.of(dims)
@@ -407,8 +437,10 @@ def product_minima(stack, dims, config: OptimizerConfig | None = None) -> Produc
     if not np.isfinite(stack).all():
         raise DimensionError("observable entries must be finite")
     adjoint = np.conj(stack.transpose(0, 2, 1))
-    if np.any(np.abs(stack - adjoint).max(axis=(1, 2)) > 1e-8 * np.abs(stack).max(axis=(1, 2))):
-        raise DimensionError("observable must be Hermitian (to 1e-8 of its largest entry)")
+    size = np.abs(stack).max(axis=(1, 2))
+    if np.any(np.abs(stack - adjoint).max(axis=(1, 2)) > OBSERVABLE_RTOL * size):
+        raise DimensionError(f"observable must be Hermitian (to {OBSERVABLE_RTOL:g} of its"
+                             " largest entry)")
     stack = (stack + adjoint) / 2.0
     d = dims.dims
     count = len(stack)
@@ -429,7 +461,7 @@ def product_minima(stack, dims, config: OptimizerConfig | None = None) -> Produc
         for ket, f in zip(kets, found):
             ket[rest] = f
     for ket in kets:
-        if np.any(np.abs(_row_norms(ket) - 1.0) > 1e-9):
+        if np.any(np.abs(_row_norms(ket) - 1.0) > UNIT_ATOL):
             raise DimensionError("every party factor must be a unit vector")
     return ProductMinima(values, kets, used, converged, spread)
 
@@ -465,7 +497,7 @@ def is_witness(w: Witness, config: OptimizerConfig | None = None) -> WitnessChec
 
 def is_trivial(w: Witness) -> bool:
     """A PSD witness detects nothing: non-negative on every state."""
-    return bool(np.linalg.eigvalsh(w.operator)[0] >= -1e-10)
+    return bool(np.linalg.eigvalsh(w.operator)[0] >= -PSD_ATOL)
 
 
 def lambda_min(test_op, dims, config: OptimizerConfig | None = None) -> float:
@@ -475,7 +507,7 @@ def lambda_min(test_op, dims, config: OptimizerConfig | None = None) -> float:
     shifted by exactly this value touches zero on a product state.
     """
     test_op = as_matrix(test_op)
-    if np.linalg.eigvalsh((test_op + dagger(test_op)) / 2)[0] < -1e-10:
+    if np.linalg.eigvalsh((test_op + dagger(test_op)) / 2)[0] < -PSD_ATOL:
         raise DimensionError("test operator must be PSD")
     return max_over_products(test_op, dims, config).value
 
@@ -493,14 +525,14 @@ def compare_finer_shifted(
         raise IncomparableWitnessError("both witnesses must carry a shifted form")
     lam1, test1 = w1.shifted
     lam2, test2 = w2.shifted
-    if test1.shape != test2.shape or np.max(np.abs(test1 - test2)) > 1e-12:
+    if test1.shape != test2.shape or np.max(np.abs(test1 - test2)) > SHIFT_ATOL:
         raise IncomparableWitnessError("shifted witnesses have different test operators")
     floor = lambda_min(test1, w1.dims, config)
     if min(lam1, lam2) < floor - TOL_WITNESS:
         raise NotAWitnessError(
             f"shift below lambda_min={floor}: not a witness, comparison is void"
         )
-    if abs(lam1 - lam2) <= 1e-12:
+    if abs(lam1 - lam2) <= SHIFT_ATOL:
         return "equal"
     return "w1_finer" if lam1 < lam2 else "w2_finer"
 
@@ -539,7 +571,7 @@ def schmidt_class_max(
     dims.require_bipartite()
     test_op = as_matrix(test_op)
     dims.check_matrix(test_op)
-    if not is_hermitian(test_op, 1e-8):
+    if not is_hermitian(test_op, TEST_HERM_ATOL):
         raise DimensionError("test operator must be Hermitian")
     d1, d2 = dims.dims
     if not 1 <= r <= min(d1, d2):
@@ -570,7 +602,7 @@ def schmidt_class_max(
         psi = truncate((vec @ lifted.T).reshape(r_count, d1, d2))
         vec = psi.reshape(r_count, -1)
         vals = np.real(np.einsum("zi,ij,zj->z", np.conj(vec), test_op, vec))
-        if np.max(np.abs(vals - prev)) < 1e-13 * size:
+        if np.max(np.abs(vals - prev)) < TOL_POWER * size:
             prev = vals
             break
         prev = vals
@@ -640,7 +672,7 @@ def unitary_mix_scan_min(p, q, shift: float = 0.8):
     float, arrays an array (in blocks of `CLOSED_FORM_BLOCK` points, each value
     bitwise its point's alone); p, q >= 0, p + q <= 1 or `EntpowError`.
     """
-    p, q = _scan_points(p, q, 1.0 + 1e-12, 1.0 + 1e-9)
+    p, q = _scan_points(p, q, 1.0 + COORD_ATOL, 1.0 + GRID_ATOL)
     flat_p, flat_q, out = p.ravel(), q.ravel(), np.empty(p.size)
     for lo in range(0, p.size, CLOSED_FORM_BLOCK):
         block = slice(lo, lo + CLOSED_FORM_BLOCK)

@@ -4,8 +4,9 @@ A mixture of weighted local unitaries whose Kraus list is hidden by a random
 unitary on the Kraus index is SNE by construction. Its certificate must not
 depend on which Kraus list of the channel is stored, nor on the order of the
 parties, and the Kraus list it ships must reproduce the channel. Certificates
-and Schmidt-number bounds must also not change when the Kraus list is scaled,
-nor, for one operator, when it is stored as several multiples of itself.
+and Schmidt-number bounds must also not change when the Kraus list is scaled
+or dressed with local unitaries, nor, for one operator, when it is stored as
+several multiples of itself.
 """
 
 import contextlib
@@ -168,6 +169,26 @@ def test_bounds_read_the_certificate(channel):
     want = unnormalized_choi(ops)
     for kraus in (cert.kraus, bounds.certificate):
         assert np.linalg.norm(unnormalized_choi(kraus) - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@PROPS
+@given(
+    st.one_of(
+        hidden_mixtures(),
+        stored_lists(),
+        st.sampled_from(["cnot_with_identity", "bell_mixing"]).map(fixed_channel),
+    ),
+    SEEDS,
+)
+def test_answers_do_not_change_under_local_unitaries(channel, seed):
+    # every K becomes (U_A (x) U_B) K (V_A (x) V_B): local unitaries before and
+    # after the channel; only the note may change
+    ops, (d1, d2) = channel
+    rng = np.random.default_rng(seed)
+    after, before = (kron(haar(rng, d1), haar(rng, d2)) for _ in range(2))
+    verdict, _, forms, *bounds = answers([after @ m @ before for m in ops], (d1, d2))
+    want_verdict, _, want_forms, *want_bounds = answers(ops, (d1, d2))
+    assert (verdict, forms, bounds) == (want_verdict, want_forms, want_bounds)
 
 
 def schmidt_report(ch):

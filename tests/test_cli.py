@@ -157,6 +157,15 @@ MALFORMED = {
         REPLACE_23, outputs=[{**channel_to_json(REPLACE_23)["outputs"][0], "dims": [3, 2]}])),
     "output_kind": ("channel.outputs[0].kind", edited(
         REPLACE, outputs=[{**channel_to_json(REPLACE)["outputs"][0], "kind": "bogus"}])),
+    # JSON integers too large for a float
+    "entry_huge": ("channel.kraus[0]", with_entry(IDENTITY, [10**400, 0])),
+    "p_huge": ("channel.p", edited(mixing_channel(0.3, max_entangled(2, 2).density()),
+                                   p=10**400)),
+    "probabilities_huge": ("channel.probabilities[0]", edited(CX_MIX, probabilities=[10**400, 0])),
+    "coefficients_huge": ("channel.coefficients[1]",
+                          edited(rank_boost_channel(2, 2, [0.8, 0.6]), coefficients=[0.8, 10**400])),
+    "probabilities_nested_huge": ("channel", edited(random_unitary_channel([CNOT], [1.0], (2, 2)),
+                                                    probabilities=[[10**400]])),
     # a mixed state that `DensityMatrix` refuses: a negative eigenvalue
     "sigma_not_psd": ("channel.sigma", edited(
         mixing_channel(0.3, max_entangled(2, 2).density()),
@@ -408,8 +417,11 @@ def test_schmidt_bad_cut_exits_2(tmp_path, capsys):
     (state_to_json(max_entangled(2, 2)), "1,1", "cut"),
     ({"kind": "pure", "dims": [3], "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
      None, "dims"),
+    # a JSON integer too large for a float
+    ({"kind": "pure", "dims": [2, 2], "amplitudes": [[10**400, 0], [0, 0], [0, 0], [0, 0]]},
+     None, "state.amplitudes"),
 ], ids=["state_empty", "channel_empty", "not_integer", "repeated", "state_repeated",
-        "one_party"])
+        "one_party", "huge_amplitude"])
 def test_schmidt_bad_cut_exits_2_before_any_report(tmp_path, capsys, spec, cut, field):
     argv = ["schmidt", write_spec(tmp_path, "spec.json", spec)]
     assert main(argv + ([] if cut is None else ["--cut", cut])) == 2
@@ -447,6 +459,15 @@ def test_classify_non_utf8_spec_exits_2(tmp_path, capsys):
     path.write_bytes('{"label": "caf\u00e9"}'.encode("latin-1"))
     assert main(["classify", str(path)]) == 2
     assert f"spec error [{path}]: cannot read" in capsys.readouterr().err
+
+
+def test_classify_integer_of_5000_digits_exits_2(tmp_path, capsys):
+    # past the interpreter's digit limit, which json.dumps would refuse to write
+    text = json.dumps(edited(IDENTITY, dims=[0, 2])).replace("[0, 2]", f"[1{'0' * 4999}, 2]")
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert main(["classify", str(path)]) == 2
+    assert "spec error [" in capsys.readouterr().err
 
 
 def test_installed_entry_point(tmp_path):
