@@ -36,6 +36,7 @@ from .tensor import (
     DimList,
     as_matrix,
     dagger,
+    finite,
     kron,
     numerical_rank,
     partial_trace,
@@ -49,10 +50,8 @@ def _kraus_stack(kraus, dims: DimList) -> np.ndarray:
     bad = {np.shape(m) for m in kraus} - {(dims.total, dims.total)}
     if bad:
         raise DimensionError(f"Kraus operator shapes {sorted(bad)} do not match dims {dims.dims}")
-    ops = np.array(kraus, dtype=complex).reshape(-1, dims.total, dims.total)
-    if not np.all(np.isfinite(ops)):
-        raise DimensionError("Kraus operators must have finite entries")
-    return ops
+    return finite(np.array(kraus, dtype=complex).reshape(-1, dims.total, dims.total),
+                  "Kraus operators")
 
 
 class KrausChannel:
@@ -175,7 +174,7 @@ class MeasurementChannel(KrausChannel):
     """
 
     def __init__(self, effects, outputs, dims, label: str = "measurement"):
-        effects = [as_matrix(e) for e in effects]
+        effects = [finite(as_matrix(e), f"effect {j}") for j, e in enumerate(effects)]
         if not effects:
             raise DimensionError("need at least one effect")
         dims = DimList.of(dims)

@@ -11,7 +11,11 @@ Each detected form is product-preserving, and its factors rebuild the
 operator. Channels all of whose Kraus operators (in some decomposition)
 take these forms cannot create entanglement even stochastically; this
 module classifies operators, searches decompositions, bounds the channel
-Schmidt number, and produces replayable certificates.
+Schmidt number, and produces replayable certificates. Each form is a row
+of one reshuffle table, which both classifies operators and drives the
+decomposition search: an operator takes a row's form when its (m, n)
+reshuffle has rank at most one, and the search reaches lists of up to
+min(m, n) operators of that form.
 
 Verdict semantics: "entangling" is backed either by a witness violation of
 the full channel (a separable input provably maps to an entangled output) or
@@ -51,7 +55,6 @@ from .tensor import (
     TOL_WITNESS,
     DimList,
     numerical_rank,
-    swap_matrix,
 )
 from .witnesses import (
     DEFAULT_CONFIG,
@@ -209,33 +212,36 @@ def classify_kraus_many(ops, dims, config: OptimizerConfig | None = None) -> lis
     return _probe_unknown(_structures(stack, dims), stack, dims, config)
 
 
-def _structures(ops: np.ndarray, dims: DimList) -> list[KrausStructure]:
-    """The structural form of each operator of the (K, D, D) stack `ops`, with
-    no probing. Each product-preserving form has operator rank at most one
-    once the axes (out1, out2, in1, in2) are split in two groups, one row of
-    the table below per split. Each row runs as one stacked reshuffle and SVD
-    over the operators no earlier row classified, and splits the top singular
-    value evenly between the two factors.
-    """
+def _form_table(dims: DimList):
+    """One row (form, axes of the (K, out1, out2, in1, in2) stack, factor
+    shapes, permutation) per product-preserving form: an operator takes the
+    form exactly when its reshuffle by the axes, a (prod(left), prod(right))
+    matrix, has rank at most one. The rows split (out1, in1 | out2, in2),
+    (out1, in2 | out2, in1), (out1 | out2, in) and (out1, in | out2)."""
     d1, d2 = dims.dims
     n = d1 * d2
-    stack = ops.reshape(-1, d1, d2, d1, d2)
-    out = [KrausStructure(FORM_UNKNOWN)] * len(ops)
-    rest = np.arange(len(ops))
-    # form, axes of the (K, out1, out2, in1, in2) stack, factor shapes, permutation;
-    # the rows split (out1, in1 | out2, in2), (out1, in2 | out2, in1),
-    # (out1 | out2, in) and (out1, in | out2)
-    table = [
+    return (
         (FORM_TENSOR, (0, 1, 3, 2, 4), ((d1, d1), (d2, d2)), None),
         (FORM_PERMUTATION, (0, 1, 4, 2, 3), ((d1, d2), (d2, d1)), (1, 0)),
         (FORM_LOCAL, (0, 1, 2, 3, 4), ((d1,), (d2, n)), None),
         (FORM_LOCAL, (0, 1, 3, 4, 2), ((d1, n), (d2,)), None),
-    ]
-    for form, axes, (left, right), permutation in table:
+    )
+
+
+def _structures(ops: np.ndarray, dims: DimList) -> list[KrausStructure]:
+    """The structural form of each operator of the (K, D, D) stack `ops`, with
+    no probing. Each row of `_form_table` runs as one stacked reshuffle and SVD
+    over the operators no earlier row classified, and splits the top singular
+    value evenly between the two factors.
+    """
+    out = [KrausStructure(FORM_UNKNOWN)] * len(ops)
+    rest = np.arange(len(ops))
+    for form, axes, (left, right), permutation in _form_table(dims):
         if not rest.size:
             break
-        shuffled = stack[rest].transpose(axes).reshape(len(rest), -1, int(np.prod(right)))
-        u, s, vh = np.linalg.svd(shuffled, full_matrices=False)
+        shuffled = ops[rest].reshape((-1,) + dims.dims * 2).transpose(axes)
+        u, s, vh = np.linalg.svd(shuffled.reshape(len(rest), -1, int(np.prod(right))),
+                                 full_matrices=False)
         simple = numerical_rank(s) <= 1
         for k, j in zip(rest[simple], np.flatnonzero(simple)):
             root = np.sqrt(float(s[j, 0]))
@@ -313,21 +319,18 @@ class Certificate:
     note: str = ""
 
 
-def _simple_tensor_basis(ops: np.ndarray, dims: DimList, rng):
-    """The factors A (r, d1, d1) and B (r, d2, d2) of r unit-norm simple
-    tensors ``A_j (x) B_j`` spanning the r independent `ops`, by Jennrich's
-    simultaneous diagonalization; None on failure.
-    Reshuffled, `ops` are the slices of an (r, d1^2, d2^2) tensor. In its
-    column and row spaces, the eigenvectors of ``M_x M_y^-1`` for two random
-    slice contractions are the vectorized ``A_j`` (which must be independent,
-    as must the ``B_j``), and each ``B_j`` is the top right singular vector of
-    its row of the un-mixed slices.
+def _simple_tensor_basis(t: np.ndarray, rng):
+    """The factors a (r, m), of unit-norm rows, and b (r, n) of r rank-one
+    slices ``a_j b_j^T`` spanning the r independent slices of the (r, m, n)
+    stack `t`, by Jennrich's simultaneous diagonalization; None on failure.
+    In the column and row spaces of the slices, the eigenvectors of
+    ``M_x M_y^-1`` for two random slice contractions are the ``a_j`` (which
+    must be independent, as must the ``b_j``, so r <= min(m, n)), and each
+    ``b_j`` is the top right singular vector of its row of the un-mixed slices.
     """
-    d1, d2 = dims.dims
-    r = len(ops)
-    t = ops.reshape(r, d1, d2, d1, d2).transpose(0, 1, 3, 2, 4).reshape(r, d1 * d1, d2 * d2)
-    u, su, _ = np.linalg.svd(t.transpose(1, 0, 2).reshape(d1 * d1, -1), full_matrices=False)
-    v, sv, _ = np.linalg.svd(t.transpose(2, 0, 1).reshape(d2 * d2, -1), full_matrices=False)
+    r, m, n = t.shape
+    u, su, _ = np.linalg.svd(t.transpose(1, 0, 2).reshape(m, -1), full_matrices=False)
+    v, sv, _ = np.linalg.svd(t.transpose(2, 0, 1).reshape(n, -1), full_matrices=False)
     if numerical_rank(su) < r or numerical_rank(sv) < r:
         return None
     u = u[:, :r]
@@ -335,65 +338,64 @@ def _simple_tensor_basis(ops: np.ndarray, dims: DimList, rng):
     mx, my = np.tensordot(rng.normal(size=(2, r)) + 1j * rng.normal(size=(2, r)), core, 1)
     try:
         _, w = np.linalg.eig(np.linalg.solve(my.T, mx.T).T)
-        rows = np.linalg.solve(w, np.conj(u.T) @ t)  # slice k, row j: c_kj vec(B_j)^T
+        rows = np.linalg.solve(w, np.conj(u.T) @ t)  # slice k, row j: c_kj b_j^T
     except np.linalg.LinAlgError:
         return None
-    a = u @ w  # column j: vec(A_j)
+    a = u @ w  # column j: a_j
     b = np.linalg.svd(rows.transpose(1, 0, 2), full_matrices=False)[2][:, 0]
-    return (a / np.linalg.norm(a, axis=0)).T.reshape(r, d1, d1), b.reshape(r, d2, d2)
+    return (a / np.linalg.norm(a, axis=0)).T, b
 
 
 def _product_decomposition(ch: KrausChannel, seed: int):
-    """A Kraus stack of `ch` made only of ``A (x) B``, or only of ``(A (x) B) V``
-    for the party swap V, with the `KrausStructure` of each operator; None
-    when the search finds none.
+    """A Kraus stack of `ch` of operators of one `_form_table` form, with the
+    `KrausStructure` of each; None when the search finds none.
 
     ``s[:r, None] * vh[:r]`` from the SVD of the flattened Kraus stack is a
-    minimal Kraus list, r the `choi_rank`. A product list of r operators is a
-    basis of simple tensors of its span (after ``@ V``), which
-    `_simple_tensor_basis` draws from ``(seed, 23)``. Least squares gives the
-    mixing; each operator is weighted by the norm of its coefficient column.
+    minimal Kraus list, r the `choi_rank`. A list of r operators of one form
+    is a basis of its span, of rank-one slices once reshuffled by the form's
+    row; `_simple_tensor_basis`, drawing from ``(seed, 23)``, finds them, and
+    the inverse reshuffle rebuilds them. Least squares gives the mixing;
+    each operator is weighted by the norm of its coefficient column.
     A candidate must reproduce the Choi matrix to ``MATCH_RTOL`` in each
     direction of the span at its own weight: each operator lies in the span,
     and its coordinates over s form a unitary (``MATCH_RTOL * ||Choi||_F``
     alone would pass an entangling admixture of weight 1e-12). So the search
-    can miss a decomposition but never invent one. Out of reach: lists mixing
-    the two forms, `local_range` forms, ``(A (x) B) V`` on unequal dims, lists
-    of more than r operators; for ``r > min(d1^2, d2^2)`` and for r = 1 this
-    returns None before the singular vectors. At r = 1 every Kraus list is
-    multiples of one operator, which `_structures` has already classified in
-    the stored list.
+    can miss a decomposition but never invent one. A row reaches
+    ``r <= min(m, n)`` of its (m, n) reshuffle: min(d1^2, d2^2) for A (x) B,
+    d1 d2 for (A (x) B) V, d1 for a (x) N and d2 for N (x) b. Out of reach:
+    lists mixing forms, and lists longer than every row's reach; for
+    ``r > d1 d2`` and for r = 1 this returns None before the singular vectors.
+    At r = 1 every Kraus list is multiples of one operator, which `_structures`
+    has already classified in the stored list.
     """
-    d1, d2 = ch.dims.dims
-    n = d1 * d2
+    n = ch.dims.total
     r = ch.choi_rank
-    if not 1 < r <= min(d1 * d1, d2 * d2):
+    if not 1 < r <= n:
         return None  # decided without the singular vectors
     _, s, vh = np.linalg.svd(ch.kraus.reshape(len(ch.kraus), -1), full_matrices=False)
     s, vh = s[:r], vh[:r]
-    basis = (s[:, None] * vh).reshape(r, n, n)
+    basis = (s[:, None] * vh).reshape((r,) + ch.dims.dims * 2)
     rng = np.random.default_rng((seed, 23))
-    branches = [(np.eye(n), FORM_TENSOR, None)]
-    if d1 == d2:
-        branches.append((swap_matrix(d1), FORM_PERMUTATION, (1, 0)))  # V^-1 = V
-    for perm, form, permutation in branches:
-        target = basis @ perm
-        factors = _simple_tensor_basis(target, ch.dims, rng)
+    for form, axes, (left, right), permutation in _form_table(ch.dims):
+        if r > min(np.prod(left), np.prod(right)):
+            continue
+        factors = _simple_tensor_basis(basis.transpose(axes).reshape(r, np.prod(left), -1), rng)
         if factors is None:
             continue
         a, b = factors
-        simple = (a.reshape(r, -1, 1) * b.reshape(r, 1, -1)).reshape(r, d1, d1, d2, d2)
-        simple = simple.transpose(0, 1, 3, 2, 4).reshape(r, n, n)
-        mix = np.linalg.lstsq(simple.reshape(r, -1).T, target.reshape(r, -1).T, rcond=None)[0]
+        simple = (a[:, :, None] * b[:, None, :]).reshape(basis.transpose(axes).shape)
+        simple = simple.transpose(np.argsort(axes)).reshape(r, n, n)  # the inverse reshuffle
+        mix = np.linalg.lstsq(simple.reshape(r, -1).T, basis.reshape(r, -1).T, rcond=None)[0]
         weights = np.linalg.norm(mix, axis=1)
-        ops = weights[:, None, None] * simple @ perm
+        ops = weights[:, None, None] * simple
         got = ops.reshape(r, -1)
         coords = got @ np.conj(vh.T)
         off_span = np.linalg.norm(got - coords @ vh, axis=1) / np.linalg.norm(got, axis=1)
         whitened = coords / s  # unitary exactly when the two lists share a Choi matrix
         gap = np.linalg.norm(whitened @ np.conj(whitened.T) - np.eye(r))
         if gap <= MATCH_RTOL and np.all(off_span <= MATCH_RTOL):
-            return ops, tuple(KrausStructure(form, factors=(w * x, y), permutation=permutation)
+            return ops, tuple(KrausStructure(form, factors=(w * x.reshape(left), y.reshape(right)),
+                                             permutation=permutation)
                               for w, x, y in zip(weights, a, b))
     return None
 
@@ -444,21 +446,13 @@ def certify_kraus_channel(ch: KrausChannel, config: OptimizerConfig | None = Non
     ch.dims.require_bipartite()
     structures = tuple(_structures(ch.kraus, ch.dims))
     if all(s.is_product_preserving for s in structures):
-        return Certificate(
-            SNE,
-            structures=structures,
-            kraus=ch.kraus,
-            note="every stored Kraus operator is product-preserving",
-        )
+        return Certificate(SNE, structures=structures, kraus=ch.kraus,
+                           note="every stored Kraus operator is product-preserving")
     found = _product_decomposition(ch, config.seed)
     if found is not None:
         ops, found_structures = found
-        return Certificate(
-            SNE,
-            structures=found_structures,
-            kraus=ops,
-            note="a product-preserving remixing of the Kraus list reproduces the Choi matrix",
-        )
+        return Certificate(SNE, structures=found_structures, kraus=ops, note=(
+            "a product-preserving remixing of the Kraus list reproduces the Choi matrix"))
     structures = tuple(_probe_unknown(structures, ch.kraus, ch.dims, config))
     hits = [s.violation for s in structures if s.violation is not None]
     violations = _image_witness_violations(ch, hits[0]) if hits and ch.choi_rank == 1 else []
@@ -474,12 +468,8 @@ def certify_kraus_channel(ch: KrausChannel, config: OptimizerConfig | None = Non
             "entangling", violations=tuple(violations), structures=structures,
             kraus=ch.kraus, note=note,
         )
-    return Certificate(
-        "inconclusive",
-        structures=structures,
-        kraus=ch.kraus,
-        note="structural classification incomplete and no violation found",
-    )
+    return Certificate("inconclusive", structures=structures, kraus=ch.kraus,
+                       note="structural classification incomplete and no violation found")
 
 
 def _replacement_target(ch: KrausChannel):

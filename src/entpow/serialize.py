@@ -54,10 +54,13 @@ def _get(obj: dict, key: str, field: str) -> Any:
 
 
 def _integer(value, field: str) -> int:
-    """A JSON number of integer value: 2 or 2.0, not "2", 2.7 or true."""
+    """A JSON number of integer value: 2 or 2.0, not "2", 2.7 or true, that numpy
+    can index, decided without building anything or echoing a huge one."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if abs(int(value)) >= np.iinfo(np.intp).max:
+            raise SpecError(field, "integer too large for numpy to index")
         return int(value)
     raise SpecError(field, f"expected an integer, got {value!r}")
 

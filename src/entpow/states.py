@@ -26,6 +26,7 @@ from .tensor import (
     DimList,
     as_matrix,
     as_vector,
+    finite,
     numerical_rank,
     partial_transpose,
 )
@@ -39,7 +40,7 @@ class PureState:
     dims: DimList
 
     def __post_init__(self):
-        amps = as_vector(self.amplitudes)
+        amps = finite(as_vector(self.amplitudes), "amplitudes")
         dims = DimList.of(self.dims)
         if amps.shape[0] != dims.total:
             raise DimensionError(
@@ -70,7 +71,7 @@ class DensityMatrix:
     subnormalized: bool = False
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
+        m = finite(as_matrix(self.matrix), "density matrix")
         dims = DimList.of(self.dims)
         dims.check_matrix(m)
         if np.max(np.abs(m - np.conj(m.T))) > STATE_HERM_ATOL:
@@ -104,7 +105,7 @@ class ProductStateParam:
     def __post_init__(self):
         fs = []
         for f in self.factors:
-            f = as_vector(f)
+            f = finite(as_vector(f), "every party factor")
             if abs(np.linalg.norm(f) - 1.0) > UNIT_ATOL:
                 raise DimensionError("every party factor must be a unit vector")
             fs.append(f)

@@ -121,6 +121,13 @@ def as_vector(v) -> np.ndarray:
     return a
 
 
+def finite(a: np.ndarray, what: str) -> np.ndarray:
+    """`a`, once every entry is finite; else `DimensionError` naming `what`."""
+    if not np.isfinite(a).all():
+        raise DimensionError(f"{what} must have finite entries")
+    return a
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
     return np.conj(np.swapaxes(m, -1, -2))

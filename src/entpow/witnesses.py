@@ -82,6 +82,7 @@ from .tensor import (
     DimList,
     as_matrix,
     dagger,
+    finite,
     is_hermitian,
     partial_transpose,
     swap_matrix,
@@ -434,8 +435,7 @@ def product_minima(stack, dims, config: OptimizerConfig | None = None) -> Produc
     stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3 or stack.shape[1:] != (dims.total, dims.total):
         raise DimensionError(f"observable stack shape {stack.shape} does not match dims {dims.dims}")
-    if not np.isfinite(stack).all():
-        raise DimensionError("observable entries must be finite")
+    finite(stack, "observables")
     adjoint = np.conj(stack.transpose(0, 2, 1))
     size = np.abs(stack).max(axis=(1, 2))
     if np.any(np.abs(stack - adjoint).max(axis=(1, 2)) > OBSERVABLE_RTOL * size):

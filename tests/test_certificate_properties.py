@@ -1,7 +1,8 @@
 """Property tests of stochastically-non-entangling certificates.
 
-A mixture of weighted local unitaries whose Kraus list is hidden by a random
-unitary on the Kraus index is SNE by construction. Its certificate must not
+A list of product-preserving Kraus operators of one form (weighted local
+unitaries, local-range operators or rectangular swaps) whose Kraus list is
+hidden by a random unitary on the Kraus index is SNE by construction. Its certificate must not
 depend on which Kraus list of the channel is stored, nor on the order of the
 parties, and the Kraus list it ships must reproduce the channel. Certificates
 and Schmidt-number bounds must also not change when the Kraus list is scaled
@@ -40,12 +41,32 @@ def haar(rng, n):
 
 @st.composite
 def hidden_mixtures(draw):
-    """Kraus operators ``U W`` for a Haar U and weighted local unitaries W."""
-    d1, d2 = draw(DIMS)
-    terms = draw(st.integers(1, min(4, d1 * d1, d2 * d2)))
+    """Kraus operators ``U W`` for a Haar U and a list W of one form: weighted
+    local unitaries; ``(|a_j> (x) I) N_j`` for at most d1 row blocks N_j of a
+    Haar unitary, after a local unitary (`local_range`); or, on (2, 3), the
+    rectangular ``(A_j (x) B_j) V`` for the party swap V (`permutation_local`)."""
+    kind = draw(st.sampled_from(["local", "local_range", "swap"]))
+    d1, d2 = (2, 3) if kind == "swap" else draw(DIMS)
+    n = d1 * d2
     rng = np.random.default_rng(draw(SEEDS))
-    p = rng.dirichlet(np.ones(terms))
-    ops = np.array([np.sqrt(pi) * kron(haar(rng, d1), haar(rng, d2)) for pi in p])
+    if kind == "local":
+        terms = draw(st.integers(1, min(4, d1 * d1, d2 * d2)))
+        p = rng.dirichlet(np.ones(terms))
+        ops = np.array([np.sqrt(pi) * kron(haar(rng, d1), haar(rng, d2)) for pi in p])
+    elif kind == "local_range":
+        terms = draw(st.integers(1, d1))
+        blocks = haar(rng, n)[: terms * d2].reshape(terms, d2, n)
+        local = kron(haar(rng, d1), haar(rng, d2))
+        ops = np.array([local @ np.kron(np.eye(d1)[:, [j]], np.eye(d2)) @ blocks[j]
+                        for j in range(terms)])
+    else:
+        terms = draw(st.integers(1, 4))
+        # V |x, y> = |y, x> from the (d1, d2) space to the (d2, d1) space
+        v = np.eye(n).reshape(d1, d2, n).transpose(1, 0, 2).reshape(n, n)
+        g = rng.normal(size=(terms, 2, n)) + 1j * rng.normal(size=(terms, 2, n))
+        ops = np.array([kron(a.reshape(d1, d2), b.reshape(d2, d1)) @ v for a, b in g])
+        # trace non-increasing: sum_j M_j^dag M_j <= I
+        ops /= np.sqrt(np.linalg.norm(np.einsum("jki,jkl->il", ops.conj(), ops), 2))
     return np.einsum("ij,jkl->ikl", haar(rng, terms), ops), (d1, d2)
 
 

@@ -17,7 +17,13 @@ from entpow.channels import (
     unitary_channel,
 )
 from entpow.errors import DimensionError
-from entpow.states import DensityMatrix, max_entangled, random_separable
+from entpow.states import (
+    DensityMatrix,
+    ProductStateParam,
+    PureState,
+    max_entangled,
+    random_separable,
+)
 from entpow.tensor import dagger, kron, partial_trace
 
 
@@ -57,6 +63,31 @@ def test_kraus_channel_validation():
     assert repr(KrausChannel(ops, (2, 2), label="id")).startswith("<id: ")
     with pytest.raises(DimensionError, match="do not match"):
         ch.apply(DensityMatrix(np.eye(4) / 4, (4,)))
+
+
+def with_entry(m, bad):
+    """`m` as a complex array with its second entry set to `bad`."""
+    m = np.array(m, dtype=complex)
+    m.flat[1] = bad
+    return m
+
+
+PROJ = np.diag([1.0, 0.0, 1.0, 0.0])
+NON_FINITE = {
+    "measurement_effect": lambda bad: measurement_channel(
+        [with_entry(PROJ, bad), np.eye(4) - PROJ], [np.eye(4) / 4] * 2, (2, 2)),
+    "density_matrix": lambda bad: DensityMatrix(with_entry(np.eye(4) / 4, bad), (2, 2)),
+    "pure_state": lambda bad: PureState(with_entry(np.eye(4)[0], bad), (2, 2)),
+    "product_state": lambda bad: ProductStateParam((with_entry([1.0, 0.0], bad), np.eye(2)[0])),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)], ids=["nan", "inf", "-inf_i"])
+@pytest.mark.parametrize("build", sorted(NON_FINITE))
+def test_constructors_refuse_non_finite_entries(build, bad):
+    # NaN passes every `max(...) > tol` check, so each constructor tests it first
+    with pytest.raises(DimensionError, match="finite"):
+        NON_FINITE[build](bad)
 
 
 def test_trace_preservation_detection():

@@ -166,6 +166,9 @@ MALFORMED = {
                           edited(rank_boost_channel(2, 2, [0.8, 0.6]), coefficients=[0.8, 10**400])),
     "probabilities_nested_huge": ("channel", edited(random_unitary_channel([CNOT], [1.0], (2, 2)),
                                                     probabilities=[[10**400]])),
+    # integers too large for numpy to index
+    "dims_huge": ("channel.dims", edited(IDENTITY, dims=[10**400, 2])),
+    "k_huge": ("channel.k", edited(rank_boost_channel(2, 2, [0.8, 0.6]), k=10**400)),
     # a mixed state that `DensityMatrix` refuses: a negative eigenvalue
     "sigma_not_psd": ("channel.sigma", edited(
         mixing_channel(0.3, max_entangled(2, 2).density()),
@@ -189,6 +192,13 @@ def test_malformed_spec_exits_2_naming_its_field(tmp_path, capsys, case):
 def test_malformed_spec_error_says_what_is_wrong(tmp_path, capsys, case, words):
     assert main(["classify", write_spec(tmp_path, "bad.json", MALFORMED[case][1])]) == 2
     assert words in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["dims_huge", "k_huge"])
+def test_huge_integer_error_does_not_echo_its_digits(tmp_path, capsys, case):
+    assert main(["classify", write_spec(tmp_path, "bad.json", MALFORMED[case][1])]) == 2
+    err = capsys.readouterr().err
+    assert "too large for numpy to index" in err and len(err) < 200
 
 
 def test_readme_example1_spec_classifies(tmp_path, capsys):

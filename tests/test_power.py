@@ -401,7 +401,29 @@ def test_simple_tensor_basis_refuses_dependent_factors():
     rng = np.random.default_rng(4)
     a = rand_op(rng, 2)
     ops = np.array([kron(a, rand_op(rng, 2)), kron(a, rand_op(rng, 2))])
-    assert power._simple_tensor_basis(ops, DimList.of((2, 2)), rng) is None
+    t = ops.reshape(2, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(2, 4, 4)  # (r, d1^2, d2^2)
+    assert power._simple_tensor_basis(t, rng) is None
+
+
+def test_product_decomposition_misses_a_span_without_independent_factors():
+    # every operator of the span of A (x) B1 and A (x) B2 is A (x) B, but no basis
+    # of it has independent A-factors: the search misses it, and the stored
+    # list certifies itself
+    rng = np.random.default_rng(4)
+    a = rand_op(rng, 2)
+    ch = KrausChannel([kron(a, rand_op(rng, 2)), kron(a, rand_op(rng, 2))], (2, 2))
+    assert power._product_decomposition(ch, 0) is None
+    assert certify_kraus_channel(ch).verdict == SNE
+
+
+def test_simple_tensor_basis_misses_when_the_pencil_fails():
+    # a failed eigendecomposition is no decomposition, not an error
+    rng = np.random.default_rng(4)
+    ops = np.array([kron(rand_op(rng, 2), rand_op(rng, 2)) for _ in range(2)])
+    t = ops.reshape(2, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(2, 4, 4)
+    assert power._simple_tensor_basis(t, rng) is not None
+    with patch.object(np.linalg, "eig", side_effect=np.linalg.LinAlgError):
+        assert power._simple_tensor_basis(t, rng) is None
 
 
 def test_bounds_classify_and_search_once():
@@ -504,6 +526,26 @@ def test_channels_without_a_product_decomposition_are_never_sne(build):
     ch = build()
     assert power._product_decomposition(ch, 0) is None
     assert certify_kraus_channel(ch).verdict != SNE
+
+
+@pytest.mark.parametrize("row", power._form_table(DimList.of((2, 3))), ids=lambda row: row[0])
+def test_product_decomposition_finds_each_form_of_the_table(row):
+    # as many operators of one row's form as the row reaches, min(m, n) of its
+    # (m, n) reshuffle, remixed by a Haar unitary: the reshuffled Kraus span
+    # has a basis of rank-one slices
+    form, axes, (left, right), _ = row
+    m, n = np.prod(left), np.prod(right)
+    r = min(m, n)
+    rng = np.random.default_rng(6)
+    slices = np.array([np.outer(rng.normal(size=m) + 1j * rng.normal(size=m),
+                                rng.normal(size=n) + 1j * rng.normal(size=n)) for _ in range(r)])
+    ops = slices.reshape(np.take((r, 2, 3, 2, 3), axes)).transpose(np.argsort(axes))
+    ch = KrausChannel(list(np.einsum("ij,jkl->ikl", haar(rng, r), ops.reshape(r, 6, 6))), (2, 3))
+    found, structures = power._product_decomposition(ch, 0)
+    assert [s.form for s in structures] == [form] * r
+    for s, op in zip(structures, found):  # the factors rebuild each operator
+        assert np.max(np.abs(rebuild(s, (2, 3)) - op)) < 1e-12
+    assert reproduces_choi(found, ch)
 
 
 # -- certificates ------------------------------------------------------
