@@ -1,7 +1,7 @@
 """Write optimizer scan values at full precision, or compare two such dumps.
 
     python3 scripts/dump_scan_outputs.py dump OUTDIR --seeds 0 1 7 --step 0.05
-    python3 scripts/dump_scan_outputs.py compare DIR_A DIR_B [--tol 1e-15]
+    python3 scripts/dump_scan_outputs.py compare DIR_A DIR_B [--tol TOL]
 
 ``dump`` runs ``run_scan(scenario, step, "optimizer")`` with ``OptimizerConfig(seed=SEED)``
 for each scenario and seed, through the `src` tree beside this script, and
@@ -9,10 +9,12 @@ writes ``OUTDIR/<scenario>-<seed>.csv`` with one row per grid point:
 ``p,q,min_value,converged``. Values are written with ``repr``, so they round-trip
 exactly; the CLI's CSV keeps 12 significant digits. Run it from two checkouts
 and ``compare``: it prints, per file and in total, the largest difference of
-``min_value`` and the number of cells that differ, and exits 1 when a file is
-missing, a grid or ``converged`` flag differs, or a value differs by more than
-``--tol``. The scan-side twin of `dump_certify_outputs.py`. BLAS is held to
-one thread, as in the benchmark.
+``min_value``, the signed range of B - A (so a change that only lowers minima
+shows a range at or below 0), and the number of cells that differ, and exits 1
+when a file is missing, a grid or ``converged`` flag differs, or a value
+differs by more than ``--tol`` (default 0: any difference). The scan-side
+twin of `dump_certify_outputs.py`. BLAS is held to one thread, as in the
+benchmark.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import csv
 import os
 import sys
+import math
 from pathlib import Path
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -74,26 +77,28 @@ def compare(a: Path, b: Path, tol: float) -> int:
     problems = [f"{n}: only in {a}" for n in sorted(names_a - names_b)]
     problems += [f"{n}: only in {b}" for n in sorted(names_b - names_a)]
     cells = differ = 0
-    largest = 0.0
+    largest, low, high = 0.0, math.inf, -math.inf
     for name in sorted(names_a & names_b):
         rows_a, rows_b = read(a / name), read(b / name)
         if [r[:2] for r in rows_a] != [r[:2] for r in rows_b]:
             problems.append(f"{name}: grids differ")
             continue
-        gaps = [abs(float(x[2]) - float(y[2])) for x, y in zip(rows_a, rows_b)]
+        signed = [float(y[2]) - float(x[2]) for x, y in zip(rows_a, rows_b)]
+        gaps = [abs(g) for g in signed]
         flags = sum(x[3] != y[3] for x, y in zip(rows_a, rows_b))
         moved = sum(x[2] != y[2] for x, y in zip(rows_a, rows_b))
         cells, differ, largest = cells + len(gaps), differ + moved, max(largest, *gaps)
-        print(f"{name}: {moved} of {len(gaps)} values differ, largest by {max(gaps):.3g}; "
-              f"{flags} converged flags differ")
+        low, high = min(low, *signed), max(high, *signed)
+        print(f"{name}: {moved} of {len(gaps)} values differ, largest by {max(gaps):.3g}, "
+              f"B - A in [{min(signed):.3g}, {max(signed):.3g}]; {flags} converged flags differ")
         if flags:
             problems.append(f"{name}: {flags} converged flags differ")
         if max(gaps) > tol:
             problems.append(f"{name}: a value differs by {max(gaps):.3g} > {tol:.3g}")
     for line in problems:
         print(line)
-    print(f"{differ} of {cells} values differ, largest by {largest:.3g}; "
-          f"{len(problems)} problems")
+    print(f"{differ} of {cells} values differ, largest by {largest:.3g}, "
+          f"B - A in [{low:.3g}, {high:.3g}]; {len(problems)} problems")
     return 1 if problems else 0
 
 

@@ -6,9 +6,11 @@ witness W, and reports min over product inputs of <chi| Lambda*(W) |chi> on a
 entanglement. Two engines are available, both plain numpy over the whole grid:
 "closed_form" evaluates an exact expression for the minimum in one array call,
 "optimizer" minimizes the stack of duals formed from three corner channels in
-one `product_minima` call (exact for duals ``c I -+ |psi><psi|``, batched
-multi-start descent for the rest); agreement between them is one of the
-package's acceptance checks.
+one `product_minima` call: duals ``c I -+ |psi><psi|`` are solved exactly,
+every other two-qubit dual from its certified dual problem, and only a dual
+whose certificate declines by batched multi-start descent, so the seed and
+restarts move no value unless some point falls back. Agreement between the
+engines is one of the package's acceptance checks.
 
 Scenarios
 ---------

@@ -36,6 +36,8 @@ WITNESS_RTOL = 1e-12  # relative, max|entry|: W - W^dag, and W against its shift
 OBSERVABLE_RTOL = 1e-8  # relative, max|entry|: O - O^dag of an observable to minimize
 TOL_SWEEP = 1e-12  # relative, ||O||_F: a sweep moving a restart this little ends it
 TOL_SHIFTED_PURE = 1e-12  # relative, max|eigenvalue|: spread of a shifted-pure spectrum
+CERT_PSD_RTOL = 1e-12  # relative, ||O||_F^2: how far below 0 a two-qubit certificate's S may dip
+CERT_CONE_RTOL = 1e-12  # relative, ||O||_F: how far a certificate's tau may pass c - |alpha|
 TOL_POWER = 1e-13  # relative, max|eigenvalue|: a power-iteration step moving this little ends it
 
 TOL_WITNESS = 1e-8  # absolute: minima above -TOL_WITNESS still count as a witness

@@ -44,9 +44,23 @@ the lowest (or but the highest) are equal, to `TOL_SHIFTED_PURE`. It is
 common: a shifted pure witness pulled back through a unitary or a mixing
 channel keeps it, and so do the two-qubit swap, ``I - 2 |psi^-><psi^-|``, and
 the dual of any witness under a two-outcome measurement of a pure projector,
-``b I + (a - b) |psi><psi|``. Only the other observables are descended:
-those of more than two parties, and spectra of another shape, such as a
-mixture of several projectors or the swap of two qutrits or larger.
+``b I + (a - b) |psi><psi|``.
+
+A two-qubit observable of any other form is solved from its dual
+(`_two_qubit_minima`). In Pauli coordinates ``4 <a (x) b|O|a (x) b> = c +
+alpha.n + beta.m + n^T M m`` for Bloch vectors n, m, and a bound tau on 4
+times the minimum holds when ``tau <= c - |alpha|`` and ``S = Lam J Lam^T - mu
+J`` is PSD for some real mu, with ``Lam`` the coordinates less ``tau e_0
+e_0^T`` and J the Minkowski metric; by Finsler's lemma such a mu exists at
+the true minimum. A fixed-length bisection finds mu, the minimizer is a
+lightlike null vector of S, and its ``<chi|O|chi>`` is reported. The
+observable counts as solved only when the certificate replays and the value
+attained is within ``TOL_SWEEP ||O||_F`` of the bound ``tau / 4``; else, as
+near-flat minima can make it, it is descended, so this path can lower a
+minimum but never invent one. Only the other observables are descended:
+those of more than two parties, larger bipartite ones whose spectra have
+another shape, such as a mixture of several projectors or the swap of two
+qutrits, and the two-qubit ones whose certificate declines.
 """
 
 from __future__ import annotations
@@ -65,6 +79,8 @@ from .errors import (
 )
 from .states import ProductStateParam, PureState, schmidt_diagonal, schmidt_rank
 from .tensor import (
+    CERT_CONE_RTOL,
+    CERT_PSD_RTOL,
     COORD_ATOL,
     GRID_ATOL,
     OBSERVABLE_RTOL,
@@ -89,6 +105,9 @@ from .tensor import (
 )
 
 MAX_SWEEPS = 500  # sweeps after which a restart stops unconverged
+# Bisection steps for a two-qubit certificate's multiplier: they leave a bracket
+# of at most 36 at 2^-50 of its width, still above the spacing of floats there.
+DUAL_STEPS = 50
 # A root of a sum of squares outside (SQUARE_MIN, SQUARE_MAX) may have under- or overflowed.
 SQUARE_MIN, SQUARE_MAX = 1e-150, 1e150
 
@@ -364,13 +383,20 @@ def _descend(tensor, dims, owner, tols, states):
     return values, converged
 
 
+def _product_expectations(stack: np.ndarray, pair) -> np.ndarray:
+    """``<chi|O|chi>`` for each observable O of the bipartite stack, at
+    ``chi = pair[0][k] (x) pair[1][k]``."""
+    chi = (pair[0][:, :, None] * pair[1][:, None, :]).reshape(stack.shape[:2])
+    return (np.conj(chi)[:, None, :] @ stack @ chi[:, :, None]).real[:, 0, 0]
+
+
 def _shifted_pure_minima(stack: np.ndarray, dims: tuple[int, int]):
     """The observables of the bipartite stack of the form ``c I - |psi><psi|``
-    or ``c I + |psi><psi|``, as a mask, and for those a product vector
-    attaining the exact product minimum, as its two factors. With psi's
+    or ``c I + |psi><psi|``, as a mask, and for those the exact product
+    minimum and a product vector attaining it, as its two factors. With psi's
     Schmidt pairs ``(u_j, v_j)``: for the minus sign, ``u_1 (x) v_1``, value
     ``c - s_1(psi)^2`` (Eckart-Young); for the plus sign, ``u_1 (x) v_2``,
-    which is orthogonal to psi, value c.
+    which is orthogonal to psi, value c. Each value is ``<chi|O|chi>``.
 
     The form is read from the ascending eigenvalues w, with t = `TOL_SHIFTED_PURE`:
     the minus sign holds when ``w[-1] - w[1] <= t max|w|`` (psi the eigenvector
@@ -384,7 +410,137 @@ def _shifted_pure_minima(stack: np.ndarray, dims: tuple[int, int]):
     count = int(exact.sum())
     psi = vecs[exact][range(count), :, np.where(plus[exact], -1, 0)]
     u, _, vh = np.linalg.svd(psi.reshape(count, *dims))
-    return exact, (u[:, :, 0], vh[range(count), plus[exact].astype(int), :])
+    pair = (u[:, :, 0], vh[range(count), plus[exact].astype(int), :])
+    return exact, _product_expectations(stack[exact], pair), pair
+
+
+# The Minkowski metric J on a qubit's coordinates (1, n), n its Bloch vector.
+LORENTZ = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _dual_bound(mu, k, p, r, quad, a2):
+    """At multiplier mu, per row: the least s with ``S(c - s, mu)`` PSD and
+    ``(s, alpha)`` future-pointing, whether there is one, and z.
+
+    In the eigenbasis of ``K = B J B^T`` (eigenvalues k, rows last), with
+    ``y = s p + r`` the coordinates of ``B J l`` and quad holding ``p^2``,
+    ``p r`` and ``r^2``, Woodbury gives ``mu (1 + l^T G^-1 l) = g s^2 + 2 h s
+    + e`` for ``G = -B^T B - mu J``. Above every pole G has one negative
+    eigenvalue, so ``S = l l^T + G`` is PSD iff that quadratic is <= 0; s is
+    its root where it falls, ``e / (root - h)`` or ``-(h + root) / g``,
+    whichever cancels nothing. None falls on the future branch when the
+    discriminant is negative, or when g and h are both >= 0. With
+    ``z = y / (mu + k)``, ``ds/dmu`` has the sign of ``1 - |z|^2``.
+    """
+    w = 1.0 / (mu + k)
+    g, h, e = (quad * w).sum(axis=1)
+    g, e = g - 1.0, e + a2 + mu
+    disc = h * h - g * e
+    feasible = (disc >= 0.0) & ((h < 0.0) | (g < 0.0))
+    root = np.sqrt(np.maximum(disc, 0.0))
+    falls = h < 0.0
+    s = np.where(falls, e, h + root) / np.where(feasible, np.where(falls, root - h, -g), 1.0)
+    return s, feasible, (s * p + r) * w
+
+
+def _two_qubit_duals(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A dual certificate ``(tau, mu)`` per ``(4, 4)`` Pauli coordinate tensor
+    of the stack t, taken of observables of unit Frobenius norm, and
+    ``mu G^-1 l``, a null vector of its S, one row each.
+
+    With ``t = [[c, beta^T], [alpha, M]]``, ``4 <a (x) b|O|a (x) b> = c + alpha.n
+    + beta.m + n^T M m`` for Bloch vectors n, m; over m its least value is
+    ``c + alpha.n - |B x|`` with ``x = (1, n)`` and ``B x = beta + M^T n``. So
+    tau bounds 4 times the product minimum when ``tau <= c - |alpha|`` and
+    ``S = Lam J Lam^T - mu J`` is PSD for ``Lam = t - tau e_0 e_0^T``: on
+    lightlike x, ``x^T S x = (l.x)^2 - |B x|^2`` with ``l = (c - tau, alpha)``.
+    By Finsler's lemma such a mu exists at the true minimum. Above the
+    largest pole ``max(0, -k_min)`` the least ``s = c - tau`` at mu
+    (`_dual_bound`) was unimodal in mu, and its stationary point is where
+    ``x = G^-1 l`` is lightlike; `DUAL_STEPS` bisection steps on the sign of
+    its slope find it, a mu where no s exists counting as below it. The
+    bracket's top ``lo + (|c| + 4)^2`` lies above the optimum, since
+    ``mu <= s^2`` and ``s <= |c| + 4`` at unit norm; it is feasible, so the mu
+    returned, the bracket's final top, is too, and tau is exact there.
+    Woodbury gives ``mu G^-1 l = -J (l - t[:, 1:] V z)``.
+    """
+    c, beta = t[:, 0, 0], t[:, 0, 1:]
+    alpha, m = t[:, 1:, 0], t[:, 1:, 1:]
+    side = t[:, :, 1:]
+    k, vecs = np.linalg.eigh((side[:, :, :, None] * (LORENTZ[:, None] * side)[:, :, None, :])
+                             .sum(axis=1))
+    mt_alpha = (m * alpha[:, :, None]).sum(axis=1)
+    p = (vecs * beta[:, :, None]).sum(axis=1).T
+    r = -(vecs * mt_alpha[:, :, None]).sum(axis=1).T
+    k, a2, quad = k.T, (alpha * alpha).sum(axis=1), np.array([p * p, p * r, r * r])
+    lo = np.maximum(-k[0], 0.0)
+    hi = lo + (np.abs(c) + 4.0) ** 2
+    for _ in range(DUAL_STEPS):
+        mid = 0.5 * (lo + hi)
+        _, feasible, z = _dual_bound(mid, k, p, r, quad, a2)
+        up = ~feasible | ((z * z).sum(axis=0) > 1.0)
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    s, _, z = _dual_bound(hi, k, p, r, quad, a2)
+    ell = t[:, :, 0].copy()
+    ell[:, 0] -= c - s
+    ell -= (side * (vecs * z.T[:, None, :]).sum(axis=2)[:, None, :]).sum(axis=2)
+    return c - s, hi, -LORENTZ * ell
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of the ``(n, 3)`` v scaled to unit length; +z where the row is 0.
+    Unlike `_bloch_step`'s einsum, whose sum on a single column runs in another
+    order, every step here gives a row the same bits in any batch."""
+    length = np.sqrt((v * v).sum(axis=1))
+    flat = length == 0.0
+    v = v / np.where(flat, 1.0, length)[:, None]
+    v[flat] = (0.0, 0.0, 1.0)
+    return v
+
+
+def _two_qubit_minima(stack: np.ndarray, dims: tuple[int, int]):
+    """The nonzero observables of the ``(2, 2)`` stack whose product minimum a
+    dual certificate proves, as a mask, and for those the minimum and a
+    product vector attaining it, as its two factors.
+
+    Each observable is taken at unit Frobenius norm (its size from
+    `_row_norms`) in Pauli coordinates t, and `_two_qubit_duals` gives its
+    certificate ``(tau, mu)``. The minimizer's ``x = (1, n)`` is a lightlike
+    null vector of ``S(tau, mu)``. Four candidates are tried: ``mu G^-1 l``,
+    which is one unless mu sits on a pole; the two lightlike vectors in the
+    span of S's two lowest eigenvectors, for a null space of two dimensions;
+    and the lowest eigenvector. The one whose n gives the least value, once m
+    is solved for, is taken. An observable is solved when the certificate
+    holds, ``lambda_min(S) >= -CERT_PSD_RTOL`` and ``tau <= c - |alpha| +
+    CERT_CONE_RTOL``, and the attained ``<chi|O|chi>`` is within ``TOL_SWEEP
+    ||O||_F`` of ``tau / 4``. Each row's steps are its own, so no result
+    depends on the other rows.
+    """
+    scale = _row_norms(stack.reshape(len(stack), -1))
+    t = _observable_coordinates(stack / scale[:, None, None], dims)
+    tau, mu, null = _two_qubit_duals(t)
+    lam = t.copy()
+    lam[:, 0, 0] -= tau
+    cert = (lam[:, :, None, :] * (lam * LORENTZ)[:, None, :, :]).sum(axis=-1)
+    cert -= mu[:, None, None] * np.diag(LORENTZ)
+    low, vecs = np.linalg.eigh(cert)
+    v1, v2 = vecs[:, :, 0], vecs[:, :, 1]
+    a, b, d = ((x * LORENTZ * y).sum(axis=1) for x, y in ((v1, v1), (v1, v2), (v2, v2)))
+    q = -(b + np.copysign(np.sqrt(np.maximum(b * b - a * d, 0.0)), b))
+    # each candidate x gives n along the spatial part of whichever of x, -x points to the future
+    candidates = (null, q[:, None] * v1 + a[:, None] * v2, d[:, None] * v1 + q[:, None] * v2, v1)
+    ns = np.array([_unit_rows(np.where(x[:, :1] < 0.0, -x[:, 1:], x[:, 1:])) for x in candidates])
+    us = t[:, 0, :] + (ns[..., None] * t[:, 1:, :]).sum(axis=2)  # twice b's effective coordinates
+    pick = np.argmin(us[..., 0] - np.sqrt((us[..., 1:] ** 2).sum(axis=-1)), axis=0)
+    rows = np.arange(len(stack))
+    n, m = ns[pick, rows], _unit_rows(-us[pick, rows, 1:])
+    pair = tuple(_bloch_ket(np.concatenate([np.full((1, len(f)), 0.5), f.T / 2.0])).T
+                 for f in (n, m))
+    values = _product_expectations(stack, pair)
+    holds = (low[:, 0] >= -CERT_PSD_RTOL) & (
+        tau <= t[:, 0, 0] - np.sqrt((t[:, 1:, 0] ** 2).sum(axis=1)) + CERT_CONE_RTOL)
+    solved = holds & (values / scale - tau / 4.0 <= TOL_SWEEP)
+    return solved, values[solved], tuple(f[solved] for f in pair)
 
 
 def _descent_minima(stack: np.ndarray, d: tuple[int, ...], config: OptimizerConfig):
@@ -422,10 +578,11 @@ def product_minima(stack, dims, config: OptimizerConfig | None = None) -> Produc
     """`min_over_products` of each observable of an ``(n, D, D)`` stack, as arrays.
 
     A bipartite observable ``c I - |psi><psi|`` or ``c I + |psi><psi|`` is
-    solved exactly (`_shifted_pure_minima`): its value is ``<chi|O|chi>`` at
-    the product vector found there, with no restarts (`restarts_used` 0,
-    converged, spread 0). Every (observable, restart) pair of the others is
-    one row, and one `_descend` runs them all. The stack gets a shape check, a
+    solved exactly (`_shifted_pure_minima`), and then any other two-qubit
+    observable whose dual certificate holds (`_two_qubit_minima`): its value
+    is ``<chi|O|chi>`` at the product vector found there, with no restarts
+    (`restarts_used` 0, converged, spread 0). Every (observable, restart)
+    pair of the others is one row, and one `_descend` runs them all. The stack gets a shape check, a
     check that every entry is finite and a Hermitian check
     (``max|O - O^dagger| <= OBSERVABLE_RTOL max|O|`` per observable). Each entry is
     bitwise the one the observable gets alone.
@@ -448,13 +605,18 @@ def product_minima(stack, dims, config: OptimizerConfig | None = None) -> Produc
     used = np.full(count, config.restarts)
     kets = tuple(np.empty((count, di), dtype=complex) for di in d)
     exact = np.zeros(count, dtype=bool)
-    if len(d) == 2:
-        exact, pair = _shifted_pure_minima(stack, d)
-        chi = (pair[0][:, :, None] * pair[1][:, None, :]).reshape(len(pair[0]), dims.total)
-        values[exact] = (np.conj(chi)[:, None, :] @ stack[exact] @ chi[:, :, None]).real[:, 0, 0]
-        used[exact] = 0
+    solvers = [_shifted_pure_minima] if len(d) == 2 else []
+    if d == (2, 2):
+        solvers.append(_two_qubit_minima)
+    for solve in solvers:
+        open_rows = np.flatnonzero(~exact)
+        if not open_rows.size:
+            break
+        solved, found, pair = solve(stack[open_rows], d)
+        rows = open_rows[solved]
+        exact[rows], values[rows], used[rows] = True, found, 0
         for ket, f in zip(kets, pair):
-            ket[exact] = f
+            ket[rows] = f
     rest = ~exact
     if rest.any():
         values[rest], converged[rest], spread[rest], found = _descent_minima(stack[rest], d, config)

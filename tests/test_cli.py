@@ -295,7 +295,8 @@ def test_scan_optimizer_exits_3_when_a_point_does_not_converge(tmp_path, capsys)
     out = tmp_path / "opt.csv"
     argv = ["scan", "--scenario", "unitary_mix", "--step", "0.25", "--engine", "optimizer",
             "--out", str(out)]
-    with patch.object(witnesses, "MAX_SWEEPS", 1):
+    # every two-qubit certificate fails its replay, so the duals fall back to a 1-sweep descent
+    with patch.object(witnesses, "CERT_PSD_RTOL", -np.inf), patch.object(witnesses, "MAX_SWEEPS", 1):
         assert main(argv) == 3
     assert "failed to converge" in capsys.readouterr().err
     assert len(out.read_text().splitlines()) == 16  # the CSV is still written

@@ -10,15 +10,20 @@ from hypothesis import strategies as st
 
 from entpow import witnesses
 from entpow.errors import DimensionError
-from entpow.tensor import dagger, kron_all
+from entpow.tensor import CERT_CONE_RTOL, CERT_PSD_RTOL, dagger, kron_all, swap_matrix
 from entpow.witnesses import (
     OptimizerConfig,
+    ProductMinima,
     _bloch_ket,
     _bloch_step,
+    _descent_minima,
     _eigh_step,
     _ket_coordinates,
     _observable_coordinates,
+    _shifted_pure_minima,
     _starts,
+    _two_qubit_duals,
+    _two_qubit_minima,
     min_over_products,
     product_minima,
 )
@@ -73,6 +78,22 @@ def alone(obs, dims, config=CFG):
     """`min_over_products` of one observable, as a `row` entry."""
     res = min_over_products(obs, dims, config)
     return res.value, res.argument.factors, res.restarts_used, res.converged, res.spread
+
+
+def descended(stack, dims, config=CFG):
+    """The multi-start descent of every observable of a Hermitian stack, as
+    `product_minima` would run it on observables that no exact path solves:
+    two-qubit observables are solved exactly there, so their descent is
+    tested through `_descent_minima` directly."""
+    values, converged, spread, kets = _descent_minima(np.asarray(stack, dtype=complex), dims,
+                                                      config)
+    return ProductMinima(values, tuple(kets), np.full(len(values), config.restarts), converged,
+                         spread)
+
+
+def minimizer(dims):
+    """`product_minima` where it descends, and `descended` on two qubits."""
+    return descended if tuple(dims) == (2, 2) else product_minima
 
 
 @PROPS
@@ -243,11 +264,14 @@ def test_observable_coordinates_are_real_only_for_qubits(dims):
     st.sampled_from([witnesses.MAX_SWEEPS, 1, 12]),
 )
 def test_refilled_rows_match_each_observable_alone(dims, seeds, block, max_sweeps):
-    obs = [observable(s, dims) for s in seeds]
+    obs = np.array([observable(s, dims) for s in seeds])
+    minimize = minimizer(dims)
     with patch.object(witnesses, "MAX_SWEEPS", max_sweeps):
-        each = [alone(o, dims) for o in obs]
+        each = [row(minimize(o[None], dims, CFG), 0) for o in obs]
         with patch.object(witnesses, "BLOCK_ROWS", block):
-            refilled = product_minima(np.array(obs), dims, CFG)
+            refilled = minimize(obs, dims, CFG)
+        if dims == (2, 2):  # product_minima solves these without a descent
+            assert not product_minima(obs, dims, CFG).restarts_used.any()
     for i, a in enumerate(each):
         assert same(a, row(refilled, i)) and a[2] == CFG.restarts
     if max_sweeps == 1:
@@ -326,37 +350,53 @@ SCALES = np.array([1e-300, 1e-11, 1e3, 1e200])
 @PROPS
 @given(BIPARTITE, SEEDS)
 def test_perturbed_shifted_pure_observables_are_descended(dims, seed):
-    # a Hermitian perturbation of relative size 1e-9 leaves the exact path at every scale
+    # a Hermitian perturbation of relative size 1e-9 leaves the shifted-pure path at
+    # every scale. On two qubits the dual certificate then solves the minus sign; the
+    # plus sign's minimum sits on a curve of product vectors, so its certificate is
+    # ill-conditioned and may decline, and the row is descended
     noise = observable(seed + 1, dims)
     for sign in (-1.0, 1.0):
         obs, _ = shifted_pure(seed, dims, sign)
         obs = obs + 1e-9 * np.linalg.norm(obs) / np.linalg.norm(noise) * noise
-        found = product_minima(SCALES[:, None, None] * obs, dims, CFG)
-        assert np.all(found.restarts_used == CFG.restarts)
+        stack = SCALES[:, None, None] * obs
+        assert not _shifted_pure_minima(stack, dims)[0].any()
+        found = product_minima(stack, dims, CFG)
+        if dims != (2, 2):
+            assert np.all(found.restarts_used == CFG.restarts)
+        elif sign < 0:
+            assert not found.restarts_used.any()
+        else:
+            assert set(found.restarts_used.tolist()) <= {0, CFG.restarts}
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2)])
 def test_descended_minimum_is_scale_free(dims):
     # the descent's stopping tolerance is relative to the observable's norm, read
-    # without a square under- or overflowing at any scale
+    # without a square under- or overflowing at any scale; on two qubits, both the
+    # descent and the dual certificate that replaces it are checked
     obs = observable(5, dims)
     obs = obs / np.linalg.norm(obs)
     scales = np.array([1e-300, 1.0, 1e200])
-    found = product_minima(scales[:, None, None] * obs, dims, CFG)
-    assert np.all(found.restarts_used == CFG.restarts)
-    assert np.all(np.abs(found.values / scales - found.values[1]) <= 1e-12)
-    assert np.all(found.converged == found.converged[1])
+    runs = [minimizer(dims)] + ([product_minima] if dims == (2, 2) else [])
+    for minimize, restarts in zip(runs, (CFG.restarts, 0)):
+        found = minimize(scales[:, None, None] * obs, dims, CFG)
+        assert np.all(found.restarts_used == restarts)
+        assert np.all(np.abs(found.values / scales - found.values[1]) <= 1e-12)
+        assert np.all(found.converged == found.converged[1])
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2)])
 def test_rows_at_far_scales_in_one_block_match_each_observable_alone(dims):
-    # the Bloch step's hypot guard runs on the rows at 1e-200 and 1e200 only
+    # the Bloch step's hypot guard runs on the rows at 1e-200 and 1e200 only; on
+    # two qubits, the dual certificate's rows are also each their own
     obs = observable(9, dims)
     stack = np.array([1e-200, 1.0, 1e200])[:, None, None] * obs
-    found = product_minima(stack, dims, CFG)
-    assert np.all(found.restarts_used == CFG.restarts)
-    for i, o in enumerate(stack):
-        assert same(row(found, i), alone(o, dims))
+    runs = [minimizer(dims)] + ([product_minima] if dims == (2, 2) else [])
+    for minimize, restarts in zip(runs, (CFG.restarts, 0)):
+        found = minimize(stack, dims, CFG)
+        assert np.all(found.restarts_used == restarts)
+        for i, o in enumerate(stack):
+            assert same(row(found, i), row(minimize(o[None], dims, CFG), 0))
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4)])
@@ -374,3 +414,105 @@ def test_non_finite_entry_in_a_stack_raises(bad):
     stack[1, 0, 0] = bad
     with pytest.raises(DimensionError, match="finite"):
         product_minima(stack, (2, 2), CFG)
+
+
+# -- the two-qubit dual certificate --------------------------------------------
+
+PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+KINDS = ["random", "product", "local_sum", "bell_diagonal", "swap", "scalar"]
+
+
+def two_qubit(kind, seed):
+    """A Hermitian 4x4 observable of the given kind, of norm about 1."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return observable(seed, (2, 2))
+    a, b = (observable(s, (2,)) for s in rng.integers(0, 2**32, size=2))
+    if kind == "product":
+        return np.kron(a, b)
+    if kind == "local_sum":
+        return np.kron(a, np.eye(2)) + np.kron(np.eye(2), b)
+    if kind == "bell_diagonal":
+        t = rng.normal(size=3)
+        return rng.normal() * np.eye(4) + sum(ti * np.kron(s, s) for ti, s in zip(t, PAULI[1:]))
+    if kind == "swap":
+        return rng.normal() * swap_matrix(2)
+    return rng.normal() * np.eye(4)
+
+
+def replay(obs, tau, mu):
+    """The certificate check in plain numpy: at unit Frobenius norm, with
+    ``T_ab = Tr(O sigma_a (x) sigma_b)``, ``Lam = T - tau e_0 e_0^T``,
+    ``S = Lam J Lam^T - mu J`` is PSD and tau is at most ``T_00 - |T[1:, 0]|``."""
+    obs = obs / norms(obs[None])[0]
+    basis = np.array([np.kron(a, b) for a in PAULI for b in PAULI]).reshape(4, 4, 4, 4)
+    t = np.einsum("xy,abyx->ab", obs, basis).real
+    lam = t - tau * np.diag([1.0, 0.0, 0.0, 0.0])
+    j = np.diag([1.0, -1.0, -1.0, -1.0])
+    least = np.linalg.eigvalsh(lam @ j @ lam.T - mu * j)[0]
+    return least >= -CERT_PSD_RTOL and tau <= t[0, 0] - np.linalg.norm(t[1:, 0]) + CERT_CONE_RTOL
+
+
+TWO_QUBIT = st.lists(st.tuples(st.sampled_from(KINDS), SEEDS,
+                               st.sampled_from([1e-300, 1e-11, 1.0, 1e3, 1e200])),
+                     min_size=1, max_size=4)
+
+
+@PROPS
+@given(TWO_QUBIT)
+def test_two_qubit_certificates_prove_the_minimum(specs):
+    stack = np.array([scale * two_qubit(kind, seed) for kind, seed, scale in specs])
+    stack = (stack + dagger(stack)) / 2
+    solved, values, pair = _two_qubit_minima(stack, (2, 2))
+    # a scalar's optimal mu is 0, where s = sqrt(mu) resolves tau only to ~1e-7;
+    # scalars are shifted pure, and solved before this path
+    assert solved[[kind != "scalar" for kind, _, _ in specs]].all()
+    descent = _descent_minima(stack, (2, 2), witnesses.DEFAULT_CONFIG)[0]
+    size = norms(stack)
+    scaled = stack / size[:, None, None]
+    tau, mu, _ = _two_qubit_duals(_observable_coordinates(scaled, (2, 2)))
+    for i, k in enumerate(np.flatnonzero(solved)):
+        value, kets = values[i], [f[i] for f in pair]
+        assert value <= descent[k] + 1e-14 * size[k]
+        chi = np.kron(*kets)
+        assert abs(np.vdot(chi, stack[k] @ chi).real - value) <= 1e-14 * size[k]
+        one = _two_qubit_minima(stack[k:k + 1], (2, 2))
+        assert one[0][0] and one[1][0] == value
+        assert all(np.array_equal(f[0], ket) for f, ket in zip(one[2], kets))
+        assert replay(scaled[k], tau[k], mu[k])
+        assert not replay(scaled[k], tau[k] + 1e-6, mu[k])
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e200])
+def test_degenerate_two_qubit_observables_are_certified(scale):
+    # O = c + sum t_i n_i m_i over Bloch vectors; min c - max|t_i| (alpha = beta = 0),
+    # with a two-dimensional null space when two |t_i| tie for the largest
+    bell = [c * np.eye(4) + sum(ti * np.kron(s, s) for ti, s in zip(t, PAULI[1:]))
+            for c, t in ((0.3, (0.5, 0.2, -0.1)), (0.3, (0.5, -0.5, 0.2)), (0.0, (0.0, 0.4, -0.4)))]
+    local = np.kron(observable(3, (2,)), np.eye(2))  # beta = M = 0: beta + M^T n = 0 for all n
+    # 4 O = c - a n_z - |m| (1 - n_z): least at n_z = 1 for a > |m|, where beta + M^T n = 0
+    # while M != 0; here K = B J B^T = 0, and the optimal mu sits on that pole, so the
+    # certificate resolves the minimum only to about 1e-8 and the row may be descended
+    m = np.array([0.3, -0.4, 0.5])
+    flat = (np.eye(4) - 2.0 * np.kron(PAULI[3], np.eye(2))
+            - 2.0 * np.kron(np.diag([0.0, 1.0]), np.einsum("i,ixy->xy", m, PAULI[1:]))) / 4
+    stack = scale * np.array(bell + [local, flat])
+    exact = scale * np.array([0.3 - 0.5, 0.3 - 0.5, -0.4, np.linalg.eigvalsh(local)[0], -0.25])
+    solved, values, _ = _two_qubit_minima(stack, (2, 2))
+    assert solved[:-1].all()
+    assert np.all(np.abs(values[:4] - exact[:4]) <= 1e-14 * norms(stack[:4]))
+    found = product_minima(stack, (2, 2), CFG)
+    assert not found.restarts_used[:-1].any()
+    assert np.all(np.abs(found.values - exact) <= np.array([1e-14] * 4 + [1e-12]) * norms(stack))
+
+
+def test_a_declined_observable_is_descended():
+    # c I + |psi><psi| plus noise of relative size 1e-9: its minimum lies near a curve of
+    # product vectors, the certificate is ill-conditioned and does not replay
+    obs, _ = shifted_pure(0, (2, 2), 1.0)
+    noise = observable(1, (2, 2))
+    obs = obs + 1e-9 * np.linalg.norm(obs) / np.linalg.norm(noise) * noise
+    assert not _two_qubit_minima(obs[None], (2, 2))[0].any()
+    res = min_over_products(obs, (2, 2), CFG)
+    assert res.restarts_used == CFG.restarts
+    assert res.value == row(descended(obs[None], (2, 2)), 0)[0]

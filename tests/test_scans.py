@@ -75,8 +75,9 @@ def test_optimizer_engine_agrees_with_closed_form():
 
 @pytest.mark.parametrize("name", ["measurement", "unitary_mix"])
 def test_optimizer_scan_values_do_not_depend_on_the_batch(monkeypatch, name):
-    # 7 slots split each point's 16 restarts across refills; the measurement
-    # duals are all solved exactly, while 12 of the 15 unitary_mix duals are descended
+    # 7 slots would split each point's 16 restarts across refills; the measurement
+    # duals are all shifted pure, and the other 12 of the 15 unitary_mix duals are
+    # solved by their two-qubit dual certificates, so none is descended
     monkeypatch.setattr(witnesses, "BLOCK_ROWS", 7)
     cfg = OptimizerConfig(restarts=16, seed=3)
     scenario = get_scenario(name)
@@ -84,13 +85,28 @@ def test_optimizer_scan_values_do_not_depend_on_the_batch(monkeypatch, name):
     p, q, _ = np.array(scan.rows).T
     duals = scans._duals(scenario, p, q)
     batched = witnesses.product_minima(duals, scenario.dims, cfg)
-    assert np.count_nonzero(batched.restarts_used) == {"measurement": 0, "unitary_mix": 12}[name]
+    assert not batched.restarts_used.any()
     for (_, _, v), dual, value, conv in zip(scan.rows, duals, batched.values, batched.converged):
         alone = witnesses.min_over_products(dual, scenario.dims, cfg)
         assert (v, value, conv) == (alone.value, alone.value, alone.converged)
     assert scan.all_converged == batched.converged.all()
     again = run_scan(name, step=0.25, engine="optimizer", optimizer=cfg)
     assert format_csv(again) == format_csv(scan)
+
+
+def test_unitary_mix_optimizer_scan_is_exact_and_seed_free(tmp_path):
+    # every dual is shifted pure or proved by its two-qubit certificate, so the
+    # scan matches the closed form and no restart seed reaches it
+    texts = []
+    for seed in (0, 1, 7):
+        scan = run_scan("unitary_mix", step=0.05, engine="optimizer",
+                        optimizer=OptimizerConfig(seed=seed))
+        p, q, values = np.array(scan.rows).T
+        assert np.max(np.abs(values - unitary_mix_scan_min(p, q))) <= 1e-14
+        path = tmp_path / f"mix-{seed}.csv"
+        write_csv(scan, str(path))
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1] == texts[2]
 
 
 def test_measurement_duals_are_solved_exactly():
