@@ -27,12 +27,12 @@ slots. A qubit party then moves in closed form on the Bloch sphere
 squares, and a `hypot` chain only where that root leaves (`SQUARE_MIN`,
 `SQUARE_MAX`)); a larger one takes the lowest eigenvector of the effective
 matrix that its coordinates are, reshaped (`_eigh_step`). Qubit unit vectors
-are recovered only for each observable's best row. A row that converges
-frees its slot for the next waiting row (the refill), so no sweep waits on
-the slowest restart; a slot keeps its row's coordinates until then. Once no
-row waits, freed slots go idle and are dropped together in one compaction
-(`_descend`). No step mixes slots, so a value does not depend on the batch it
-ran in; tolerances are relative to the observable's size.
+are recovered only for each observable's best row. Every row starts in its
+own slot, so one sweep counter serves them all; a row that converges goes
+idle in its slot, and idle slots are dropped together in one compaction once
+they outnumber the busy ones (`_descend`). No step mixes slots, so a value
+does not depend on the batch it ran in; tolerances are relative to the
+observable's size.
 
 Before any descent, each bipartite observable of the form
 ``c I - |psi><psi|`` or ``c I + |psi><psi|`` is solved exactly
@@ -178,19 +178,13 @@ DEFAULT_CONFIG = OptimizerConfig()
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """`min_over_products` of one observable; `converged` as in `ProductMinima`."""
+
     value: float
     argument: ProductStateParam
     restarts_used: int
     converged: bool
     spread: float
-
-
-# Most rows busy at once, one slot each, on the last axis of the descent's
-# arrays. The working set is its slots times the d_1^2 ... d_n^2 entries of the
-# gathered coordinate tensor, so this bounds memory on whole grids; the tensor
-# is complex, twice the bytes per slot, when some party has d >= 3. There are
-# never more than max(BLOCK_ROWS, 2) slots, idle ones included.
-BLOCK_ROWS = 2048
 
 
 def _basis_contract(t: np.ndarray, d: int) -> np.ndarray:
@@ -318,30 +312,31 @@ def _descend(tensor, dims, owner, tols, states):
 
     Row k minimizes observable ``owner[k]``, whose coordinates are
     ``tensor[..., owner[k]]``, one axis per party, and has converged once a
-    sweep moves its value by at most ``tols[k]``. Rows run in slots, the last
-    axis of every working array: each slot holds its row's states, coordinate
-    tensor, last value and tolerance, written when a row takes the slot. At
-    most `BLOCK_ROWS` rows are busy: a row that converges or reaches
-    `MAX_SWEEPS` sweeps frees its slot at the end of the sweep, and the next
-    waiting row takes it. With no row left waiting a freed slot goes idle: it
-    keeps stepping its finished row, unread, until the idle slots outnumber
-    the busy ones, and then all of them are dropped in one compaction. An
+    sweep moves its value by at most ``tols[k]``. Every row starts in its own
+    slot, the last axis of every working array, which holds its states,
+    coordinate tensor, last value and tolerance; so the working set is one
+    slot of d_1^2 ... d_n^2 coordinates per row, and all busy rows have run
+    the same sweeps. A row that converges, or reaches `MAX_SWEEPS` sweeps, is
+    read out at the end of the sweep and its slot goes idle: it keeps
+    stepping its finished row, unread, until the idle slots outnumber the
+    busy ones, and then all of them are dropped in one compaction. An
     idle slot skips the `eigh` steps, the costly ones; it takes the cheap
     contractions and qubit steps. At least two slots are kept, as on a
-    single slot numpy's contractions sum in another order. Every step acts
-    on each slot alone, so no result depends on the other rows.
+    single slot numpy's contractions sum in another order; a lone row's idle
+    twin starts at a last value of 0, so its first sweep subtracts no inf
+    from inf. Every step acts on each slot alone, so no result depends on
+    the other rows.
     """
     rows = len(owner)
     values, converged = np.full(rows, np.inf), np.zeros(rows, dtype=bool)
-    nxt = min(BLOCK_ROWS, rows)
-    row = np.arange(max(nxt, 2)) % rows  # a lone row gets an idle twin
-    busy, sweeps, count = np.arange(row.size) < nxt, np.zeros(row.size, dtype=int), nxt
+    row = np.arange(max(rows, 2)) % rows  # a lone row gets an idle twin
+    busy, count = np.arange(row.size) < rows, rows
     # `take`, as indexing with [..., row] would put the slots first in memory
     cur = [s.take(row, axis=-1) for s in states]
     gathered = tensor.take(owner[row], axis=-1)
-    last, tol = np.full(row.size, np.inf), tols[row]
+    last, tol = np.where(busy, np.inf, 0.0), tols[row]
     subscripts = [_contraction(i, len(dims)) for i in range(len(dims))]
-    while count:
+    for sweep in range(1, MAX_SWEEPS + 1):
         for i, (sub, di) in enumerate(zip(subscripts, dims)):
             others = [c if dj == 2 else _ket_coordinates(c)
                       for j, (c, dj) in enumerate(zip(cur, dims)) if j != i]
@@ -354,30 +349,24 @@ def _descend(tensor, dims, owner, tols, states):
                 new[busy], cur[i][:, busy] = _eigh_step(v.compress(busy, axis=1), di)
             else:
                 new, cur[i] = _eigh_step(v, di)
-        sweeps += 1
         done = np.abs(new - last) <= tol
         last = new
-        free = np.flatnonzero(busy & (done | (sweeps >= MAX_SWEEPS)))
+        free = np.flatnonzero(busy & (done | (sweep == MAX_SWEEPS)))
         if not free.size:
             continue
         gone = row[free]
         values[gone], converged[gone] = new[free], done[free]
         for s, c in zip(states, cur):
             s[:, gone] = c[:, free]
-        fresh = np.arange(nxt, min(nxt + free.size, rows))
-        nxt += fresh.size
-        fill, idle = free[:fresh.size], free[fresh.size:]
-        row[fill], sweeps[fill], last[fill], tol[fill] = fresh, 0, np.inf, tols[fresh]
-        for c, s in zip(cur, states):
-            c[:, fill] = s[:, fresh]
-        gathered[..., fill] = tensor[..., owner[fresh]]
-        busy[idle] = False
-        count = np.count_nonzero(busy)
-        if count and 2 * count < row.size:
+        busy[free] = False
+        count -= free.size
+        if not count:
+            break
+        if 2 * count < row.size:
             keep = busy.copy()
             if count == 1:  # an idle slot stays beside the last busy one
                 keep[np.argmin(busy)] = True
-            row, busy, sweeps, last, tol = row[keep], busy[keep], sweeps[keep], last[keep], tol[keep]
+            row, busy, last, tol = row[keep], busy[keep], last[keep], tol[keep]
             cur = [c.compress(keep, axis=-1) for c in cur]
             gathered = gathered.compress(keep, axis=-1)
     return values, converged
@@ -565,7 +554,13 @@ def _descent_minima(stack: np.ndarray, d: tuple[int, ...], config: OptimizerConf
 
 
 class ProductMinima(NamedTuple):
-    """`product_minima` of a stack of n observables, one entry per observable."""
+    """`product_minima` of a stack of n observables, one entry per observable.
+
+    A descended observable is `converged` when its best restart's last sweep
+    moved the value by at most ``TOL_SWEEP ||O||_F``: a stopping rule, not a
+    bound on the distance to the true minimum, which can exceed it (a
+    two-qubit dual once sat 1.08e-11 above, against a 4.3e-12 tolerance).
+    """
 
     values: np.ndarray         # (n,) attained product minima
     kets: tuple[np.ndarray, ...]  # per party, (n, d_i) unit vectors attaining them

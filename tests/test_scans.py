@@ -74,11 +74,10 @@ def test_optimizer_engine_agrees_with_closed_form():
 
 
 @pytest.mark.parametrize("name", ["measurement", "unitary_mix"])
-def test_optimizer_scan_values_do_not_depend_on_the_batch(monkeypatch, name):
-    # 7 slots would split each point's 16 restarts across refills; the measurement
-    # duals are all shifted pure, and the other 12 of the 15 unitary_mix duals are
-    # solved by their two-qubit dual certificates, so none is descended
-    monkeypatch.setattr(witnesses, "BLOCK_ROWS", 7)
+def test_optimizer_scan_values_do_not_depend_on_the_batch(name):
+    # the measurement duals are all shifted pure, and the other 12 of the 15
+    # unitary_mix duals are solved by their two-qubit dual certificates, so none
+    # is descended
     cfg = OptimizerConfig(restarts=16, seed=3)
     scenario = get_scenario(name)
     scan = run_scan(name, step=0.25, engine="optimizer", optimizer=cfg)
