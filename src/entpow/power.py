@@ -50,7 +50,6 @@ from .tensor import (
     IMAGE_RTOL,
     MATCH_RTOL,
     PSD_ATOL,
-    SCALE_FLOOR,
     THRESHOLD_ATOL,
     TOL_WITNESS,
     DimList,
@@ -124,12 +123,6 @@ def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _scales(ops: np.ndarray) -> np.ndarray:
-    """Per operator, the Frobenius norm floored at `SCALE_FLOOR`: images below
-    `IMAGE_RTOL` of it are zero."""
-    return np.maximum(np.linalg.norm(ops.reshape(len(ops), -1), axis=1), SCALE_FLOOR)
-
-
 def _image_svals(img: np.ndarray, scale: np.ndarray, dims: DimList) -> np.ndarray:
     """Schmidt coefficients of images (K, P, d) of operators with scales
     (K,); an image below ``IMAGE_RTOL * scale`` gets zero coefficients."""
@@ -166,7 +159,7 @@ def _image_rank_search(ops, dims: DimList, config: OptimizerConfig):
     a = _unit_rows(rng, PROBES, d1)
     b = _unit_rows(rng, PROBES, d2)
     chi = np.einsum("pi,pj->pij", a, b).reshape(PROBES, -1)
-    scale = _scales(stack)
+    scale = np.linalg.norm(stack.reshape(len(stack), -1), axis=1)  # Frobenius
     rank = np.zeros(len(stack), dtype=int)
     best = np.zeros(len(stack), dtype=int)
     kept = np.zeros(stack.shape[:2], dtype=complex)  # image of each operator's best probe

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ArityError, DimensionError, InvalidCutError
 from .tensor import (
     PSD_ATOL,
-    SCALE_FLOOR,
     STATE_HERM_ATOL,
     STATE_PSD_RTOL,
     TRACE_ATOL,
@@ -78,7 +77,7 @@ class DensityMatrix:
             raise DimensionError("density matrix must be Hermitian")
         m = (m + np.conj(m.T)) / 2.0
         evals = np.linalg.eigvalsh(m)
-        if evals[0] < -STATE_PSD_RTOL * max(SCALE_FLOOR, float(evals[-1])):
+        if evals[0] < -STATE_PSD_RTOL * float(evals[-1]):
             raise DimensionError(f"density matrix has negative eigenvalue {evals[0]}")
         tr = float(np.real(np.trace(m)))
         if not self.subnormalized and abs(tr - 1.0) > TRACE_ATOL:

@@ -20,16 +20,12 @@ from .errors import ArityError, DimensionError
 # Every threshold of the package, one name per value, scale rule and meaning;
 # no other module writes a tolerance as a number. Each comment gives the rule:
 # - absolute: compared as it is;
-# - relative: times the size it names, of the operator it judges;
-# - floored: times that size once raised to SCALE_FLOOR, so it is absolute on
-#   operators smaller than SCALE_FLOOR.
+# - relative: times the size it names, of the operator it judges, with no floor:
+#   it scales down with the operator, to 0 on an exact zero.
 
-SCALE_FLOOR = 1.0  # the least size that a floored tolerance multiplies
-
-RANK_RTOL = 1e-10  # floored, largest singular value: a singular value above it is nonzero
-IMAGE_RTOL = 1e-12  # floored, ||M||_F: an image M chi below it is zero
-STATE_PSD_RTOL = 1e-10  # floored, largest eigenvalue: least eigenvalue of a density matrix
-
+RANK_RTOL = 1e-10  # relative, largest singular value: a singular value above it is nonzero
+IMAGE_RTOL = 1e-12  # relative, ||M||_F: an image M chi at or below it is zero
+STATE_PSD_RTOL = 1e-10  # relative, largest eigenvalue: least eigenvalue of a density matrix
 MATCH_RTOL = 1e-10  # relative, each direction's weight: residual of a remixed Kraus list
 TEST_PSD_RTOL = 1e-10  # relative, max|eigenvalue|: least eigenvalue of a shifted test operator
 WITNESS_RTOL = 1e-12  # relative, max|entry|: W - W^dag, and W against its shifted form
@@ -225,8 +221,8 @@ def operator_schmidt(m, dims) -> OperatorSchmidt:
 
 
 def numerical_rank(singular_values: np.ndarray) -> int | np.ndarray:
-    """Count of singular values above `RANK_RTOL` times the largest, floored
-    at `SCALE_FLOOR`.
+    """Count of singular values above `RANK_RTOL` times the largest; all-zero
+    values have rank 0.
 
     Values are in descending order, so the first is the largest. A 2-D array
     is counted row by row and gives an integer array with one count per row;
@@ -235,7 +231,7 @@ def numerical_rank(singular_values: np.ndarray) -> int | np.ndarray:
     s = np.asarray(singular_values, dtype=float)
     if s.shape[-1] == 0:
         return 0 if s.ndim == 1 else np.zeros(s.shape[:-1], dtype=int)
-    counts = np.sum(s > RANK_RTOL * np.maximum(s[..., :1], SCALE_FLOOR), axis=-1)
+    counts = np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
     return int(counts) if s.ndim == 1 else counts
 
 

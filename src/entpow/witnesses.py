@@ -11,28 +11,24 @@ frozen, the objective is a Hermitian quadratic form in the free party, whose
 exact minimizer is an extremal eigenvector. Sweeps are monotone, so each
 restart converges; restarts guard against local minima.
 `product_minima` minimizes a whole stack of observables at once, and
-`min_over_products` is its one-row view: every (observable, restart) pair
-is one row. Each party's projector
+`min_over_products` is its one-row view. Each party's projector
 ``conj(u) u^T`` and each observable are expanded per party in a basis: Pauli
 for a qubit, with real coordinates, and otherwise the matrix units ``E_xy``,
 whose coordinates are the matrix entries themselves. So every observable
 becomes one tensor ``T[a_1, ..., a_n]``, real when every party is a qubit,
-built once per call. Rows run in slots on the last axis of every working
-array, so the gathered coordinates are one ``(d_1^2, ..., d_n^2, slots)``
-tensor that every party shares, and each party's state is one
-``(coordinates, slots)`` array. A step contracts the outer product of the
-other parties' coordinates with that tensor in one einsum over contiguous
-slots. A qubit party then moves in closed form on the Bloch sphere
-(`_bloch_step`: the length of its Bloch vector is the root of a sum of
-squares, and a `hypot` chain only where that root leaves (`SQUARE_MIN`,
-`SQUARE_MAX`)); a larger one takes the lowest eigenvector of the effective
-matrix that its coordinates are, reshaped (`_eigh_step`). Qubit unit vectors
-are recovered only for each observable's best row. Every row starts in its
-own slot, so one sweep counter serves them all; a row that converges goes
-idle in its slot, and idle slots are dropped together in one compaction once
-they outnumber the busy ones (`_descend`). No step mixes slots, so a value
-does not depend on the batch it ran in; tolerances are relative to the
-observable's size.
+built once per call and never copied per restart. An observable's R restarts
+run side by side as the R columns of its party states, and party i's step is
+one stacked matmul: T with party i's axis first, times the outer product of
+the other parties' coordinates, ``(rest, R)`` per observable. A qubit party
+then moves in closed form on the Bloch sphere (`_bloch_step`: the length of
+its Bloch vector is the root of a sum of squares, and a `hypot` chain only
+where that root leaves (`SQUARE_MIN`, `SQUARE_MAX`)); a larger one takes the
+lowest eigenvector of the effective matrix that its coordinates are, reshaped
+(`_eigh_step`). Qubit unit vectors are recovered only for each observable's
+best restart. A restart that converges goes idle in its column, and an
+observable leaves the working arrays once all its restarts have (`_descend`).
+Every step acts on one observable with one shape, so a value does not depend
+on the batch it ran in; tolerances are relative to the observable's size.
 
 Before any descent, each bipartite observable of the form
 ``c I - |psi><psi|`` or ``c I + |psi><psi|`` is solved exactly
@@ -210,41 +206,44 @@ def _observable_coordinates(stack: np.ndarray, d: tuple[int, ...]) -> np.ndarray
 
 
 def _ket_coordinates(u: np.ndarray) -> np.ndarray:
-    """Per column, the coordinates q of the projector ``P = conj(u) u^T`` of a
-    unit vector u, so ``P = sum_a q_a B_a``: real Pauli coordinates
-    ``q_a = Tr(B_a P) / 2`` for a qubit, otherwise P's entries, in C order
-    whatever the layout of u: einsum picks its summation order from the
-    operands' strides."""
-    if len(u) != 2:
-        return np.ascontiguousarray((np.conj(u)[:, None] * u[None]).reshape(-1, u.shape[-1]))
-    rows = u.T
-    return _basis_contract(rows[:, :, None] * np.conj(rows)[:, None, :], 2).T.real / 2.0
+    """Per column of the ``(..., d, n)`` u of unit vectors, the coordinates q of
+    the projector ``P = conj(u) u^T``, so ``P = sum_a q_a B_a``, as ``(..., d^2
+    or 4, n)``: real Pauli coordinates ``q_a = Tr(B_a P) / 2`` for a qubit,
+    otherwise P's entries in C order."""
+    if u.shape[-2] != 2:
+        p = np.conj(u)[..., :, None, :] * u[..., None, :, :]
+        return p.reshape(*u.shape[:-2], -1, u.shape[-1])
+    rows = np.swapaxes(u, -1, -2)
+    t = rows[..., :, None] * np.conj(rows)[..., None, :]
+    return np.swapaxes(_basis_contract(t, 2), -1, -2).real / 2.0
 
 
 def _bloch_step(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least value of ``q . v`` over a qubit's projector coordinates
     ``q = (1, m) / 2``, m a unit Bloch vector, and the coordinates attaining it,
-    per column of the ``(4, n)`` v.
+    per column of the ``(..., 4, n)`` v.
 
     The value is ``(v_0 - |v'|) / 2`` at ``m = -v' / |v'|``, for ``v' = v[1:]``;
     at ``v' = 0`` every m attains it, and m = +z (the ket |0>) is taken.
-    ``|v'|`` is the root of the sum of squares, one contraction for all
-    columns; only when some root falls outside (`SQUARE_MIN`, `SQUARE_MAX`),
-    where a square may under- or overflow, are those columns redone as a
-    `hypot` chain and checked for zero.
+    ``|v'|`` is the root of the sum of squares, taken entry by entry, so a
+    column gets the same bits in any batch; only where the root falls outside
+    (`SQUARE_MIN`, `SQUARE_MAX`), where a square may under- or overflow, is it
+    redone as a `hypot` chain and checked for zero.
     """
-    norm = np.sqrt(np.einsum("an,an->n", v[1:], v[1:]))  # einsum raises no floating-point warning
+    x, y, z = v[..., 1, :], v[..., 2, :], v[..., 3, :]
+    with np.errstate(over="ignore", under="ignore"):
+        norm = np.sqrt(x * x + y * y + z * z)
     q = np.empty_like(v)
-    q[0] = 0.5
-    if SQUARE_MIN < norm.min() and norm.max() < SQUARE_MAX:
-        np.divide(v[1:], -2.0 * norm, out=q[1:])
+    q[..., 0, :] = 0.5
+    odd = ~((norm > SQUARE_MIN) & (norm < SQUARE_MAX))
+    if not odd.any():
+        np.divide(v[..., 1:, :], -2.0 * norm[..., None, :], out=q[..., 1:, :])
     else:
-        odd = ~((norm > SQUARE_MIN) & (norm < SQUARE_MAX))
-        norm[odd] = np.hypot(np.hypot(v[1, odd], v[2, odd]), v[3, odd])
+        norm[odd] = np.hypot(np.hypot(x[odd], y[odd]), z[odd])
         flat = norm == 0.0
-        np.divide(v[1:], -2.0 * np.where(flat, 1.0, norm), out=q[1:])
-        q[1:, flat] = ((0.0,), (0.0,), (0.5,))
-    return (v[0] - norm) / 2.0, q
+        np.divide(v[..., 1:, :], -2.0 * np.where(flat, 1.0, norm)[..., None, :], out=q[..., 1:, :])
+        np.moveaxis(q, -2, 0)[1:, flat] = ((0.0,), (0.0,), (0.5,))
+    return (v[..., 0, :] - norm) / 2.0, q
 
 
 def _bloch_ket(q: np.ndarray) -> np.ndarray:
@@ -296,79 +295,63 @@ def _starts(d: tuple[int, ...], config: OptimizerConfig) -> tuple[np.ndarray, ..
     return out
 
 
-def _contraction(i: int, n: int) -> str:
-    """The einsum subscripts of party i's step among n: the outer product of
-    the other parties' coordinates, ``(..., d_j^2, ..., slots)`` in party
-    order, contracted with the ``(d_1^2, ..., d_n^2, slots)`` coordinate
-    tensor into party i's ``(d_i^2, slots)`` effective coordinates."""
-    axes = "abcdefghijklmnopqrstuvwxy"[:n]
-    return f"{axes.replace(axes[i], '')}z,{axes}z->{axes[i]}z"
+def _descend(tensor, dims, tols, states):
+    """Coordinate descent, in place, from the party states ``states[i][k, :, r]``
+    of observable k's restart r: a qubit's projector coordinates, any other
+    party's unit vector. Returns each restart's value and whether it
+    converged, as ``(n, R)`` arrays.
 
-
-def _descend(tensor, dims, owner, tols, states):
-    """Coordinate descent, in place, from the party states ``states[i][:, k]``:
-    a qubit's projector coordinates, any other party's unit vector, one column
-    per row. Returns each row's value and whether it converged.
-
-    Row k minimizes observable ``owner[k]``, whose coordinates are
-    ``tensor[..., owner[k]]``, one axis per party, and has converged once a
-    sweep moves its value by at most ``tols[k]``. Every row starts in its own
-    slot, the last axis of every working array, which holds its states,
-    coordinate tensor, last value and tolerance; so the working set is one
-    slot of d_1^2 ... d_n^2 coordinates per row, and all busy rows have run
-    the same sweeps. A row that converges, or reaches `MAX_SWEEPS` sweeps, is
-    read out at the end of the sweep and its slot goes idle: it keeps
-    stepping its finished row, unread, until the idle slots outnumber the
-    busy ones, and then all of them are dropped in one compaction. An
-    idle slot skips the `eigh` steps, the costly ones; it takes the cheap
-    contractions and qubit steps. At least two slots are kept, as on a
-    single slot numpy's contractions sum in another order; a lone row's idle
-    twin starts at a last value of 0, so its first sweep subtracts no inf
-    from inf. Every step acts on each slot alone, so no result depends on
-    the other rows.
+    Observable k's coordinates are ``tensor[k]``, one axis per party, and its
+    restarts have converged once a sweep moves their value by at most
+    ``tols[k]``. Party i's step is one stacked matmul per sweep: the
+    observable's coordinates with party i's axis first, ``(n, d_i^2, rest)``,
+    laid out once, times the other parties' coordinates, ``(n, rest, R)``,
+    their outer product in party order. A restart that converges, or reaches
+    `MAX_SWEEPS` sweeps, is read out at the end of the sweep and goes idle: it
+    skips the `eigh` steps, the costly ones, and is no longer read, but keeps
+    its column, so its observable's matmuls keep their R columns. An
+    observable leaves the working arrays once all its restarts are idle.
+    Every step acts on each observable alone, with one shape throughout, so no
+    result depends on the other observables.
     """
-    rows = len(owner)
-    values, converged = np.full(rows, np.inf), np.zeros(rows, dtype=bool)
-    row = np.arange(max(rows, 2)) % rows  # a lone row gets an idle twin
-    busy, count = np.arange(row.size) < rows, rows
-    # `take`, as indexing with [..., row] would put the slots first in memory
-    cur = [s.take(row, axis=-1) for s in states]
-    gathered = tensor.take(owner[row], axis=-1)
-    last, tol = np.where(busy, np.inf, 0.0), tols[row]
-    subscripts = [_contraction(i, len(dims)) for i in range(len(dims))]
+    n, r = states[0].shape[0], states[0].shape[-1]
+    values, converged = np.empty((n, r)), np.zeros((n, r), dtype=bool)
+    at = np.arange(n)  # the observable in each working row
+    left = [np.ascontiguousarray(np.moveaxis(tensor, 1 + i, 1).reshape(n, di * di, -1))
+            for i, di in enumerate(dims)]
+    cur = [s.copy() for s in states]
+    busy, last = np.ones((n, r), dtype=bool), np.full((n, r), np.inf)
+
+    def outer(a, b):
+        return (a[:, :, None] * b[:, None]).reshape(len(a), -1, r)
+
     for sweep in range(1, MAX_SWEEPS + 1):
-        for i, (sub, di) in enumerate(zip(subscripts, dims)):
+        for i, di in enumerate(dims):
             others = [c if dj == 2 else _ket_coordinates(c)
                       for j, (c, dj) in enumerate(zip(cur, dims)) if j != i]
-            w = reduce(lambda a, b: a[..., None, :] * b, others) if others else np.ones(row.size)
-            v = np.einsum(sub, w, gathered)
+            v = left[i] @ (reduce(outer, others) if others else np.ones((len(at), 1, r)))
             if di == 2:
                 new, cur[i] = _bloch_step(v.real)
-            elif count < row.size:  # an idle slot would cost an `eigh`
-                new = last.copy()
-                new[busy], cur[i][:, busy] = _eigh_step(v.compress(busy, axis=1), di)
             else:
-                new, cur[i] = _eigh_step(v, di)
-        done = np.abs(new - last) <= tol
+                new = last.copy()
+                new[busy], np.moveaxis(cur[i], 1, 0)[:, busy] = _eigh_step(
+                    np.moveaxis(v, 1, 0)[:, busy], di)
+        done = np.abs(new - last) <= tols[at, None]
         last = new
-        free = np.flatnonzero(busy & (done | (sweep == MAX_SWEEPS)))
-        if not free.size:
+        free = busy & (done | (sweep == MAX_SWEEPS))
+        if not free.any():
             continue
-        gone = row[free]
-        values[gone], converged[gone] = new[free], done[free]
+        k, col = np.nonzero(free)
+        values[at[k], col], converged[at[k], col] = new[k, col], done[k, col]
         for s, c in zip(states, cur):
-            s[:, gone] = c[:, free]
-        busy[free] = False
-        count -= free.size
-        if not count:
+            s[at[k], :, col] = c[k, :, col]
+        busy &= ~free
+        keep = busy.any(axis=1)
+        if not keep.any():
             break
-        if 2 * count < row.size:
-            keep = busy.copy()
-            if count == 1:  # an idle slot stays beside the last busy one
-                keep[np.argmin(busy)] = True
-            row, busy, last, tol = row[keep], busy[keep], last[keep], tol[keep]
-            cur = [c.compress(keep, axis=-1) for c in cur]
-            gathered = gathered.compress(keep, axis=-1)
+        if not keep.all():
+            at, busy, last = at[keep], busy[keep], last[keep]
+            left, cur = [x[keep] for x in left], [c[keep] for c in cur]
     return values, converged
 
 
@@ -478,8 +461,7 @@ def _two_qubit_duals(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
     """Each row of the ``(n, 3)`` v scaled to unit length; +z where the row is 0.
-    Unlike `_bloch_step`'s einsum, whose sum on a single column runs in another
-    order, every step here gives a row the same bits in any batch."""
+    As in `_bloch_step`, every step here gives a row the same bits in any batch."""
     length = np.sqrt((v * v).sum(axis=1))
     flat = length == 0.0
     v = v / np.where(flat, 1.0, length)[:, None]
@@ -533,24 +515,21 @@ def _two_qubit_minima(stack: np.ndarray, dims: tuple[int, int]):
 
 
 def _descent_minima(stack: np.ndarray, d: tuple[int, ...], config: OptimizerConfig):
-    """Multi-start `_descend` over every (observable, restart) row of the
-    stack: per observable, the best row's value, whether it converged, the
-    restart spread and the best row's party kets."""
+    """Multi-start `_descend` of every observable of the stack, from the
+    config's restarts: per observable, the best restart's value, whether it
+    converged, the restart spread and the best restart's party kets."""
     count = len(stack)
     scale = _row_norms(stack.reshape(count, -1))
-    tensor = np.ascontiguousarray(np.moveaxis(_observable_coordinates(stack, d), 0, -1))
     starts = [_ket_coordinates(s.T) if di == 2 else s.T for s, di in zip(_starts(d, config), d)]
-    r_count = starts[0].shape[1]
-    owner = np.repeat(np.arange(count), r_count)
-    states = [np.tile(s, count) for s in starts]
-    values, converged = _descend(tensor, d, owner, TOL_SWEEP * scale[owner], states)
-    per_obs = values.reshape(count, r_count)
-    low = per_obs.min(axis=1)
+    states = [np.repeat(s[None], count, axis=0) for s in starts]
+    values, converged = _descend(_observable_coordinates(stack, d), d, TOL_SWEEP * scale, states)
+    low = values.min(axis=1)
     # lowest value wins; ties (within the convergence tolerance) go to the earliest restart
-    first = np.argmax(per_obs <= (low + TOL_SWEEP * scale)[:, None], axis=1)
-    best = np.arange(count) * r_count + first
-    kets = [(_bloch_ket(s[:, best]) if di == 2 else s[:, best]).T for s, di in zip(states, d)]
-    return values[best], converged[best], per_obs.max(axis=1) - low, kets
+    first = np.argmax(values <= (low + TOL_SWEEP * scale)[:, None], axis=1)
+    rows = np.arange(count)
+    kets = [_bloch_ket(s[rows, :, first].T).T if di == 2 else s[rows, :, first]
+            for s, di in zip(states, d)]
+    return values[rows, first], converged[rows, first], values.max(axis=1) - low, kets
 
 
 class ProductMinima(NamedTuple):
@@ -576,11 +555,11 @@ def product_minima(stack, dims, config: OptimizerConfig | None = None) -> Produc
     solved exactly (`_shifted_pure_minima`), and then any other two-qubit
     observable whose dual certificate holds (`_two_qubit_minima`): its value
     is ``<chi|O|chi>`` at the product vector found there, with no restarts
-    (`restarts_used` 0, converged, spread 0). Every (observable, restart)
-    pair of the others is one row, and one `_descend` runs them all. The stack gets a shape check, a
-    check that every entry is finite and a Hermitian check
-    (``max|O - O^dagger| <= OBSERVABLE_RTOL max|O|`` per observable). Each entry is
-    bitwise the one the observable gets alone.
+    (`restarts_used` 0, converged, spread 0). One `_descend` runs the others,
+    each with the config's restarts. The stack gets a shape check, a check
+    that every entry is finite and a Hermitian check
+    (``max|O - O^dagger| <= OBSERVABLE_RTOL max|O|`` per observable). Each
+    entry is bitwise the one the observable gets alone.
     """
     dims = DimList.of(dims)
     config = config or DEFAULT_CONFIG

@@ -142,6 +142,19 @@ def test_answers_do_not_change_when_the_kraus_list_is_scaled(channel, k):
     assert answers(scaled, dims) == answers(ops, dims)
 
 
+def test_a_faint_or_scaled_down_cnot_term_is_not_certified_sne():
+    # no rank or image tolerance has an absolute floor, so a CNOT term of weight
+    # 1e-22, or the whole list at 1e-12, is not read as zero; the verdict and the
+    # bounds then match the unscaled list (the note can differ while TOL_WITNESS
+    # is absolute)
+    ops, dims = fixed_channel("cnot_with_identity")
+    faint = [np.sqrt(1.0 - 1e-22) * np.eye(4), 1e-11 * CNOT]
+    want = answers(ops, dims)
+    for stored in (faint, [1e-12 * m for m in ops]):
+        got = answers(stored, dims)
+        assert got[0] == want[0] != SNE and got[3:5] == want[3:5]
+
+
 @st.composite
 def stored_lists(draw):
     """One to three operators, as stored: each local ``A (x) B``, swapped

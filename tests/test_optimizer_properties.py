@@ -279,8 +279,8 @@ def test_stacked_rows_match_each_observable_alone(dims, seeds, max_sweeps):
 
 @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
 def test_a_lone_restart_descends_without_warnings(dims):
-    # a lone row runs beside an idle twin, which skips the `eigh` step of a party of
-    # d >= 3; on such a last party the twin's value must not start at inf - inf
+    # a lone restart is a one-column matmul; a party of d >= 3 last steps it by `eigh`,
+    # and its first sweep's change from a start at inf must not warn
     d, obs = int(np.prod(dims)), observable(0, dims)
     one = OptimizerConfig(restarts=1)
     with warnings.catch_warnings():
@@ -289,6 +289,18 @@ def test_a_lone_restart_descends_without_warnings(dims):
         generic = min_over_products(obs, dims, one)
     assert diagonal.converged and abs(diagonal.value) <= witnesses.TOL_SWEEP * d
     assert generic.converged and generic.value >= np.linalg.eigvalsh(obs)[0]
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 2, 2), (3, 4), (2, 2, 3)])
+@pytest.mark.parametrize("restarts", [1, 2, 3])
+def test_few_restarts_in_a_batch_match_each_observable_alone(dims, restarts):
+    # an observable's matmuls have as many columns as it has restarts, in a batch
+    # or alone, down to a single column
+    config = OptimizerConfig(restarts=restarts, seed=5)
+    obs = np.array([observable(s, dims) for s in range(4)])
+    stacked = product_minima(obs, dims, config)
+    for i, o in enumerate(obs):
+        assert same(row(stacked, i), alone(o, dims, config))
 
 
 def eigh_descent(obs, dims, config):
@@ -314,7 +326,7 @@ def eigh_descent(obs, dims, config):
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
-@given(DIMS, SEEDS)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 4)]), SEEDS)
 def test_descent_agrees_with_an_eigh_only_descent(dims, seed):
     obs = observable(seed, dims)
     obs = obs / np.linalg.norm(obs)
@@ -400,7 +412,7 @@ def test_descended_minimum_is_scale_free(dims):
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2)])
 def test_rows_at_far_scales_in_one_block_match_each_observable_alone(dims):
-    # the Bloch step's hypot guard runs on the rows at 1e-200 and 1e200 only; on
+    # the Bloch step's hypot chain runs on the rows at 1e-200 and 1e200 only; on
     # two qubits, the dual certificate's rows are also each their own
     obs = observable(9, dims)
     stack = np.array([1e-200, 1.0, 1e200])[:, None, None] * obs

@@ -160,24 +160,25 @@ def test_operator_schmidt_reconstruction():
 def test_numerical_rank_threshold():
     assert numerical_rank(np.array([1.0, 1e-3, 1e-12])) == 2
     assert numerical_rank(np.array([0.0, 0.0])) == 0
-    # threshold scales with the leading value once it exceeds 1 ...
+    # the threshold scales with the leading value, above 1 ...
     assert numerical_rank(np.array([1e12, 50.0])) == 1
-    # ... but never drops below the absolute floor
-    assert numerical_rank(np.array([1e-30, 1e-32])) == 0
+    # ... and below it: there is no absolute floor
+    assert numerical_rank(np.array([1e-30, 1e-32])) == 2
+    assert numerical_rank(np.array([1e-30, 1e-41])) == 1
 
 
 def test_numerical_rank_counts_rows():
     rows = np.array([
-        [1.0, 1e-3, 1e-12],   # relative cut below 1: the floor 1e-10 applies
-        [0.0, 0.0, 0.0],      # all-zero row
-        [1e12, 50.0, 0.0],    # cut 1e2 scales with the leading value
-        [1e-30, 1e-32, 0.0],  # below the floor throughout
+        [1.0, 1e-3, 1e-12],     # cut 1e-10
+        [0.0, 0.0, 0.0],        # all-zero row
+        [1e12, 50.0, 0.0],      # cut 1e2 scales with the leading value
+        [1e-30, 1e-32, 1e-41],  # cut 1e-40 scales down with it too
         [3.0, 2.0, 1.0],
-        [0.5, 2e-10, 5e-11],  # leading value under 1: still the floor
+        [0.5, 2e-10, 5e-11],    # cut 5e-11: a value at the cut is not counted
     ])
     counts = numerical_rank(rows)
     assert counts.shape == (len(rows),)
-    assert counts.tolist() == [numerical_rank(r) for r in rows] == [2, 0, 1, 0, 3, 2]
+    assert counts.tolist() == [numerical_rank(r) for r in rows] == [2, 0, 1, 2, 3, 2]
     rng = np.random.default_rng(7)
     # descending rows spread over many decades, so some values sit near the cut
     scale = 10.0 ** rng.integers(-14, 3, size=(200, 1))

@@ -82,4 +82,4 @@ def test_every_entry_names_its_scale_rule():
     assert len(set(names)) == len(names)
     for m in entries:
         assert getattr(tensor, m[1]) == float(m[2])
-        assert m[1] == "SCALE_FLOOR" or m[3].startswith(("absolute", "relative", "floored"))
+        assert m[3].startswith(("absolute", "relative"))
