@@ -393,10 +393,22 @@ def _product_decomposition(ch: KrausChannel, seed: int):
     return None
 
 
-def _channel_violations(
-    ch: KrausChannel, witnesses: list[Witness], config: OptimizerConfig | None
+def _witness_violations(
+    ch: KrausChannel, hits: list[Violation], config: OptimizerConfig | None
 ) -> list[Violation]:
-    """The violations of `witnesses` by the full channel, minimized in one batch."""
+    """The `witness` violations of the full channel. The first probe hit's
+    witness ``c0^2 I - |img><img|`` has an exact separable ceiling, c0^2, so
+    its value on the channel's output on the hit's input is evidence about the
+    channel at every Choi rank; it is kept when it reaches ``-TOL_WITNESS``.
+    Only when it is not are the duals of `default_witness_family`, which no
+    SNE channel violates, minimized in one batch."""
+    if hits:
+        chi = hits[0].input.assemble().amplitudes
+        out = ch.apply_matrix(np.outer(chi, np.conj(chi)))
+        value = float(np.real(np.trace(hits[0].witness.operator @ out)))
+        if value <= -TOL_WITNESS:
+            return [Violation("witness", hits[0].witness, hits[0].input, value)]
+    witnesses = default_witness_family(ch.dims)
     found = product_minima(np.array([ch.dual_apply(w.operator) for w in witnesses]),
                            ch.dims, config)
     return [
@@ -404,17 +416,6 @@ def _channel_violations(
         for w, value, factors in zip(witnesses, found.values.tolist(), zip(*found.kets))
         if value <= -TOL_WITNESS
     ]
-
-
-def _image_witness_violations(ch: KrausChannel, hit: Violation) -> list[Violation]:
-    """A probe hit of a Choi-rank-1 channel as a `witness` violation of the
-    channel: the hit's witness ``c0^2 I - |img><img|`` (its separable ceiling
-    c0^2 is exact) and input, valued on the channel's output on that input.
-    Kept when the value reaches ``-TOL_WITNESS``."""
-    chi = hit.input.assemble().amplitudes
-    out = ch.apply_matrix(np.outer(chi, np.conj(chi)))
-    value = float(np.real(np.trace(hit.witness.operator @ out)))
-    return [Violation("witness", hit.witness, hit.input, value)] if value <= -TOL_WITNESS else []
 
 
 def certify_kraus_channel(ch: KrausChannel, config: OptimizerConfig | None = None) -> Certificate:
@@ -448,10 +449,7 @@ def certify_kraus_channel(ch: KrausChannel, config: OptimizerConfig | None = Non
             "a product-preserving remixing of the Kraus list reproduces the Choi matrix"))
     structures = tuple(_probe_unknown(structures, ch.kraus, ch.dims, config))
     hits = [s.violation for s in structures if s.violation is not None]
-    violations = _image_witness_violations(ch, hits[0]) if hits and ch.choi_rank == 1 else []
-    if not violations:
-        violations = _channel_violations(ch, default_witness_family(ch.dims), config)
-    violations += hits
+    violations = _witness_violations(ch, hits, config) + hits
     if violations:
         note = "" if violations[0].kind == "witness" else (
             "evidence is stochastic: a stored Kraus operator entangles a "
@@ -498,11 +496,11 @@ def channel_schmidt_number_bounds(
         r = schmidt_rank(target)
         return ChannelSchmidtBounds(r, r, "replacement channel: exact rank of the fixed output",
                                     certificate=ch.kraus)
+    cert = certify_kraus_channel(ch, config)
     if ch.choi_rank == 1:
-        r = max(s.image_rank for s in classify_kraus_many(ch.kraus, ch.dims, config))
+        r = max(s.image_rank for s in cert.structures)
         return ChannelSchmidtBounds(r, r, "Choi rank 1: exact image rank of the one Kraus operator",
                                     certificate=ch.kraus)
-    cert = certify_kraus_channel(ch, config)
     if cert.verdict == SNE:
         method = ("stored decomposition" if cert.kraus is ch.kraus
                   else "product-preserving Kraus decomposition")

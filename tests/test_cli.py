@@ -382,7 +382,7 @@ def test_schmidt_single_operator_classifies_once(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "channel schmidt number bounds: (2, 2) [Choi rank 1: " in out
     assert "kraus form" not in out and "channel schmidt rank" not in out
-    assert [spy.call_count for spy in spies] == [1, 1, 0, 0]
+    assert [spy.call_count for spy in spies] == [1, 1, 1, 0]
 
 
 def test_consecutive_mains_share_no_parsed_state(tmp_path, capsys):
