@@ -246,9 +246,7 @@ class RandomUnitaryChannel(KrausChannel):
             dims.check_matrix(u)
             if np.max(np.abs(dagger(u) @ u - np.eye(dims.total))) > TP_ATOL:
                 raise DimensionError(f"operator {a} is not unitary")
-        kraus = [
-            np.sqrt(p) * u for p, u in zip(probs, unitaries) if p > EIG_CUTOFF
-        ]
+        kraus = [np.sqrt(p) * u for p, u in zip(probs, unitaries) if p > 0.0]
         super().__init__(kraus, dims, label=label)
         self.unitaries = tuple(unitaries)
         self.probabilities = tuple(float(p) for p in probs)
@@ -267,8 +265,8 @@ class MixingChannel(KrausChannel):
             raise DimensionError(f"mixing probability {p} outside [0, 1]")
         dims = sigma.dims
         eye = np.eye(dims.total, dtype=complex)
-        kraus = [np.sqrt(p) * eye[None]] if p > EIG_CUTOFF else []
-        if 1.0 - p > EIG_CUTOFF:
+        kraus = [np.sqrt(p) * eye[None]] if p > 0.0 else []
+        if p < 1.0:
             r_i, u = _eig_pairs(*np.linalg.eigh(sigma.matrix))
             kraus.append(_outer_stack(np.sqrt((1.0 - p) * r_i)[:, None], u, eye))
         super().__init__(np.concatenate(kraus), dims, label="mixing")

@@ -17,20 +17,21 @@ decomposition search: an operator takes a row's form when its (m, n)
 reshuffle has rank at most one, and the search reaches lists of up to
 min(m, n) operators of that form.
 
-Verdict semantics: "entangling" is backed either by a witness violation of
-the full channel (a separable input provably maps to an entangled output) or
-by a single Kraus operator of the *stored* decomposition mapping a product
-input to an entangled conditional output. The latter speaks about the stored
-decomposition; a different decomposition of the same channel may be free of
-such operators. At Choi rank 1 the two coincide: the channel has one
-outcome, so a probe hit's entangled image is the channel's own output, and
-the hit is a witness violation of the channel.
+Verdict semantics: "entangling" is backed only by a witness violation of
+the full channel: a separable input provably maps to an entangled output.
+A Kraus operator of the *stored* decomposition mapping a product input to
+an entangled conditional output is stochastic evidence about that list
+alone (a different decomposition of the same channel may be free of such
+operators), so it is attached to the certificate but decides nothing. The
+first such probe hit still gives the first witness tried: its witness has
+an exact separable ceiling, so its value on the channel's output is
+evidence about the channel at every Choi rank.
 "stochastically_nonentangling" requires structural classification of every
 operator in at least one decomposition; probe evidence alone never certifies
 it. The channel Schmidt number is 1 exactly for SNE channels, so its bounds
-read the certificate, except at Choi rank 1: there every Kraus list is one
-operator up to weights and phases, and that operator's image rank is the
-Schmidt number.
+read the certificate; at Choi rank 1 every Kraus list is one operator up to
+weights and phases, and the certificate's image rank of it is the Schmidt
+number.
 
 Every seeded search takes one `OptimizerConfig`: its restarts drive the
 witness minimizations, and its seed also draws the image-rank probes and
@@ -85,7 +86,7 @@ PROBE_CHUNK = 8
 class Violation:
     """One replayable piece of entangling evidence."""
 
-    kind: str  # "witness" (full channel; at Choi rank 1, a probe hit) | "stochastic" (stored op)
+    kind: str  # "witness" (full channel: decides) | "stochastic" (stored op: attached only)
     witness: Witness
     input: ProductStateParam
     value: float
@@ -252,7 +253,7 @@ def _stochastic_violation(
 
     The witness is ``c0^2 I - |image><image|`` whose separable maximum is
     exactly the largest squared Schmidt coefficient of the image; its value
-    on the image, c0^2 - 1, must reach ``-TOL_WITNESS``, else None.
+    on the unit image, c0^2 - 1, must reach ``-TOL_WITNESS``, else None.
     """
     c0sq = float(schmidt_decompose(image).coefficients[0] ** 2)
     value = c0sq - 1.0
@@ -399,22 +400,25 @@ def _witness_violations(
     """The `witness` violations of the full channel. The first probe hit's
     witness ``c0^2 I - |img><img|`` has an exact separable ceiling, c0^2, so
     its value on the channel's output on the hit's input is evidence about the
-    channel at every Choi rank; it is kept when it reaches ``-TOL_WITNESS``.
-    Only when it is not are the duals of `default_witness_family`, which no
-    SNE channel violates, minimized in one batch."""
+    channel at every Choi rank; it is kept when it lies below ``-TOL_WITNESS``
+    times the output's trace. Only when it is not are the duals of
+    `default_witness_family`, which no SNE channel violates, minimized in one
+    batch, each minimum kept when it lies below ``-TOL_WITNESS`` times its
+    dual's Frobenius norm, so an exact zero is never a violation."""
     if hits:
         chi = hits[0].input.assemble().amplitudes
         out = ch.apply_matrix(np.outer(chi, np.conj(chi)))
         value = float(np.real(np.trace(hits[0].witness.operator @ out)))
-        if value <= -TOL_WITNESS:
+        if value < -TOL_WITNESS * np.real(np.trace(out)):
             return [Violation("witness", hits[0].witness, hits[0].input, value)]
     witnesses = default_witness_family(ch.dims)
-    found = product_minima(np.array([ch.dual_apply(w.operator) for w in witnesses]),
-                           ch.dims, config)
+    duals = np.array([ch.dual_apply(w.operator) for w in witnesses])
+    found = product_minima(duals, ch.dims, config)
+    cuts = -TOL_WITNESS * np.linalg.norm(duals, axis=(1, 2))
     return [
         Violation("witness", w, ProductStateParam(factors), value)
-        for w, value, factors in zip(witnesses, found.values.tolist(), zip(*found.kets))
-        if value <= -TOL_WITNESS
+        for w, value, cut, factors in zip(witnesses, found.values.tolist(), cuts, zip(*found.kets))
+        if value < cut
     ]
 
 
@@ -423,18 +427,13 @@ def certify_kraus_channel(ch: KrausChannel, config: OptimizerConfig | None = Non
 
     SNE requires every Kraus operator of the stored list, or of the list
     `_product_decomposition` finds, to classify structurally; `kraus` is
-    that list. The entangling verdict needs replayable evidence: a witness
-    violation of the full channel, or the stochastic `violation` that
-    `classify_kraus_many` with `config` stores for a stored Kraus operator: a
-    product input whose conditional output reaches the operator's
-    `channel_schmidt_rank`. Probe evidence speaks only about the stored
-    decomposition, so the stored list's `unknown` operators are probed only
-    after the decomposition search fails. At `choi_rank` 1 every Kraus list
-    is multiples of one operator, so the first hit, valued on the channel's
-    output, is a witness violation of the channel; the multiples are probed
-    with the same inputs, so later hits would repeat it. The witnesses of
-    `default_witness_family`, which no SNE channel violates, are minimized
-    only when no such violation is kept.
+    that list. Otherwise the stored list's `unknown` operators are probed
+    with `config`, and `entangling` needs a `witness` violation of the full
+    channel from `_witness_violations`: the first probe hit valued on the
+    channel's output, else a minimum of the witness family. The stochastic
+    `violation` each hit stores, a product input whose conditional output
+    reaches the operator's `channel_schmidt_rank`, speaks only about the
+    stored list, so it is attached to either verdict but decides neither.
     """
     config = config or DEFAULT_CONFIG
     ch.dims.require_bipartite()
@@ -449,18 +448,16 @@ def certify_kraus_channel(ch: KrausChannel, config: OptimizerConfig | None = Non
             "a product-preserving remixing of the Kraus list reproduces the Choi matrix"))
     structures = tuple(_probe_unknown(structures, ch.kraus, ch.dims, config))
     hits = [s.violation for s in structures if s.violation is not None]
-    violations = _witness_violations(ch, hits, config) + hits
+    violations = _witness_violations(ch, hits, config)
     if violations:
-        note = "" if violations[0].kind == "witness" else (
-            "evidence is stochastic: a stored Kraus operator entangles a "
-            "product input, and no product-preserving remixing was found"
-        )
-        return Certificate(
-            "entangling", violations=tuple(violations), structures=structures,
-            kraus=ch.kraus, note=note,
-        )
-    return Certificate("inconclusive", structures=structures, kraus=ch.kraus,
-                       note="structural classification incomplete and no violation found")
+        return Certificate("entangling", violations=tuple(violations + hits),
+                           structures=structures, kraus=ch.kraus)
+    note = "structural classification incomplete and no witness violation found"
+    if hits:
+        note += ("; a stored Kraus operator entangles a product input, which speaks only"
+                 " about the stored list")
+    return Certificate("inconclusive", violations=tuple(hits), structures=structures,
+                       kraus=ch.kraus, note=note)
 
 
 def _replacement_target(ch: KrausChannel):
@@ -480,15 +477,15 @@ def channel_schmidt_number_bounds(
 ) -> ChannelSchmidtBounds:
     """Bracket the convex-roof channel Schmidt number.
 
-    Two cases are exact without a certificate: a replacement channel (the
-    rank of its fixed output), and a channel of `choi_rank` 1, whose Kraus
-    lists are all one operator up to weights and phases (the largest
-    `image_rank` that `classify_kraus_many` stores for the stored list).
-    Otherwise the bounds read one `certify_kraus_channel` result. The Schmidt
-    number is 1 exactly when the channel is SNE, so an SNE verdict gives
-    ``(1, 1)`` with the certificate's Kraus list; else the upper bound is the
-    largest image rank stored for the stored list, and the lower bound is 2
-    exactly when the verdict is `entangling`.
+    A replacement channel is exact without a certificate: the rank of its
+    fixed output. Every other channel reads one `certify_kraus_channel`
+    result. At `choi_rank` 1 its Kraus lists are all one operator up to
+    weights and phases, so the bounds are exact: the largest `image_rank` of
+    the certificate's structures. Otherwise the Schmidt number is 1 exactly
+    when the channel is SNE, so an SNE verdict gives ``(1, 1)`` with the
+    certificate's Kraus list; else the upper bound is the largest image rank
+    stored for the stored list, and the lower bound is 2 exactly when the
+    verdict is `entangling`.
     """
     ch.dims.require_bipartite()
     target = _replacement_target(ch)

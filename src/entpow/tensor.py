@@ -35,14 +35,14 @@ TOL_SHIFTED_PURE = 1e-12  # relative, max|eigenvalue|: spread of a shifted-pure 
 CERT_PSD_RTOL = 1e-12  # relative, ||O||_F^2: how far below 0 a two-qubit certificate's S may dip
 CERT_CONE_RTOL = 1e-12  # relative, ||O||_F: how far a certificate's tau may pass c - |alpha|
 TOL_POWER = 1e-13  # relative, max|eigenvalue|: a power-iteration step moving this little ends it
+TOL_WITNESS = 1e-8  # relative, ||O||_F, or Tr rho for a value on rho: a minimum above it is no violation
 
-TOL_WITNESS = 1e-8  # absolute: minima above -TOL_WITNESS still count as a witness
 TOL_ZERO = 1e-6  # absolute: minima below +TOL_ZERO count as touching zero (optimality)
 TP_ATOL = 1e-10  # absolute: max|entry| of sum K^dag K - I, sum E - I or U^dag U - I; |sum p - 1|
 PSD_ATOL = 1e-10  # absolute: how far below 0 an eigenvalue of a PSD operator may lie
 UNIT_ATOL = 1e-9  # absolute: |norm - 1| of a unit vector
 TRACE_ATOL = 1e-8  # absolute: a state's trace against 1, and its purity against trace^2
-EIG_CUTOFF = 1e-14  # absolute: a weight or eigenvalue at or below it gives no Kraus operator
+EIG_CUTOFF = 1e-14  # absolute: an eigenvalue at or below it gives no Kraus operator
 EFFECT_HERM_ATOL = 1e-10  # absolute: max|entry| of E - E^dag for a POVM effect
 STATE_HERM_ATOL = 1e-9  # absolute: max|entry| of rho - rho^dag for a density matrix
 TEST_HERM_ATOL = 1e-8  # absolute: max|entry| of L - L^dag for a Schmidt-class test operator

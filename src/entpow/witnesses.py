@@ -626,9 +626,10 @@ class WitnessCheck(NamedTuple):
 
 
 def is_witness(w: Witness, config: OptimizerConfig | None = None) -> WitnessCheck:
-    """Check non-negativity over product (hence separable) states."""
+    """Check non-negativity over product (hence separable) states, to
+    ``TOL_WITNESS`` times the witness's Frobenius norm."""
     res = min_over_products(w.operator, w.dims, config)
-    return WitnessCheck(res.value >= -TOL_WITNESS, res)
+    return WitnessCheck(res.value >= -TOL_WITNESS * np.linalg.norm(w.operator), res)
 
 
 def is_trivial(w: Witness) -> bool:
@@ -664,7 +665,7 @@ def compare_finer_shifted(
     if test1.shape != test2.shape or np.max(np.abs(test1 - test2)) > SHIFT_ATOL:
         raise IncomparableWitnessError("shifted witnesses have different test operators")
     floor = lambda_min(test1, w1.dims, config)
-    if min(lam1, lam2) < floor - TOL_WITNESS:
+    if min(lam1, lam2) < floor - TOL_WITNESS * np.linalg.norm(test1):
         raise NotAWitnessError(
             f"shift below lambda_min={floor}: not a witness, comparison is void"
         )

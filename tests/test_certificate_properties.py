@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entpow.channels import KrausChannel, mixing_channel
+from entpow.channels import KrausChannel, mixing_channel, random_unitary_channel
 from entpow.cli import main
 from entpow.power import certify_kraus_channel, channel_schmidt_number_bounds
 from entpow.serialize import channel_to_json
@@ -121,7 +121,10 @@ def fixed_channel(name):
 
 
 def answers(ops, dims):
-    ch = KrausChannel(list(ops), dims)
+    return channel_answers(KrausChannel(list(ops), dims))
+
+
+def channel_answers(ch):
     cert = certify_kraus_channel(ch)
     bounds = channel_schmidt_number_bounds(ch)
     forms = [s.form for s in cert.structures]
@@ -134,7 +137,7 @@ def answers(ops, dims):
         hidden_mixtures(),
         st.sampled_from(["cnot_with_identity", "bell_mixing"]).map(fixed_channel),
     ),
-    st.integers(-3, 3),
+    st.integers(-12, 12),
 )
 def test_answers_do_not_change_when_the_kraus_list_is_scaled(channel, k):
     ops, dims = channel
@@ -143,16 +146,34 @@ def test_answers_do_not_change_when_the_kraus_list_is_scaled(channel, k):
 
 
 def test_a_faint_or_scaled_down_cnot_term_is_not_certified_sne():
-    # no rank or image tolerance has an absolute floor, so a CNOT term of weight
-    # 1e-22, or the whole list at 1e-12, is not read as zero; the verdict and the
-    # bounds then match the unscaled list (the note can differ while TOL_WITNESS
-    # is absolute)
+    # no tolerance has an absolute floor, so a CNOT term of weight 1e-22 is not
+    # read as zero: its image rank keeps the bounds of the unscaled list, but
+    # the channel violates no witness by more than its relative cut, so the
+    # verdict stays open; the whole list at 1e-12 gives the unscaled answers
     ops, dims = fixed_channel("cnot_with_identity")
     faint = [np.sqrt(1.0 - 1e-22) * np.eye(4), 1e-11 * CNOT]
     want = answers(ops, dims)
-    for stored in (faint, [1e-12 * m for m in ops]):
-        got = answers(stored, dims)
-        assert got[0] == want[0] != SNE and got[3:5] == want[3:5]
+    got = answers(faint, dims)
+    assert want[0] == "entangling" and got[0] == "inconclusive" and got[3:5] == want[3:5]
+    assert answers([1e-12 * m for m in ops], dims) == want
+
+
+def test_a_faint_term_of_a_built_channel_is_kept():
+    # random-unitary and mixing channels keep every term of positive weight: with
+    # a faint entangling term of weight w they give the answers of the same
+    # operators stored as a Kraus list, and neither is SNE; the mixing form stops
+    # where 1 - w rounds to 1, the identity channel
+    phi = max_entangled(2, 2)
+    replace = [np.outer(phi.amplitudes, e) for e in np.eye(4)]
+    for w in 10.0 ** -np.arange(4, 25):
+        pairs = [(random_unitary_channel([np.eye(4), CNOT], [1.0 - w, w], (2, 2)),
+                  [np.sqrt(1.0 - w) * np.eye(4), np.sqrt(w) * CNOT])]
+        if 1.0 - w < 1.0:
+            pairs.append((mixing_channel(1.0 - w, phi.density()),
+                          [np.sqrt(1.0 - w) * np.eye(4)] + [np.sqrt(w) * r for r in replace]))
+        for ch, kraus in pairs:
+            got = channel_answers(ch)
+            assert got[0] != SNE and got == answers(kraus, (2, 2)), w
 
 
 @st.composite

@@ -338,15 +338,20 @@ SNE = "stochastically_nonentangling"
 DECOMPOSITION = "product-preserving Kraus decomposition"
 DECOMPOSITION_NOTE = "a product-preserving remixing of the Kraus list reproduces the Choi matrix"
 STOCHASTIC_NOTE = (
-    "evidence is stochastic: a stored Kraus operator entangles a product input, "
-    "and no product-preserving remixing was found"
+    "structural classification incomplete and no witness violation found; a stored Kraus "
+    "operator entangles a product input, which speaks only about the stored list"
 )
 
 
 @pytest.mark.parametrize(
     "build, bounds, verdict, note",
     [
-        (rank_boost_23, (2, 3, "stored decomposition"), "entangling", STOCHASTIC_NOTE),
+        # on the threshold of `nonentangling_threshold`: not entangling, and only
+        # its stored list entangles
+        pytest.param(
+            rank_boost_23, (1, 3, "stored decomposition"), "inconclusive", STOCHASTIC_NOTE,
+            id="rank_boost_23-inconclusive",
+        ),
         # SNE by construction: three local unitaries hidden by a Haar unitary
         pytest.param(
             hidden_qutrit_mixture, (1, 1, DECOMPOSITION), SNE, DECOMPOSITION_NOTE,
@@ -429,7 +434,7 @@ def test_simple_tensor_basis_misses_when_the_pencil_fails():
 def test_bounds_classify_and_search_once():
     # a found decomposition comes with its structures: no second classification
     names = ("_structures", "_image_rank_search", "_product_decomposition")
-    for build, bounds, counts in [(rank_boost_23, (2, 3), [1, 1, 1]),
+    for build, bounds, counts in [(rank_boost_23, (1, 3), [1, 1, 1]),
                                   (hidden_product_pair, (1, 1), [1, 0, 1])]:
         ch = build()
         with ExitStack() as stack:
@@ -605,6 +610,34 @@ def test_choi_rank_one_certificate_minimizes_no_witness_family():
     chi = hit.input.assemble().amplitudes
     out = ch.apply_matrix(np.outer(chi, chi.conj()))
     assert abs(np.real(np.trace(hit.witness.operator @ out)) - hit.value) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bell_mixing_hit_is_a_witness_violation_in_any_local_frame(seed):
+    # the first probe hit, valued on the channel's output, is evidence about the
+    # channel at Choi rank 5 too; it replays from the Kraus list alone
+    rng = np.random.default_rng(seed)
+    after, before = (kron(haar(rng, 2), haar(rng, 2)) for _ in range(2))
+    ops = [after @ k @ before for k in bell_mixing().kraus]
+    cert = certify_kraus_channel(KrausChannel(ops, (2, 2)))
+    assert cert.verdict == "entangling"
+    v = cert.violations[0]
+    assert v.kind == "witness" and v.witness.label.startswith("image_shift[")
+    chi = np.kron(*v.input.factors)
+    out = sum(np.outer(k @ chi, np.conj(k @ chi)) for k in ops)
+    replayed = np.real(np.trace(v.witness.operator @ out))
+    assert replayed < -1e-8 and abs(replayed - v.value) < 1e-12
+
+
+def test_choi_rank_one_bounds_classify_and_probe_once():
+    # the exact bounds read the certificate's structures: no second classification
+    names = ("_structures", "_image_rank_search", "classify_kraus_many")
+    with ExitStack() as stack:
+        spies = [stack.enter_context(patch.object(power, n, wraps=getattr(power, n)))
+                 for n in names]
+        b = channel_schmidt_number_bounds(dressed_controlled_shift(3, 5))
+    assert (b.lower, b.upper) == (3, 3) and b.method.startswith("Choi rank 1")
+    assert [spy.call_count for spy in spies] == [1, 1, 0]
 
 
 def test_product_decomposition_skips_choi_rank_one():

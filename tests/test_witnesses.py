@@ -296,6 +296,21 @@ def test_compare_finer_shifted():
         compare_finer_shifted(w1, too_low, FAST)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e3])
+def test_witness_verdicts_do_not_depend_on_the_scale(scale):
+    # the witness cut is relative to the witness: the swap witness pulled back
+    # through CNOT stays a non-witness at every scale, the swap witness stays
+    # one, and a shift just below lambda_min stays void
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    assert not is_witness(Witness(scale * cnot @ swap_matrix(2) @ cnot, (2, 2)), FAST).is_witness
+    assert is_witness(Witness(scale * swap_matrix(2), (2, 2)), FAST).is_witness
+    proj = scale * max_entangled(2, 2).projector()
+    w1, w2, below = (Witness.from_shift(scale * lam, proj, (2, 2)) for lam in (0.6, 0.8, 0.499))
+    assert compare_finer_shifted(w1, w2, FAST) == "w1_finer"
+    with pytest.raises(NotAWitnessError):
+        compare_finer_shifted(w1, below, FAST)
+
+
 def test_ppt_witness_from_pure():
     bell = bell_states()
     w = ppt_witness_from_pure(bell.psi_minus)
