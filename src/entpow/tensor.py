@@ -35,7 +35,7 @@ TOL_SHIFTED_PURE = 1e-12  # relative, max|eigenvalue|: spread of a shifted-pure 
 CERT_PSD_RTOL = 1e-12  # relative, ||O||_F^2: how far below 0 a two-qubit certificate's S may dip
 CERT_CONE_RTOL = 1e-12  # relative, ||O||_F: how far a certificate's tau may pass c - |alpha|
 TOL_POWER = 1e-13  # relative, max|eigenvalue|: a power-iteration step moving this little ends it
-TOL_WITNESS = 1e-8  # relative, ||O||_F, or Tr rho for a value on rho: a minimum above it is no violation
+TOL_WITNESS = 1e-8  # relative, ||O||_F (Tr rho for a value on rho): a value below minus it violates
 
 TOL_ZERO = 1e-6  # absolute: minima below +TOL_ZERO count as touching zero (optimality)
 TP_ATOL = 1e-10  # absolute: max|entry| of sum K^dag K - I, sum E - I or U^dag U - I; |sum p - 1|

@@ -432,10 +432,12 @@ def test_simple_tensor_basis_misses_when_the_pencil_fails():
 
 
 def test_bounds_classify_and_search_once():
-    # a found decomposition comes with its structures: no second classification
+    # a found decomposition comes with its structures, and the exact Choi-rank-1
+    # bounds read the certificate's: no second classification
     names = ("_structures", "_image_rank_search", "_product_decomposition")
     for build, bounds, counts in [(rank_boost_23, (1, 3), [1, 1, 1]),
-                                  (hidden_product_pair, (1, 1), [1, 0, 1])]:
+                                  (hidden_product_pair, (1, 1), [1, 0, 1]),
+                                  (lambda: dressed_controlled_shift(3, 5), (3, 3), [1, 1, 1])]:
         ch = build()
         with ExitStack() as stack:
             spies = [
@@ -627,17 +629,6 @@ def test_bell_mixing_hit_is_a_witness_violation_in_any_local_frame(seed):
     out = sum(np.outer(k @ chi, np.conj(k @ chi)) for k in ops)
     replayed = np.real(np.trace(v.witness.operator @ out))
     assert replayed < -1e-8 and abs(replayed - v.value) < 1e-12
-
-
-def test_choi_rank_one_bounds_classify_and_probe_once():
-    # the exact bounds read the certificate's structures: no second classification
-    names = ("_structures", "_image_rank_search", "classify_kraus_many")
-    with ExitStack() as stack:
-        spies = [stack.enter_context(patch.object(power, n, wraps=getattr(power, n)))
-                 for n in names]
-        b = channel_schmidt_number_bounds(dressed_controlled_shift(3, 5))
-    assert (b.lower, b.upper) == (3, 3) and b.method.startswith("Choi rank 1")
-    assert [spy.call_count for spy in spies] == [1, 1, 0]
 
 
 def test_product_decomposition_skips_choi_rank_one():
