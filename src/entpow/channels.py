@@ -40,6 +40,7 @@ from .tensor import (
     kron,
     numerical_rank,
     partial_trace,
+    partial_transpose,
     swap_matrix,
 )
 
@@ -120,18 +121,25 @@ class KrausChannel:
         self.dims.check_matrix(obs)
         return (dagger(self.kraus) @ obs @ self.kraus).sum(axis=0)
 
-    def choi(self) -> DensityMatrix:
-        """Choi state of the channel on (R1..Rn, S1..Sn), trace-1 convention;
-        sub-normalized unless the channel is trace-preserving."""
+    def _choi(self) -> np.ndarray:
+        """The matrix of `choi`, unchecked, so a Kraus list of any scale has one."""
         d = self.dims.total
         v = self.kraus.transpose(0, 2, 1).reshape(-1, d * d) / np.sqrt(d)  # (I (x) M)|Omega>
         j = np.zeros((d * d, d * d), dtype=complex)
         for row in v:  # one outer product at a time: memory stays at one Choi matrix
             j += np.outer(row, np.conj(row))
+        return j
+
+    def choi(self) -> DensityMatrix:
+        """Choi state of the channel on (R1..Rn, S1..Sn), trace-1 convention;
+        sub-normalized unless the channel is trace-preserving."""
         # trace = Tr(sum M^dag M)/d, which is 1 exactly when trace-preserving
-        return DensityMatrix(
-            j, DimList(self.dims.dims + self.dims.dims), subnormalized=not self.is_trace_preserving
-        )
+        return DensityMatrix(self._choi(), DimList(self.dims.dims + self.dims.dims),
+                             subnormalized=not self.is_trace_preserving)
+
+    def output_transposed_choi(self) -> np.ndarray:
+        """X: the matrix of `choi`, at the Kraus list's scale, with S_n transposed."""
+        return partial_transpose(self._choi(), (self.dims.total**2 // self.dims[-1], self.dims[-1]), 1)
 
 
 def choi_apply(choi: DensityMatrix, rho: np.ndarray) -> np.ndarray:

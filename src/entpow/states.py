@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ArityError, DimensionError, InvalidCutError
 from .tensor import (
-    PSD_ATOL,
     STATE_HERM_ATOL,
     STATE_PSD_RTOL,
     TRACE_ATOL,
@@ -26,6 +25,7 @@ from .tensor import (
     as_matrix,
     as_vector,
     finite,
+    is_psd,
     numerical_rank,
     partial_transpose,
 )
@@ -76,9 +76,8 @@ class DensityMatrix:
         if np.max(np.abs(m - np.conj(m.T))) > STATE_HERM_ATOL:
             raise DimensionError("density matrix must be Hermitian")
         m = (m + np.conj(m.T)) / 2.0
-        evals = np.linalg.eigvalsh(m)
-        if evals[0] < -STATE_PSD_RTOL * float(evals[-1]):
-            raise DimensionError(f"density matrix has negative eigenvalue {evals[0]}")
+        if not is_psd(m, STATE_PSD_RTOL):
+            raise DimensionError(f"density matrix has negative eigenvalue {np.linalg.eigvalsh(m)[0]}")
         tr = float(np.real(np.trace(m)))
         if not self.subnormalized and abs(tr - 1.0) > TRACE_ATOL:
             raise DimensionError(f"trace {tr} is not 1 (flag subnormalized=True to allow)")
@@ -237,10 +236,10 @@ def random_separable(dims, terms: int, seed: int) -> DensityMatrix:
 
 
 def is_ppt(rho: DensityMatrix) -> bool:
-    """Positivity of the partial transpose (necessary for separability)."""
+    """Positivity of the partial transpose (necessary for separability), to
+    `STATE_PSD_RTOL` of its largest |eigenvalue| at every trace."""
     rho.dims.require_bipartite()
-    gamma = partial_transpose(rho.matrix, rho.dims, 1)
-    return bool(np.linalg.eigvalsh(gamma)[0] >= -PSD_ATOL)
+    return is_psd(partial_transpose(rho.matrix, rho.dims, 1), STATE_PSD_RTOL)
 
 
 def pure_from_density(rho: DensityMatrix) -> PureState:

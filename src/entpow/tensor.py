@@ -25,32 +25,29 @@ from .errors import ArityError, DimensionError
 
 RANK_RTOL = 1e-10  # relative, largest singular value: a singular value above it is nonzero
 IMAGE_RTOL = 1e-12  # relative, ||M||_F: an image M chi at or below it is zero
-STATE_PSD_RTOL = 1e-10  # relative, largest eigenvalue: least eigenvalue of a density matrix
+STATE_PSD_RTOL = 1e-10  # relative, max|eigenvalue|: least eigenvalue of a state or of its partial transpose
 MATCH_RTOL = 1e-10  # relative, each direction's weight: residual of a remixed Kraus list
-TEST_PSD_RTOL = 1e-10  # relative, max|eigenvalue|: least eigenvalue of a shifted test operator
-WITNESS_RTOL = 1e-12  # relative, max|entry|: W - W^dag, and W against its shifted form
-OBSERVABLE_RTOL = 1e-8  # relative, max|entry|: O - O^dag of an observable to minimize
+TEST_PSD_RTOL = 1e-10  # relative, max|eigenvalue|: least eigenvalue of a test operator or trivial witness
+WITNESS_RTOL = 1e-12  # relative, max|entry| (|shift|): W - W^dag, W vs its shifted form, two shifted forms
+OBSERVABLE_RTOL = 1e-8  # relative, max|entry|: O - O^dag of an observable or a Schmidt-class test operator
 TOL_SWEEP = 1e-12  # relative, ||O||_F: a sweep moving a restart this little ends it
 TOL_SHIFTED_PURE = 1e-12  # relative, max|eigenvalue|: spread of a shifted-pure spectrum
 CERT_PSD_RTOL = 1e-12  # relative, ||O||_F^2: how far below 0 a two-qubit certificate's S may dip
 CERT_CONE_RTOL = 1e-12  # relative, ||O||_F: how far a certificate's tau may pass c - |alpha|
 TOL_POWER = 1e-13  # relative, max|eigenvalue|: a power-iteration step moving this little ends it
-TOL_WITNESS = 1e-8  # relative, ||O||_F (Tr rho for a value on rho): a value below minus it violates
+TOL_WITNESS = 1e-8  # relative, ||O||_F (Tr rho for a value on rho): below -it violates, below +it is 0
 
-TOL_ZERO = 1e-6  # absolute: minima below +TOL_ZERO count as touching zero (optimality)
 TP_ATOL = 1e-10  # absolute: max|entry| of sum K^dag K - I, sum E - I or U^dag U - I; |sum p - 1|
-PSD_ATOL = 1e-10  # absolute: how far below 0 an eigenvalue of a PSD operator may lie
+PSD_ATOL = 1e-10  # absolute: how far below 0 an eigenvalue of a POVM effect may lie
 UNIT_ATOL = 1e-9  # absolute: |norm - 1| of a unit vector
 TRACE_ATOL = 1e-8  # absolute: a state's trace against 1, and its purity against trace^2
 EIG_CUTOFF = 1e-14  # absolute: an eigenvalue at or below it gives no Kraus operator
 EFFECT_HERM_ATOL = 1e-10  # absolute: max|entry| of E - E^dag for a POVM effect
 STATE_HERM_ATOL = 1e-9  # absolute: max|entry| of rho - rho^dag for a density matrix
-TEST_HERM_ATOL = 1e-8  # absolute: max|entry| of L - L^dag for a Schmidt-class test operator
 PROB_ATOL = 1e-12  # absolute: how far below 0 a probability may lie
 ORDER_ATOL = 1e-12  # absolute: how far a Schmidt coefficient may exceed the one before it
 COEFF_ATOL = 1e-9  # absolute: |sum c^2 - 1| of rank-boost Schmidt coefficients
 THRESHOLD_ATOL = 1e-12  # absolute: slack of the rank-boost coefficient-product bound
-SHIFT_ATOL = 1e-12  # absolute: two shifted witnesses' test operators (max|entry|) or shifts agree
 GRID_ATOL = 1e-9  # absolute: a scan coordinate, or p + q, this close to 1 counts as 1
 COORD_ATOL = 1e-12  # absolute: how far above 1 a closed-form scan's p or q may lie
 
@@ -133,6 +130,12 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def is_hermitian(m: np.ndarray, atol: float) -> bool:
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - dagger(m))) <= atol
+
+
+def is_psd(m: np.ndarray, rtol: float) -> bool:
+    """Least eigenvalue of Hermitian `m` at least ``-rtol`` times its largest |eigenvalue|."""
+    spectrum = np.linalg.eigvalsh(m)
+    return bool(spectrum[0] >= -rtol * np.abs(spectrum).max())
 
 
 def kron(a, b) -> np.ndarray:

@@ -80,15 +80,11 @@ from .tensor import (
     COORD_ATOL,
     GRID_ATOL,
     OBSERVABLE_RTOL,
-    PSD_ATOL,
-    SHIFT_ATOL,
-    TEST_HERM_ATOL,
     TEST_PSD_RTOL,
     TOL_POWER,
     TOL_SHIFTED_PURE,
     TOL_SWEEP,
     TOL_WITNESS,
-    TOL_ZERO,
     UNIT_ATOL,
     WITNESS_RTOL,
     DimList,
@@ -96,6 +92,7 @@ from .tensor import (
     dagger,
     finite,
     is_hermitian,
+    is_psd,
     partial_transpose,
     swap_matrix,
 )
@@ -137,8 +134,7 @@ class Witness:
             test = as_matrix(test)
             if np.max(np.abs(op - (lam * np.eye(dims.total) - test))) > tol:
                 raise DimensionError("shifted form does not match operator")
-            spectrum = np.linalg.eigvalsh(test)
-            if spectrum[0] < -TEST_PSD_RTOL * np.abs(spectrum).max():
+            if not is_psd(test, TEST_PSD_RTOL):
                 raise DimensionError("shifted test operator must be PSD")
             object.__setattr__(self, "shifted", (float(lam), test))
         object.__setattr__(self, "operator", op)
@@ -633,53 +629,53 @@ def is_witness(w: Witness, config: OptimizerConfig | None = None) -> WitnessChec
 
 
 def is_trivial(w: Witness) -> bool:
-    """A PSD witness detects nothing: non-negative on every state."""
-    return bool(np.linalg.eigvalsh(w.operator)[0] >= -PSD_ATOL)
+    """A witness PSD to `TEST_PSD_RTOL` (`is_psd`) detects nothing at any scale."""
+    return is_psd(w.operator, TEST_PSD_RTOL)
 
 
 def lambda_min(test_op, dims, config: OptimizerConfig | None = None) -> float:
     """Smallest shift making ``lambda*I - test_op`` a witness.
 
     Equals the maximum of <test_op> over separable states; the witness
-    shifted by exactly this value touches zero on a product state.
+    shifted by exactly this value touches zero on a product state. The test
+    operator must be PSD to `TEST_PSD_RTOL` (`is_psd`).
     """
     test_op = as_matrix(test_op)
-    if np.linalg.eigvalsh((test_op + dagger(test_op)) / 2)[0] < -PSD_ATOL:
+    if not is_psd((test_op + dagger(test_op)) / 2, TEST_PSD_RTOL):
         raise DimensionError("test operator must be PSD")
     return max_over_products(test_op, dims, config).value
 
 
-def compare_finer_shifted(
-    w1: Witness, w2: Witness, config: OptimizerConfig | None = None
-) -> str:
+def compare_finer_shifted(w1: Witness, w2: Witness, config: OptimizerConfig | None = None) -> str:
     """Order two shifted witnesses with the same test operator.
 
     The smaller shift detects strictly more states (provided both shifts stay
     above lambda_min, checked here). Returns "w1_finer", "w2_finer" or
-    "equal"; witnesses with different test operators are incomparable.
+    "equal"; test operators agree, and shifts are equal, to `WITNESS_RTOL`
+    of their own size, else the witnesses are incomparable.
     """
     if w1.shifted is None or w2.shifted is None:
         raise IncomparableWitnessError("both witnesses must carry a shifted form")
     lam1, test1 = w1.shifted
     lam2, test2 = w2.shifted
-    if test1.shape != test2.shape or np.max(np.abs(test1 - test2)) > SHIFT_ATOL:
+    size = max(np.abs(test1).max(), np.abs(test2).max())
+    if test1.shape != test2.shape or np.abs(test1 - test2).max() > WITNESS_RTOL * size:
         raise IncomparableWitnessError("shifted witnesses have different test operators")
     floor = lambda_min(test1, w1.dims, config)
     if min(lam1, lam2) < floor - TOL_WITNESS * np.linalg.norm(test1):
-        raise NotAWitnessError(
-            f"shift below lambda_min={floor}: not a witness, comparison is void"
-        )
-    if abs(lam1 - lam2) <= SHIFT_ATOL:
+        raise NotAWitnessError(f"shift below lambda_min={floor}: not a witness, comparison is void")
+    if abs(lam1 - lam2) <= WITNESS_RTOL * max(abs(lam1), abs(lam2)):
         return "equal"
     return "w1_finer" if lam1 < lam2 else "w2_finer"
 
 
 def is_optimal(w: Witness, config: OptimizerConfig | None = None) -> bool:
-    """A witness is optimal here iff some product state brings it to zero."""
+    """A witness is optimal here iff some product state brings it to zero, to
+    ``TOL_WITNESS`` times its Frobenius norm: the mirror of `is_witness`."""
     check = is_witness(w, config)
     if not check.is_witness:
         raise NotAWitnessError(f"operator is not a witness (min {check.result.value})")
-    return check.result.value <= TOL_ZERO
+    return check.result.value <= TOL_WITNESS * np.linalg.norm(w.operator)
 
 
 def ppt_witness_from_pure(psi: PureState) -> Witness:
@@ -692,15 +688,13 @@ def ppt_witness_from_pure(psi: PureState) -> Witness:
     return Witness(op, psi.dims, label="ppt_pure")
 
 
-def schmidt_class_max(
-    test_op, r: int, dims, config: OptimizerConfig | None = None
-) -> float:
+def schmidt_class_max(test_op, r: int, dims, config: OptimizerConfig | None = None) -> float:
     """Max of <psi|test_op|psi> over pure states of Schmidt rank <= r.
 
     Multi-start power iteration with rank-r truncation after every step (the
     test operator is shifted to be PSD first, which leaves the maximizer
-    unchanged). The shift and the stopping tolerance are relative to the
-    largest |eigenvalue|, so the value scales with the operator.
+    unchanged). The Hermitian check (`OBSERVABLE_RTOL`), the shift and the
+    stopping tolerance are relative, so the value scales with the operator.
     r = min(d1, d2) reduces to the largest eigenvalue; r = 1 agrees with
     `max_over_products`.
     """
@@ -708,7 +702,7 @@ def schmidt_class_max(
     dims.require_bipartite()
     test_op = as_matrix(test_op)
     dims.check_matrix(test_op)
-    if not is_hermitian(test_op, TEST_HERM_ATOL):
+    if not is_hermitian(test_op, OBSERVABLE_RTOL * np.abs(test_op).max()):
         raise DimensionError("test operator must be Hermitian")
     d1, d2 = dims.dims
     if not 1 <= r <= min(d1, d2):
@@ -729,21 +723,18 @@ def schmidt_class_max(
         u, s, vh = np.linalg.svd(stack, full_matrices=False)
         s[:, r:] = 0.0
         out = np.einsum("zik,zk,zkj->zij", u, s, vh)
-        norms = np.linalg.norm(out.reshape(r_count, -1), axis=1, keepdims=True)
-        return out / norms.reshape(-1, 1, 1)
+        return out / np.linalg.norm(out.reshape(r_count, -1), axis=1)[:, None, None]
 
     psi = truncate(psi)
     prev = np.full(r_count, -np.inf)
     for _ in range(MAX_SWEEPS):
-        vec = psi.reshape(r_count, -1)
-        psi = truncate((vec @ lifted.T).reshape(r_count, d1, d2))
+        psi = truncate((psi.reshape(r_count, -1) @ lifted.T).reshape(r_count, d1, d2))
         vec = psi.reshape(r_count, -1)
         vals = np.real(np.einsum("zi,ij,zj->z", np.conj(vec), test_op, vec))
         if np.max(np.abs(vals - prev)) < TOL_POWER * size:
-            prev = vals
             break
         prev = vals
-    return float(prev.max())
+    return float(vals.max())
 
 
 # -- closed forms for the two benchmark scans --------------------------

@@ -29,11 +29,12 @@ from entpow.states import (
     PureState,
     max_entangled,
     random_product_state,
+    random_separable,
     random_state_vector,
     schmidt_rank,
 )
 from entpow.tensor import DimList, kron, swap_matrix
-from entpow.witnesses import OptimizerConfig, default_witness_family, swap_witness
+from entpow.witnesses import OptimizerConfig, swap_witness
 
 CNOT = np.eye(4)[[0, 1, 3, 2]]
 
@@ -773,10 +774,9 @@ def test_rank_boost_parameters_are_refused_alike(k, d, coeffs):
 def test_entanglement_annihilating_check():
     sep = DensityMatrix(np.eye(4) / 4, (2, 2))
     const = replacement_channel(sep)
-    family = default_witness_family((2, 2))
-    assert entanglement_annihilating_check(const, family)
-    assert not entanglement_annihilating_check(identity_channel((2, 2)), family)
-    assert not entanglement_annihilating_check(swap_channel(2), family)
+    assert entanglement_annihilating_check(const)
+    assert not entanglement_annihilating_check(identity_channel((2, 2)))
+    assert not entanglement_annihilating_check(swap_channel(2))
 
 
 def test_annihilating_respects_mixing_threshold():
@@ -784,8 +784,44 @@ def test_annihilating_respects_mixing_threshold():
     # entanglement (p <= 1/3 keeps every output separable by the known
     # two-qubit ball radius); the check should accept the deep-noise case
     sep = DensityMatrix(np.eye(4) / 4, (2, 2))
-    family = default_witness_family((2, 2))
     deep = mixing_channel(0.1, sep)
-    assert entanglement_annihilating_check(deep, family)
+    assert entanglement_annihilating_check(deep)
     shallow = mixing_channel(0.9, sep)
-    assert not entanglement_annihilating_check(shallow, family)
+    assert not entanglement_annihilating_check(shallow)
+
+
+def least_x_eigenvalue(ch):
+    """Least eigenvalue of the output-transposed Choi matrix of trace D."""
+    return ch.dims.total * np.linalg.eigvalsh(ch.output_transposed_choi())[0]
+
+
+@pytest.mark.parametrize("name, ch, proven, least", [
+    ("replacement I/4", replacement_channel(DensityMatrix(np.eye(4) / 4, (2, 2))), True, 0.25),
+    ("identity", identity_channel((2, 2)), False, -2.0),
+    ("swap", swap_channel(2), False, -2.0),
+    ("mixing 0.1", mixing_channel(0.1, DensityMatrix(np.eye(4) / 4, (2, 2))), True, 0.025),
+    ("mixing 0.9", mixing_channel(0.9, DensityMatrix(np.eye(4) / 4, (2, 2))), False, -1.775),
+    # the demo's separable sigma: its outputs may all be separable, but X is
+    # not PSD, so nothing is proven
+    ("mixing 0.1 sigma", mixing_channel(0.1, random_separable((2, 2), 3, seed=9)), False, -0.105),
+    ("replacement I/6 on 2x3",
+     replacement_channel(DensityMatrix(np.eye(6) / 6, (2, 3))), True, 1 / 6),
+    # X is PSD here too, but above 2x3 that proves only PPT outputs
+    ("replacement I/9 on 3x3",
+     replacement_channel(DensityMatrix(np.eye(9) / 9, (3, 3))), False, 1 / 9),
+])
+def test_annihilation_is_an_exact_ppt_proof(name, ch, proven, least):
+    # X, the Choi matrix with output B transposed, is PSD exactly when every
+    # output is provably PPT; only on 2x2 and 2x3 does that prove separability
+    assert abs(least_x_eigenvalue(ch) - least) < 1e-3
+    assert entanglement_annihilating_check(ch) is proven
+
+
+def test_output_transposed_choi_exchanges_the_last_output_indices():
+    # X is the Choi matrix on (R1, R2, S1, S2) with S2's row and column
+    # indices exchanged (`choi` symmetrizes its matrix, so to rounding)
+    ch = mixing_channel(0.3, random_separable((2, 3), 2, seed=1))
+    d = ch.dims.total
+    j = ch.choi().matrix.reshape(d, 2, 3, d, 2, 3)
+    expected = j.transpose(0, 1, 5, 3, 4, 2).reshape(d * d, d * d)
+    assert np.allclose(ch.output_transposed_choi(), expected, rtol=0, atol=1e-15)

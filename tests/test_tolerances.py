@@ -3,7 +3,8 @@
 The table is the block of ``src/entpow/tensor.py`` from its ``# -- tolerances``
 header to the next ``# --`` header. Outside it, no module may write an
 e-notation literal or a float literal below 1e-3, except the few listed in
-`ALLOWED`, each as often as listed.
+`ALLOWED`, each as often as listed. Every entry is read somewhere other than
+the table, an import statement and `__init__.py`, so no entry is left orphaned.
 """
 
 import io
@@ -83,3 +84,44 @@ def test_every_entry_names_its_scale_rule():
     for m in entries:
         assert getattr(tensor, m[1]) == float(m[2])
         assert m[3].startswith(("absolute", "relative"))
+
+
+
+def unread_entries(package: Path) -> set[str]:
+    """The table entries no module reads: named nowhere but in the table, in
+    an import statement, or in `__init__.py`."""
+    source = (package / "tensor.py").read_text(encoding="utf-8")
+    lines = source.splitlines()
+    unread = {m[1] for n in table_span(source) if (m := ENTRY.match(lines[n - 1]))}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        skip = table_span(source) if path.name == "tensor.py" else range(0)
+        importing = False
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NEWLINE:
+                importing = False
+            elif tok.type == tokenize.NAME and tok.string in ("from", "import"):
+                importing = True
+            elif tok.type == tokenize.NAME and not importing and tok.start[0] not in skip:
+                unread.discard(tok.string)
+    return unread
+
+
+def test_every_entry_is_read():
+    assert unread_entries(PACKAGE) == set()
+
+
+def test_an_unread_entry_is_found(tmp_path):
+    copy = tmp_path / "entpow"
+    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    tensor_py = copy / "tensor.py"
+    source = tensor_py.read_text(encoding="utf-8")
+    entry = "SPARE_ATOL = 1e-10  # absolute: nothing\n"
+    tensor_py.write_text(source.replace("\nTP_ATOL = ", "\n" + entry + "TP_ATOL = "),
+                         encoding="utf-8")
+    states = copy / "states.py"
+    states.write_text(states.read_text(encoding="utf-8").replace(
+        "from .tensor import (", "from .tensor import (\n    SPARE_ATOL,"), encoding="utf-8")
+    assert unread_entries(copy) == {"SPARE_ATOL"}

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from entpow.channels import mixing_channel
+from entpow.channels import KrausChannel, identity_channel, mixing_channel, replacement_channel
 from entpow.errors import (
     DimensionError,
     EntpowError,
     IncomparableWitnessError,
     NotAWitnessError,
 )
+from entpow.power import entanglement_annihilating_check
 from entpow.states import (
     DensityMatrix,
     PureState,
     bell_states,
+    is_ppt,
     max_entangled,
     random_state_vector,
     schmidt_decompose,
@@ -296,19 +298,41 @@ def test_compare_finer_shifted():
         compare_finer_shifted(w1, too_low, FAST)
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e3])
+@pytest.mark.parametrize("scale", [1.0, 1e-11, 1e-9, 1e3])
 def test_witness_verdicts_do_not_depend_on_the_scale(scale):
-    # the witness cut is relative to the witness: the swap witness pulled back
-    # through CNOT stays a non-witness at every scale, the swap witness stays
-    # one, and a shift just below lambda_min stays void
+    # every public predicate cuts relative to the size of its input: the swap
+    # witness pulled back through CNOT stays a non-witness at every scale, the
+    # swap witness stays one, and a shift just below lambda_min stays void
     cnot = np.eye(4)[[0, 1, 3, 2]]
     assert not is_witness(Witness(scale * cnot @ swap_matrix(2) @ cnot, (2, 2)), FAST).is_witness
     assert is_witness(Witness(scale * swap_matrix(2), (2, 2)), FAST).is_witness
-    proj = scale * max_entangled(2, 2).projector()
+    phi = max_entangled(2, 2).projector()
+    proj = scale * phi
     w1, w2, below = (Witness.from_shift(scale * lam, proj, (2, 2)) for lam in (0.6, 0.8, 0.499))
     assert compare_finer_shifted(w1, w2, FAST) == "w1_finer"
+    assert compare_finer_shifted(w1, Witness.from_shift(scale * 0.6, proj, (2, 2)), FAST) == "equal"
+    other = Witness.from_shift(scale * 0.6, proj + scale * 1e-3 * np.eye(4), (2, 2))
+    with pytest.raises(IncomparableWitnessError):
+        compare_finer_shifted(w1, other, FAST)
     with pytest.raises(NotAWitnessError):
         compare_finer_shifted(w1, below, FAST)
+    # lambda_min scales linearly; the witness at it touches zero, one above it
+    # does not, and a shift above the largest eigenvalue detects nothing
+    lam = lambda_min(phi, (2, 2), FAST)
+    assert abs(lambda_min(proj, (2, 2), FAST) - scale * lam) <= 1e-12 * scale
+    assert is_optimal(Witness.from_shift(scale * 0.5, proj, (2, 2)), FAST)
+    assert not is_optimal(w2, FAST)
+    assert is_trivial(Witness.from_shift(scale * 1.25, proj, (2, 2)))
+    assert not is_trivial(w2)
+    # the PPT test on a sub-normalized state, and the annihilation proof on a
+    # scaled Kraus list
+    if scale <= 1.0:
+        assert not is_ppt(DensityMatrix(proj, (2, 2), subnormalized=True))
+        assert is_ppt(DensityMatrix(scale * np.eye(4) / 4, (2, 2), subnormalized=True))
+    noise = replacement_channel(DensityMatrix(np.eye(4) / 4, (2, 2)))
+    assert entanglement_annihilating_check(KrausChannel(scale * noise.kraus, (2, 2)))
+    identity = identity_channel((2, 2))
+    assert not entanglement_annihilating_check(KrausChannel(scale * identity.kraus, (2, 2)))
 
 
 def test_ppt_witness_from_pure():
